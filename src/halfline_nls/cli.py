@@ -480,11 +480,6 @@ def cmd_converge(config_path, levels, out_dir=None):
 
 
 def main(argv=None):
-    threads = os.environ.get("HALFLINE_NLS_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     ap = argparse.ArgumentParser(
         prog="halfline-nls",
         description="Half-line nonlinear Schrodinger IBVP solver",

@@ -24,18 +24,23 @@ antiderivative
     F(w) = (sqrt(pi)/2) e^{i pi/4} erf(e^{-i pi/4} w),      A = x^2/4,
 
 so the only discretization error is the piecewise-linear interpolation of h.
-The resulting per-x weights form convolution kernels; one operator
-application is a batch of FFT convolutions. Kernels depend only on the grid
-pair and are cached (the fixed-point solver reapplies the operator on fixed
-grids every iteration).
+
+Everything that depends only on the grid pair lives in one OperatorPlan,
+returned by operator_plan(sgrid, tgrid) from a two-slot LRU cache (the
+fixed-point solver reapplies the operators on fixed grids every iteration):
+
+* the phase table e^{-i t xi^2}, shared by the free group and Duhamel;
+* the forcing kernels on the distinct values of |x| only (they depend on x^2,
+  so a grid symmetric about 0 needs about half the rows), folded into one
+  kernel and stored as its FFT in t, so that one forcing application is one
+  spectrum product and one inverse FFT.
 """
 from __future__ import annotations
 
+import functools
 import warnings
-from collections import OrderedDict
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import erf
 
 from .fractional import frac_derivative
@@ -79,10 +84,8 @@ def free_group(phi: GridFunction, t: float) -> GridFunction:
 def free_group_field(phi: GridFunction, tgrid: TimeGrid) -> SolutionField:
     """Free evolution sampled on a whole time grid (one fft, m+1 iffts)."""
     _warn_edges(phi.values, "free_group_field")
-    xi = phi.grid.frequencies
-    phat = np.fft.fft(phi.values)
-    phase = np.exp(-1j * np.outer(tgrid.nodes, xi * xi))
-    vals = np.fft.ifft(phase * phat[None, :], axis=1)
+    phase = operator_plan(phi.grid, tgrid).phase
+    vals = np.fft.ifft(phase * np.fft.fft(phi.values)[None, :], axis=1)
     vals[0] = phi.values  # t=0 multiplier is identically 1
     return SolutionField(phi.grid, tgrid, vals)
 
@@ -96,17 +99,12 @@ def duhamel_field(w: SolutionField) -> SolutionField:
     sgrid, tgrid = w.sgrid, w.tgrid
     if not isinstance(sgrid, SpatialGrid):
         raise TypeError("duhamel_field needs a whole-line field")
-    xi2 = sgrid.frequencies**2
-    dt = tgrid.dt
-    what = np.fft.fft(w.values, axis=1)
-    out = np.empty_like(what)
-    out[0] = 0.0
-    phase = np.exp(1j * np.outer(tgrid.nodes, xi2))
-    g = phase * what
-    S = np.zeros(sgrid.n, dtype=complex)
-    for i in range(1, tgrid.m + 1):
-        S = S + 0.5 * (g[i - 1] + g[i])
-        out[i] = -1j * dt * np.conj(phase[i]) * S
+    phase = operator_plan(sgrid, tgrid).phase
+    g = np.conj(phase) * np.fft.fft(w.values, axis=1)
+    S = 0.5 * (g[:-1] + g[1:])
+    np.cumsum(S, axis=0, out=S)
+    out = np.zeros_like(g)
+    out[1:] = -1j * tgrid.dt * phase[1:] * S
     vals = np.fft.ifft(out, axis=1)
     vals[0] = 0.0
     return SolutionField(sgrid, tgrid, vals)
@@ -186,26 +184,45 @@ def _bf_kernel_chunk(x, dt, m):
     return a / ROOT_PI, b / ROOT_PI
 
 
-_kernel_cache: OrderedDict = OrderedDict()
-_KERNEL_CACHE_SLOTS = 2
+class OperatorPlan:
+    """The grid-only work of the three operators on one (sgrid, tgrid) pair.
+
+    * phase: e^{-i t xi^2}, shape (m+1, n); free_group_field applies it and
+      duhamel_field its conjugate.
+    * inv: maps the r distinct values of |x| back to the nodes; the forcing
+      kernels depend on x^2 only, so they are built once per distinct |x|.
+    * kspec: the length-2m FFT in t of the folded forcing kernel
+      K_l = a_l + b_{l+1} (b_{m+1} = 0), shape (2m, r). Only lags
+      0..m of the product are read; the one wrapped lag, 2m, lands on lag 0,
+      whose slice is zero by construction.
+    * b: the b kernel, shape (m+1, r). K's convolution with h counts
+      b_{l+1} h_0, which the b-sum (starting at h_1) does not; forcing
+      subtracts it.
+
+    The arrays are read-only: operator_plan hands the same plan to every
+    caller on the same grids.
+    """
+
+    def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid):
+        m = tgrid.m
+        xi = sgrid.frequencies
+        self.phase = np.exp(-1j * np.outer(tgrid.nodes, xi * xi))
+        absx, self.inv = np.unique(np.abs(sgrid.nodes), return_inverse=True)
+        r = len(absx)
+        self.kspec = np.empty((2 * m, r), dtype=complex)
+        self.b = np.empty((m + 1, r), dtype=complex)
+        # row chunks bound the Fresnel temporaries of the kernel build
+        for lo in range(0, r, _X_CHUNK):
+            hi = min(lo + _X_CHUNK, r)
+            a, b = _bf_kernel_chunk(absx[lo:hi], tgrid.dt, m)
+            a[:, :-1] += b[:, 1:]
+            self.kspec[:, lo:hi] = np.fft.fft(a, 2 * m, axis=1).T
+            self.b[:, lo:hi] = b.T
+        for arr in (self.phase, self.inv, self.kspec, self.b):
+            arr.flags.writeable = False
 
 
-def _bf_kernels(sgrid: SpatialGrid, tgrid: TimeGrid):
-    key = (sgrid, tgrid)
-    if key in _kernel_cache:
-        _kernel_cache.move_to_end(key)
-        return _kernel_cache[key]
-    m = tgrid.m
-    x = sgrid.nodes
-    a = np.empty((sgrid.n, m + 1), dtype=complex)
-    b = np.empty((sgrid.n, m + 1), dtype=complex)
-    for lo in range(0, sgrid.n, _X_CHUNK):
-        hi = min(lo + _X_CHUNK, sgrid.n)
-        a[lo:hi], b[lo:hi] = _bf_kernel_chunk(x[lo:hi], tgrid.dt, m)
-    _kernel_cache[key] = (a, b)
-    while len(_kernel_cache) > _KERNEL_CACHE_SLOTS:
-        _kernel_cache.popitem(last=False)
-    return a, b
+operator_plan = functools.lru_cache(maxsize=2)(OperatorPlan)
 
 
 def _check_vanishing_start(f: TimeSignal, what):
@@ -225,16 +242,13 @@ def boundary_forcing_time(
     _check_vanishing_start(f, "boundary_forcing_time")
     m = tgrid.m
     h = frac_derivative(f, 0.5).values
-    a, b = _bf_kernels(sgrid, tgrid)
-    vals = np.empty((m + 1, sgrid.n), dtype=complex)
-    for lo in range(0, sgrid.n, _X_CHUNK):
-        hi = min(lo + _X_CHUNK, sgrid.n)
-        ca = fftconvolve(a[lo:hi], h[None, :], axes=1)[:, : m + 1]
-        cb = fftconvolve(b[lo:hi], h[None, 1:], axes=1)[:, : m + 1]
-        ca[:, 1:] += cb[:, 1:]
-        vals[:, lo:hi] = ca.T
-    vals[0] = 0.0  # every kernel weight at lag 0 is zero by construction
-    return SolutionField(sgrid, tgrid, vals)
+    plan = operator_plan(sgrid, tgrid)
+    hhat = np.fft.fft(h, 2 * m)
+    rows = np.fft.ifft(plan.kspec * hhat[:, None], axis=0)[: m + 1]
+    rows[:m] -= h[0] * plan.b[1:]
+    rows[0] = 0.0  # every kernel weight at lag 0 is zero by construction
+    # np.take, not rows[:, inv]: SolutionField needs a C-contiguous array
+    return SolutionField(sgrid, tgrid, np.take(rows, plan.inv, axis=1))
 
 
 def boundary_forcing_freq(

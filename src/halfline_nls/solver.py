@@ -429,9 +429,13 @@ def continue_solution(
     Restarts the integral equation with initial slice u(., T) (already a
     whole-line function, no re-extension) and boundary data f(T + .). The
     seam slice is shared bit-exact. delta is rounded to a whole number of
-    parent time steps to keep the concatenated grid uniform. On a restart
-    that fails to contract, the [0, T] portion is returned with
-    meta['blowup'] set instead of raising.
+    parent time steps to keep the concatenated grid uniform. A restart that
+    contracts only after halving its interval is joined on the parent's time
+    step: every (parent dt / tail dt)-th tail slice, whole parent steps only.
+    When not one whole parent step remains, the [0, T] portion is returned
+    with meta['restart_shorter_than_step'] set. On a restart that fails to
+    contract, the [0, T] portion is returned with meta['blowup'] set instead
+    of raising.
     """
     if delta < 0.0:
         raise ValueError("delta >= 0 required")
@@ -462,12 +466,17 @@ def continue_solution(
         out.meta["blowup"] = True
         out.meta["restart_report"] = exc.report.as_dict()
         return out
-    if tail.tgrid.t_max < delta_eff * (1.0 - 1e-12):
-        # the restart contracted only on a shorter interval
-        m2 = tail.tgrid.m
-        delta_eff = tail.tgrid.t_max
-    joined = TimeGrid(T + delta_eff, u.tgrid.m + tail.tgrid.m)
-    vals = np.vstack([u.values, tail.values[1:]])
+    # a restart that halved contracted only on a shorter interval, with the
+    # same m and so a finer dt: keep its slices on the parent's time nodes
+    step = round(dt / tail.tgrid.dt)
+    m_keep = tail.tgrid.m // step
+    if m_keep == 0:
+        out = SolutionField(u.sgrid, u.tgrid, u.values.copy(), dict(u.meta))
+        out.meta["restart_shorter_than_step"] = True
+        out.meta["restart_report"] = tail_report.as_dict()
+        return out
+    joined = TimeGrid(T + m_keep * dt, u.tgrid.m + m_keep)
+    vals = np.vstack([u.values, tail.values[step : m_keep * step + 1 : step]])
     out = SolutionField(u.sgrid, joined, vals, dict(u.meta))
     out.meta["seam_index"] = u.tgrid.m
     out.meta["restart_report"] = tail_report.as_dict()

@@ -318,16 +318,6 @@ def test_console_script_solves_zero_data(tmp_path):
         assert (out / name).exists(), name
 
 
-def test_thread_env_variable(tmp_path, monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("HALFLINE_NLS_THREADS", "3")
-    cfg = _write_cfg(tmp_path / "z.cfg", ["grid.nx = 64", "grid.nt = 64"])
-    assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
-
-
 def test_phi_file_row_mismatch_exits_one(tmp_path, capsys):
     bad = tmp_path / "phi.csv"
     with open(bad, "w", encoding="utf-8") as fh:

@@ -27,7 +27,7 @@ from halfline_nls import (
     free_group,
     free_group_field,
 )
-from halfline_nls.operators import branch_sqrt
+from halfline_nls.operators import _bf_kernel_chunk, branch_sqrt, operator_plan
 
 
 def _gaussian_exact(x, t):
@@ -215,6 +215,51 @@ def test_boundary_trace_identity_refines_at_first_order():
     assert errs[-1] < 1e-3
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.0), (errs, orders)
+
+
+def _forcing_reference(f, sg, tg):
+    # two-kernel quadrature, one x row at a time: the a-sum over h_0..h_i and
+    # the b-sum over h_1..h_{i+1}, on the signed nodes
+    m = tg.m
+    h = frac_derivative(f, 0.5).values
+    a, b = _bf_kernel_chunk(sg.nodes, tg.dt, m)
+    vals = np.empty((m + 1, sg.n), dtype=complex)
+    for j in range(sg.n):
+        ca = np.convolve(a[j], h)[: m + 1]
+        ca[1:] += np.convolve(b[j], h[1:])[1 : m + 1]
+        vals[:, j] = ca
+    vals[0] = 0.0
+    return vals
+
+
+@pytest.mark.parametrize(
+    "sg, kernel_rows",
+    [
+        (SpatialGrid(-10.0, 10.0, 64), 33),  # symmetric, node at 0
+        (SpatialGrid(-5.0, 15.0, 64), 48),  # asymmetric, node at 0
+        (SpatialGrid(-10.15625, 9.84375, 64), 33),  # symmetric pairs, no node at 0
+    ],
+    ids=["symmetric", "asymmetric", "no-zero-node"],
+)
+def test_forcing_plan_matches_two_kernel_quadrature(sg, kernel_rows):
+    tg = TimeGrid(1.0, 48)
+    t = tg.nodes
+    # f'(0) != 0, so the half-derivative's first sample h_0 is far from 0
+    f = TimeSignal(tg, np.sin(3.0 * t) * np.exp(2j * t))
+    assert abs(frac_derivative(f, 0.5).values[0]) > 0.1
+    got = boundary_forcing_time(f, sg, tg).values
+    ref = _forcing_reference(f, sg, tg)
+    assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-13
+    # one kernel row per distinct |x|
+    assert operator_plan(sg, tg).kspec.shape == (2 * tg.m, kernel_rows)
+
+
+def test_operator_plan_cache_keeps_two_slots():
+    phi_fn = lambda x: np.exp(-x * x) + 0j
+    for n, m in ((64, 16), (128, 16), (64, 32)):
+        sg = SpatialGrid(-20.0, 20.0, n)
+        free_group_field(GridFunction(sg, phi_fn(sg.nodes)), TimeGrid(0.5, m))
+    assert operator_plan.cache_info().currsize <= 2
 
 
 def test_representations_agree_and_improve():

@@ -497,6 +497,53 @@ def test_continuation_failed_restart_sets_blowup_meta():
     assert out.tgrid.m == u.tgrid.m
 
 
+def _halving_restart_case():
+    # parent solve on [0, 0.25] with dt = 1/256; the data cover [0, 0.5]
+    sg = SpatialGrid(-30.0, 30.0, 512)
+    x = sg.nodes
+    xp = x[x >= 0.0]
+    tg = TimeGrid(0.5, 128)
+    f = TimeSignal(tg, _sol_f(tg.nodes))
+    spec = ProblemSpec(2.0, 3.0, 0.0, _sol_phi(xp), f, 0.25,
+                       phi_x=xp, phi_fn=_sol_phi, f_fn=_sol_f)
+    cfg = SolverConfig(sgrid=sg, tol=1e-10)
+    u, rep = solve_ibvp(spec, cfg)
+    assert rep.converged and rep.halvings == 0
+    return sg, spec, cfg, u
+
+
+@pytest.mark.filterwarnings("ignore::halfline_nls.EdgeDecayWarning")
+def test_continuation_halved_restart_keeps_parent_step():
+    # ratio_cap 0.26 stops the restart on [0.25, 0.5] (contraction ratios
+    # 0.25, 0.32) and lets it contract on [0.25, 0.375] (at most 0.20)
+    sg, spec, cfg, u = _halving_restart_case()
+    tight = SolverConfig(sgrid=sg, tol=1e-10, ratio_cap=0.26)
+    out = continue_solution(u, spec, 0.25, 0.25, tight)
+    assert out.meta["restart_report"]["halvings"] == 1
+    assert abs(out.tgrid.dt - u.tgrid.dt) <= 1e-14 * u.tgrid.dt
+    assert out.tgrid.t_max == 0.375 and out.tgrid.m == 96
+    k = out.meta["seam_index"]
+    assert np.array_equal(out.values[: k + 1], u.values)
+    keep = sg.nodes > 0.0
+    ref = _soliton(sg.nodes[None, keep], out.tgrid.nodes[:, None])
+    err = np.linalg.norm(out.values[:, keep] - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert np.max(err[: k + 1]) < 1e-4, np.max(err[: k + 1])  # measured 2.3e-5
+    assert np.max(err[k:]) < 1e-4, np.max(err[k:])  # measured 3.2e-5
+
+
+@pytest.mark.filterwarnings("ignore::halfline_nls.EdgeDecayWarning")
+def test_continuation_restart_shorter_than_parent_step():
+    # delta = 8 parent steps; ratio_cap 0.005 needs 4 halvings, which leave a
+    # tail of 8 steps of dt/16: not one whole parent step
+    sg, spec, cfg, u = _halving_restart_case()
+    tight = SolverConfig(sgrid=sg, tol=1e-10, ratio_cap=0.005)
+    out = continue_solution(u, spec, 0.25, 8 * u.tgrid.dt, tight)
+    assert out.meta["restart_report"]["halvings"] == 4
+    assert out.meta["restart_shorter_than_step"] is True
+    assert out.tgrid == u.tgrid
+    assert np.array_equal(out.values, u.values)
+
+
 def test_blowup_suspected_carries_report():
     sg = SpatialGrid(-30.0, 30.0, 256)
     phi_fn = lambda xx: 3.0 * np.exp(-(np.asarray(xx) - 8.0) ** 2) + 0j

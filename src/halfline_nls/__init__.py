@@ -30,7 +30,6 @@ from .operators import (
     boundary_forcing_freq,
     boundary_forcing_time,
     derivative_jump,
-    duhamel,
     duhamel_field,
     free_group,
     free_group_field,
@@ -50,14 +49,11 @@ from .solver import (
     continue_solution,
     criticality,
     mixed_norm,
-    nonlinearity,
     solve_ibvp,
 )
 from .spectral import (
     boundary_value,
-    cutoff,
     extend_half_line,
-    fractional_derivative,
     smooth_ramp,
     sobolev_norm,
     time_sobolev_norm,
@@ -103,20 +99,16 @@ __all__ = [
     "convergence_study",
     "crank_nicolson",
     "criticality",
-    "cutoff",
     "derivative_jump",
-    "duhamel",
     "duhamel_field",
     "extend_half_line",
     "frac_derivative",
     "frac_fourier_path",
     "frac_integral",
-    "fractional_derivative",
     "free_group",
     "free_group_field",
     "mass_flux_balance",
     "mixed_norm",
-    "nonlinearity",
     "smooth_ramp",
     "sobolev_norm",
     "solve_ibvp",

@@ -12,6 +12,7 @@ Outputs are deterministic: identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -35,7 +36,7 @@ from .solver import (
     criticality,
     solve_ibvp,
 )
-from .spectral import extend_half_line, sobolev_norm, smooth_ramp
+from .spectral import smooth_ramp, sobolev_norm
 from .verification import FDConfig, compare_fields, convergence_study, crank_nicolson
 
 _DEFAULTS = {
@@ -63,7 +64,6 @@ _DEFAULTS = {
     "solver.delta_crit": 0.1,
     "solver.max_halvings": 8,
     "output.directory": "out",
-    "output.formats": "csv,json",
 }
 
 
@@ -74,7 +74,6 @@ class ConfigError(ValueError):
 def parse_config(path):
     """Flat key=value config with dotted sections; '#' starts a comment."""
     cfg = dict(_DEFAULTS)
-    seen = set()
     try:
         text = open(path, "r", encoding="utf-8").read()
     except OSError as exc:
@@ -100,7 +99,6 @@ def parse_config(path):
                 cfg[key] = val
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}") from exc
-        seen.add(key)
     return cfg
 
 
@@ -266,7 +264,6 @@ def cmd_solve(config_path, out_dir=None):
 
     x = scfg.sgrid.nodes
     keep = x >= 0.0
-    j0 = scfg.sgrid.index_nearest_zero()
     with open(os.path.join(out, "initial_slice.csv"), "w", encoding="utf-8") as fh:
         fh.write("x,re_u,im_u,re_phi,im_phi\n")
         for xj, uj, pj in zip(x[keep], field.values[0, keep], spec.phi):
@@ -275,9 +272,7 @@ def cmd_solve(config_path, out_dir=None):
                 f"{pj.real:.17g},{pj.imag:.17g}\n"
             )
 
-    norms = []
-    for i in range(field.tgrid.m + 1):
-        norms.append(sobolev_norm(field.slice_at(i), spec.s))
+    norms = sobolev_norm(field.values, scfg.sgrid, spec.s)
     with open(os.path.join(out, "norm_history.csv"), "w", encoding="utf-8") as fh:
         fh.write("t,hs_norm\n")
         for ti, nv in zip(field.tgrid.nodes, norms):
@@ -286,6 +281,12 @@ def cmd_solve(config_path, out_dir=None):
     with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
         json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    if report.t_achieved < report.t_requested:
+        print(
+            f"warning: solved on [0, {report.t_achieved:g}] only, "
+            f"[0, {report.t_requested:g}] requested",
+            file=sys.stderr,
+        )
     print(f"converged in {report.iterates} iterations; outputs in {out}/")
     return 0
 
@@ -406,7 +407,7 @@ def _fd_comparison(cfg, spec, scfg):
         TimeSignal(tg_h, _f_on(spec, tg_h.nodes)), spec.T,
         phi_x=xph, phi_fn=spec.phi_fn, f_fn=spec.f_fn,
     )
-    cfg_h = SolverConfig(sgrid=half_sgrid, tol=scfg.tol, max_halvings=0)
+    cfg_h = dataclasses.replace(scfg, sgrid=half_sgrid, max_halvings=0)
     half, _ = solve_ibvp(spec_h, cfg_h)
     e_ie = compare_fields(half, full).rel_l2
 

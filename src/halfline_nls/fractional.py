@@ -25,6 +25,7 @@ from math import ceil, gamma
 import numpy as np
 
 from .grids import TimeSignal
+from .spectral import padded_spectrum
 
 MAX_ORDER = 4.0
 _VANISH_TOL = 1e-8
@@ -119,8 +120,8 @@ def frac_fourier_path(
 
     The kernel transform is e^{-i pi a/2} (tau - i0)^(-a), the boundary value
     of (tau - i z)^(-a) from z > 0. It is evaluated at the small finite shift
-    z = gamma = damp/(M dt) on a x`pad` zero-extended grid, conjugated by the
-    exponential weight:
+    z = gamma = damp/(M dt) on a x`pad` zero-extended grid (padded_spectrum),
+    conjugated by the exponential weight:
 
         I_a f = e^{gamma t} F^{-1}[ e^{-i pi a/2} (tau_k - i gamma)^(-a)
                                      F[e^{-gamma t} f] ]
@@ -133,16 +134,7 @@ def frac_fourier_path(
     _check_order(alpha)
     if alpha == 0.0:
         return f.copy()
-    m = f.grid.m
-    dt = f.grid.dt
-    M = 1
-    while M < pad * (m + 1):
-        M *= 2
-    gam = damp / (M * dt)
-    t = f.grid.nodes
-    buf = np.zeros(M, dtype=complex)
-    buf[: m + 1] = f.values * np.exp(-gam * t)
-    tau = 2.0 * np.pi * np.fft.fftfreq(M, d=dt)
+    fhat, tau, gam = padded_spectrum(f, pad, damp)
     mult = np.exp(-0.5j * np.pi * alpha) * (tau - 1j * gam) ** (-alpha)
-    out = np.fft.ifft(mult * np.fft.fft(buf))[: m + 1]
-    return TimeSignal(f.grid, out * np.exp(gam * t))
+    out = np.fft.ifft(mult * fhat)[: f.grid.m + 1]
+    return TimeSignal(f.grid, out * np.exp(gam * f.grid.nodes))

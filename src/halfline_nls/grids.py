@@ -44,10 +44,6 @@ class SpatialGrid:
     def index_nearest_zero(self):
         return int(np.argmin(np.abs(self.nodes)))
 
-    def positive_indices(self):
-        """Indices of strictly positive nodes."""
-        return np.nonzero(self.nodes > 0.0)[0]
-
 
 @dataclass(frozen=True)
 class TimeGrid:

@@ -1,9 +1,10 @@
 """Solution operators of the linear half-line problem.
 
 * free_group: the Fourier multiplier e^{-i t xi^2} (whole-line group).
-* duhamel / duhamel_field: the inhomogeneous-term operator
+* duhamel_field: the inhomogeneous-term operator
       (Dw)(t) = -i int_0^t e^{i (t-t') dxx} w(t') dt'
-  by trapezoidal quadrature of spectrally propagated slices.
+  on every time slice at once, by trapezoidal quadrature of spectrally
+  propagated slices.
 * boundary_forcing_time / boundary_forcing_freq: the boundary-data operator
   in its two representations,
 
@@ -24,6 +25,9 @@ antiderivative
     F(w) = (sqrt(pi)/2) e^{i pi/4} erf(e^{-i pi/4} w),      A = x^2/4,
 
 so the only discretization error is the piecewise-linear interpolation of h.
+The frequency representation evaluates its multiplier on the damped,
+zero-padded contour of spectral.padded_spectrum, which the fractional Fourier
+path shares.
 
 Everything that depends only on the grid pair lives in one OperatorPlan,
 returned by operator_plan(sgrid, tgrid) from a two-slot LRU cache (the
@@ -45,6 +49,7 @@ from scipy.special import erf
 
 from .fractional import frac_derivative
 from .grids import GridFunction, SolutionField, SpatialGrid, TimeGrid, TimeSignal
+from .spectral import padded_spectrum
 
 ROOT_PI = np.sqrt(np.pi)
 _E_PLUS4 = np.exp(0.25j * np.pi)
@@ -108,34 +113,6 @@ def duhamel_field(w: SolutionField) -> SolutionField:
     vals = np.fft.ifft(out, axis=1)
     vals[0] = 0.0
     return SolutionField(sgrid, tgrid, vals)
-
-
-def duhamel(w: SolutionField, t_index: int) -> GridFunction:
-    """One slice Dw(., t_index) (trapezoid in t', spectral propagation)."""
-    if not 0 <= t_index <= w.tgrid.m:
-        raise ValueError("t_index outside the field's time grid")
-    sgrid = w.sgrid
-    if not isinstance(sgrid, SpatialGrid):
-        raise TypeError("duhamel needs a whole-line field")
-    if t_index == 0:
-        return GridFunction(sgrid, np.zeros(sgrid.n, dtype=complex))
-    xi2 = sgrid.frequencies**2
-    t = w.tgrid.nodes[: t_index + 1]
-    phase = np.exp(1j * np.outer(t, xi2))
-    g = phase * np.fft.fft(w.values[: t_index + 1], axis=1)
-    wts = np.full(t_index + 1, w.tgrid.dt)
-    wts[0] = wts[-1] = 0.5 * w.tgrid.dt
-    acc = wts @ g
-    out = -1j * np.fft.ifft(np.conj(phase[-1]) * acc)
-    return GridFunction(sgrid, out)
-
-
-def branch_sqrt(tau):
-    """The square root with the lower-edge branch: sqrt(tau) for tau>0 and
-    -i sqrt(|tau|) for tau<0."""
-    tau = np.asarray(tau, dtype=float)
-    r = np.sqrt(np.abs(tau))
-    return np.where(tau >= 0.0, r + 0.0j, -1j * r)
 
 
 def _fresnel_antiderivative(sig, A):
@@ -262,28 +239,21 @@ def boundary_forcing_freq(
 
     The multiplier e^{-|x| sqrt(tau - i0)} is evaluated on the contour
     shifted by gamma = damp/(M dt) into the lower half plane, conjugated by
-    e^{±gamma t} exactly as in the fractional Fourier path; the principal
-    square root on that contour reproduces branch_sqrt in the gamma -> 0
-    limit. f is zero-padded x`pad` in t.
+    e^{±gamma t} exactly as in the fractional Fourier path (padded_spectrum);
+    the principal square root on that contour tends, as gamma -> 0, to the
+    lower-edge branch: sqrt(tau) for tau > 0 and -i sqrt(|tau|) for tau < 0.
+    f is zero-padded x`pad` in t.
     """
     if tgrid is None:
         tgrid = f.grid
     if tgrid != f.grid:
         raise ValueError("boundary_forcing_freq: f must live on tgrid")
     _check_vanishing_start(f, "boundary_forcing_freq")
-    m, dt = tgrid.m, tgrid.dt
-    M = 1
-    while M < pad * (m + 1):
-        M *= 2
-    gam = damp / (M * dt)
-    t = tgrid.nodes
-    buf = np.zeros(M, dtype=complex)
-    buf[: m + 1] = f.values * np.exp(-gam * t)
-    fhat = np.fft.fft(buf)
-    tau = 2.0 * np.pi * np.fft.fftfreq(M, d=dt)
+    m = tgrid.m
+    fhat, tau, gam = padded_spectrum(f, pad, damp)
     root = np.sqrt(tau - 1j * gam)
     absx = np.abs(sgrid.nodes)
-    grow = np.exp(gam * t)
+    grow = np.exp(gam * tgrid.nodes)
     vals = np.empty((m + 1, sgrid.n), dtype=complex)
     for lo in range(0, sgrid.n, _X_CHUNK):
         hi = min(lo + _X_CHUNK, sgrid.n)

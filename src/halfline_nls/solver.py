@@ -29,7 +29,7 @@ import numpy as np
 
 from .grids import GridFunction, SolutionField, SpatialGrid, TimeGrid, TimeSignal
 from .operators import boundary_forcing_time, duhamel_field, free_group_field
-from .spectral import boundary_value, extend_half_line, smooth_ramp
+from .spectral import boundary_value, extend_half_line, smooth_ramp, sobolev_norm
 
 log = logging.getLogger(__name__)
 
@@ -107,6 +107,7 @@ class IterationReport:
     fixed_point_residual: float = 0.0
     halvings: int = 0
     t_achieved: float = 0.0
+    t_requested: float = 0.0
     criticality: str = "subcritical"
     linear_mixed_norm: float | None = None
     converged: bool = False
@@ -119,6 +120,7 @@ class IterationReport:
             "fixed_point_residual": self.fixed_point_residual,
             "halvings": self.halvings,
             "t_achieved": self.t_achieved,
+            "t_requested": self.t_requested,
             "criticality": self.criticality,
             "linear_mixed_norm": self.linear_mixed_norm,
             "converged": self.converged,
@@ -162,15 +164,6 @@ def criticality(s: float, alpha: float) -> str:
     return "subcritical" if aF < threshold else "supercritical"
 
 
-def nonlinearity(u: SolutionField, lam: complex, alpha: float) -> SolutionField:
-    """Pointwise lam * u * |u|^(alpha-1) (zero at u=0 for all alpha >= 1)."""
-    if alpha < 1.0:
-        raise ValueError("alpha >= 1 required")
-    v = u.values
-    vals = lam * v * np.abs(v) ** (alpha - 1.0)
-    return SolutionField(u.sgrid, u.tgrid, vals)
-
-
 def compatibility_check(phi, f: TimeSignal, s: float, grid=None, tol=1e-8) -> bool:
     """Boundary compatibility phi(0) = f(0), demanded only for s > 1/2."""
     if s <= 0.5:
@@ -181,20 +174,12 @@ def compatibility_check(phi, f: TimeSignal, s: float, grid=None, tol=1e-8) -> bo
     return abs(phi0 - f0) <= tol * max(1.0, abs(phi0), abs(f0))
 
 
-def _ct_hs_norm(values, sgrid: SpatialGrid, s: float) -> float:
-    """max over time slices of the inhomogeneous H^s norm in x."""
-    xi = sgrid.frequencies
-    w2 = (1.0 + xi * xi) ** s
-    F = np.fft.fft(values, axis=-1)
-    dxi = 2.0 * np.pi / (sgrid.n * sgrid.dx)
-    per_slice = dxi / (2.0 * np.pi) * sgrid.dx**2 * np.sum(
-        w2 * np.abs(F) ** 2, axis=-1
-    )
-    return float(np.sqrt(np.max(per_slice)))
-
-
 def mixed_norm(field: SolutionField, s: float, q: float, r: float) -> float:
-    """Discrete L^q_t W^{s,r}_x norm (sup norms for infinite exponents)."""
+    """Discrete L^q_t W^{s,r}_x norm (sup norms for infinite exponents).
+
+    The Bessel smoothing J^s is followed by an L^r norm in x; with r != 2
+    (s < 1/2) that is not the H^s norm, so sobolev_norm cannot stand in.
+    """
     sgrid, tgrid = field.sgrid, field.tgrid
     xi = sgrid.frequencies
     bessel = (1.0 + xi * xi) ** (s / 2.0)
@@ -295,8 +280,9 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig):
     for _ in range(cfg.max_iter):
         u_next = apply_lambda(u, pre)
         n_apps += 1
-        delta = _ct_hs_norm(u_next.values - u.values, pre.sgrid, s)
-        norm_u = _ct_hs_norm(u_next.values, pre.sgrid, s)
+        # C_t H^s_x norms: the max over time slices of the H^s norm in x
+        delta = float(np.max(sobolev_norm(u_next.values - u.values, pre.sgrid, s)))
+        norm_u = float(np.max(sobolev_norm(u_next.values, pre.sgrid, s)))
         if delta > 0.0:
             if residuals:
                 ratios.append(delta / residuals[-1])
@@ -338,8 +324,8 @@ def _solve_from_slice(
     Handles the interval halving loop; raises BlowupSuspected when the map
     refuses to contract on every tried interval.
     """
-    report = IterationReport(criticality=crit)
     T_work = f.grid.t_max
+    report = IterationReport(t_requested=T_work, criticality=crit)
     m = f.grid.m
     pair = admissible_pair(s, alpha)
     f_work = f
@@ -364,10 +350,9 @@ def _solve_from_slice(
         report.t_achieved = T_work
         if converged:
             u_fix = apply_lambda(u, pre)
-            norm_u = _ct_hs_norm(u.values, pre.sgrid, s)
-            report.fixed_point_residual = _ct_hs_norm(
-                u_fix.values - u.values, pre.sgrid, s
-            ) / max(norm_u, 1e-300)
+            norm_u = float(np.max(sobolev_norm(u.values, pre.sgrid, s)))
+            residual = np.max(sobolev_norm(u_fix.values - u.values, pre.sgrid, s))
+            report.fixed_point_residual = float(residual) / max(norm_u, 1e-300)
             report.converged = True
             return u, report
         report.halvings = halving + 1
@@ -411,11 +396,11 @@ def solve_ibvp(spec: ProblemSpec, cfg: SolverConfig):
             np.zeros((tgrid.m + 1, cfg.sgrid.n), dtype=complex),
         )
         report = IterationReport(
-            t_achieved=spec.T, criticality=crit, converged=True
+            t_achieved=spec.T, t_requested=spec.T, criticality=crit, converged=True
         )
         return field, report
 
-    phi_ext = extend_half_line(spec.phi, cfg.sgrid, spec.s)
+    phi_ext = extend_half_line(spec.phi, cfg.sgrid)
     return _solve_from_slice(
         phi_ext, f_work, spec.lam, spec.alpha, spec.s, cfg, crit
     )
@@ -487,12 +472,6 @@ def blowup_monitor(u: SolutionField, s: float) -> TimeSignal:
     """Per-slice H^s norm history of the x>0 restriction (re-extended)."""
     if not isinstance(u.sgrid, SpatialGrid):
         raise TypeError("blowup_monitor needs a whole-line field")
-    from .spectral import sobolev_norm
-
-    x = u.sgrid.nodes
-    nonneg = np.nonzero(x >= 0.0)[0]
-    norms = np.empty(u.tgrid.m + 1, dtype=complex)
-    for i in range(u.tgrid.m + 1):
-        ext = extend_half_line(u.values[i, nonneg], u.sgrid, s)
-        norms[i] = sobolev_norm(ext, s, homogeneous=False)
-    return TimeSignal(u.tgrid, norms)
+    nonneg = u.sgrid.nodes >= 0.0
+    exts = [extend_half_line(row, u.sgrid).values for row in u.values[:, nonneg]]
+    return TimeSignal(u.tgrid, sobolev_norm(np.array(exts), u.sgrid, s))

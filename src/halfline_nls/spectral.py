@@ -1,5 +1,6 @@
-"""Spectral substrate: transforms, fractional spatial derivatives, Sobolev
-norms, smooth cutoffs, and the half-line -> whole-line extension.
+"""Spectral substrate: the Sobolev norms in x and t, the damped padded
+transform in t, the smooth ramp, the half-line -> whole-line extension and
+the boundary value at x=0. Each is the one implementation its callers share.
 
 Conventions. The forward transform approximates g_hat(xi) = int e^{-i x xi} g dx
 and is realized as dx * fft(g) on the periodic grid; the discrete frequencies
@@ -17,57 +18,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import GridFunction, SpatialGrid, TimeGrid, TimeSignal
-
-_MEAN_TOL = 1e-10
+from .grids import GridFunction, SpatialGrid, TimeSignal
 
 
-def _weights_abs_pow(xi, s):
-    """|xi|^s with the zero mode set to 0 for s>0 and 1 for s=0."""
-    if s == 0.0:
-        return np.ones_like(xi)
-    with np.errstate(divide="ignore"):
-        w = np.abs(xi) ** s
-    w[xi == 0.0] = 0.0
-    return w
+def sobolev_norm(values, grid: SpatialGrid, s: float):
+    """Inhomogeneous H^s norm in x of each slice along the last axis.
 
-
-def fractional_derivative(g: GridFunction, s: float) -> GridFunction:
-    """Homogeneous fractional derivative: inverse transform of |xi|^s * g_hat.
-
-    The zero frequency is multiplied by 0 when s>0 and left unchanged when
-    s=0. Negative s is rejected when g carries a nonzero mean component (the
-    multiplier is unbounded at xi=0); for numerically mean-free g the zero
-    mode is dropped.
+    The weighted Plancherel sum sqrt(dx/n * sum (1+xi^2)^s |fft(values)|^2);
+    the scale is applied after the sum, so the spectrum is never rescaled.
+    Returns a float for one slice and an array for a stack of slices.
     """
-    v = g.values
-    if s < 0.0:
-        scale = np.sum(np.abs(v))
-        if scale > 0.0 and abs(np.sum(v)) > _MEAN_TOL * scale:
-            raise ValueError(
-                "fractional_derivative: s<0 needs mean-free data "
-                "(unbounded multiplier at xi=0)"
-            )
-    if s == 0.0:
-        return g.copy()
-    xi = g.grid.frequencies
-    out = np.fft.ifft(_weights_abs_pow(xi, s) * np.fft.fft(v))
-    return GridFunction(g.grid, out)
-
-
-def sobolev_norm(g: GridFunction, s: float, homogeneous: bool = False) -> float:
-    """Discrete H^s (or homogeneous) norm via the weighted Plancherel sum."""
-    grid = g.grid
     xi = grid.frequencies
-    ghat = grid.dx * np.fft.fft(g.values)
-    if homogeneous:
-        if s < 0.0:
-            raise ValueError("homogeneous norm with s<0 not supported")
-        w2 = _weights_abs_pow(xi, s) ** 2
-    else:
-        w2 = (1.0 + xi * xi) ** s
-    dxi = 2.0 * np.pi / (grid.n * grid.dx)
-    return float(np.sqrt(dxi / (2.0 * np.pi) * np.sum(w2 * np.abs(ghat) ** 2)))
+    w2 = (1.0 + xi * xi) ** s
+    total = np.sum(w2 * np.abs(np.fft.fft(values, axis=-1)) ** 2, axis=-1)
+    norm = np.sqrt(grid.dx / grid.n * total)
+    return float(norm) if norm.ndim == 0 else norm
+
+
+def padded_spectrum(f: TimeSignal, pad: int, damp: float):
+    """FFT of f e^{-gamma t}, zero-padded to M points, with its frequencies.
+
+    M is the smallest power of two >= pad*(m+1) and gamma = damp/(M dt): the
+    contour shift in the lower half plane that the damped Fourier paths
+    (fractional order, boundary forcing) use, with wrap-around suppressed by
+    e^{-damp}; damp = 0 gives the plain zero-extended transform. Returns
+    (fhat, tau, gamma) with tau = 2 pi fftfreq(M, dt).
+    """
+    m, dt = f.grid.m, f.grid.dt
+    M = 1 << (pad * (m + 1) - 1).bit_length()
+    gamma = damp / (M * dt)
+    fhat = np.fft.fft(f.values * np.exp(-gamma * f.grid.nodes), M)
+    tau = 2.0 * np.pi * np.fft.fftfreq(M, d=dt)
+    return fhat, tau, gamma
 
 
 def time_sobolev_norm(h: TimeSignal, s: float) -> float:
@@ -78,16 +60,10 @@ def time_sobolev_norm(h: TimeSignal, s: float) -> float:
     rectangle sum in tau has no aliasing, leaving only the O(dt^2) quadrature
     error of the discrete transform.
     """
-    m = h.grid.m
     dt = h.grid.dt
-    M = 1
-    while M < 4 * (m + 1):
-        M *= 2
-    buf = np.zeros(M, dtype=complex)
-    buf[: m + 1] = h.values
-    tau = 2.0 * np.pi * np.fft.fftfreq(M, d=dt)
-    hhat = dt * np.fft.fft(buf)
-    dtau = 2.0 * np.pi / (M * dt)
+    fhat, tau, _ = padded_spectrum(h, 4, 0.0)
+    hhat = dt * fhat
+    dtau = 2.0 * np.pi / (len(tau) * dt)
     w2 = (1.0 + tau * tau) ** s
     return float(np.sqrt(dtau / (2.0 * np.pi) * np.sum(w2 * np.abs(hhat) ** 2)))
 
@@ -115,19 +91,6 @@ def smooth_ramp(sigma):
     return out
 
 
-def cutoff(T: float, tgrid: TimeGrid) -> TimeSignal:
-    """Sampled plateau cutoff: 1 on [0, T], 0 for t >= 2T, smooth between.
-
-    The profile is theta(t/T) with theta = 1 on [-1,1], supported in [-2,2];
-    the plateau and support values are exact at grid nodes.
-    """
-    if T <= 0.0:
-        raise ValueError("cutoff: T must be positive")
-    u = np.abs(tgrid.nodes / T)
-    vals = smooth_ramp(2.0 - u)
-    return TimeSignal(tgrid, vals.astype(complex))
-
-
 def _extension_window(x, x_min):
     """1 for x >= x_min/4, 0 for x <= x_min/2, smooth ramp between."""
     lo = 0.5 * x_min
@@ -135,13 +98,13 @@ def _extension_window(x, x_min):
     return smooth_ramp((x - lo) / (hi - lo))
 
 
-def extend_half_line(phi, grid: SpatialGrid, s: float = 0.0) -> GridFunction:
+def extend_half_line(phi, grid: SpatialGrid) -> GridFunction:
     """Whole-line extension of half-line samples: even reflection about x=0
     times a smooth window supported in x > x_min/2.
 
     phi holds samples at the grid nodes with x >= 0, in node order. The x>=0
-    samples are copied bit-exact; the s argument is accepted for interface
-    symmetry (one construction is bounded on H^s over the whole range used).
+    samples are copied bit-exact; without a node at x=0 the reflection is
+    anchored at boundary_value(phi, grid).
     """
     phi = np.asarray(phi, dtype=complex)
     x = grid.nodes
@@ -157,15 +120,8 @@ def extend_half_line(phi, grid: SpatialGrid, s: float = 0.0) -> GridFunction:
     xs = x[nonneg]
     vals = phi
     if xs[0] > 0.0 and len(xs) >= 3:
-        # anchor the reflection with a quadratic extrapolant at x=0
-        x0, x1, x2 = xs[:3]
-        v0, v1, v2 = vals[:3]
-        l0 = (0 - x1) * (0 - x2) / ((x0 - x1) * (x0 - x2))
-        l1 = (0 - x0) * (0 - x2) / ((x1 - x0) * (x1 - x2))
-        l2 = (0 - x0) * (0 - x1) / ((x2 - x0) * (x2 - x1))
-        anchor = l0 * v0 + l1 * v1 + l2 * v2
         xs = np.concatenate(([0.0], xs))
-        vals = np.concatenate(([anchor], vals))
+        vals = np.concatenate(([boundary_value(phi, grid)], vals))
 
     neg = np.nonzero(x < 0.0)[0]
     xr = -x[neg]

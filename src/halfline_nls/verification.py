@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -353,15 +353,7 @@ def convergence_study(
         x = sg.nodes
         phi_k = _phi_on(spec, x[x >= 0.0]) if k > 0 else spec.phi
         f_k = TimeSignal(tg, _f_on(spec, tg.nodes))
-        cfg_k = SolverConfig(
-            sgrid=sg,
-            tol=cfg.tol,
-            max_iter=cfg.max_iter,
-            ratio_cap=cfg.ratio_cap,
-            delta_crit=cfg.delta_crit,
-            max_halvings=0,
-            compat_tol=cfg.compat_tol,
-        )
+        cfg_k = replace(cfg, sgrid=sg, max_halvings=0)
         spec_k = ProblemSpec(
             spec.lam, spec.alpha, spec.s, phi_k, f_k, spec.T,
             phi_x=x[x >= 0.0], phi_fn=spec.phi_fn, f_fn=spec.f_fn,

@@ -6,6 +6,7 @@ separate `python -m halfline_nls.cli` processes, so it needs no installed
 console script; the `halfline-nls` script's entry point in pyproject.toml is
 checked in process, and the script itself is run where it is installed.
 """
+import dataclasses
 import importlib
 import json
 import os
@@ -18,9 +19,12 @@ import numpy as np
 import pytest
 
 import halfline_nls
+import halfline_nls.cli
 from halfline_nls import SolutionField, SpatialGrid, TimeGrid
 from halfline_nls.cli import (
     ConfigError,
+    _fd_comparison,
+    build_problem,
     main,
     parse_config,
     read_field,
@@ -184,6 +188,64 @@ def test_solve_blowup_exits_two(tmp_path, capsys):
     assert "blow-up suspected" in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is False
+
+
+def test_solve_says_when_halving_shortened_the_interval(tmp_path, capsys):
+    # the map contracts only on [0, 2/2^4]: the answer covers less than asked
+    cfg = _write_cfg(tmp_path / "h.cfg", [
+        "problem.lambda_re = 8.0",
+        "problem.T = 2.0",
+        "phi.preset = gaussian",
+        "phi.center = 10.0",
+        "phi.width = 1.5",
+        "grid.nx = 64",
+        "grid.nt = 64",
+    ])
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "converged" in captured.out
+    assert "[0, 0.125] only, [0, 2] requested" in captured.err
+    report = json.loads((out / "report.json").read_text())
+    assert report["halvings"] == 4
+    assert report["t_achieved"] == 0.125
+    assert report["t_requested"] == 2.0
+
+
+def test_readme_example_config_solves(tmp_path, capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    lines = [
+        line for line in block.splitlines()
+        if not line.startswith(("grid.nx", "grid.nt"))
+    ]
+    cfg = _write_cfg(tmp_path / "readme.cfg", lines + ["grid.nx = 128", "grid.nt = 64"])
+    assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 0, (
+        capsys.readouterr().err
+    )
+
+
+def test_fd_comparison_keeps_solver_settings(tmp_path, monkeypatch):
+    # the half-resolution solve must differ from the full one only in its
+    # grid and in making no halvings
+    cfg = parse_config(_zero_cfg(tmp_path))
+    spec, scfg = build_problem(cfg)
+    scfg = dataclasses.replace(
+        scfg, tol=1e-9, max_iter=7, ratio_cap=0.5, delta_crit=0.05,
+        compat_tol=1e-6, seam_mismatch_cap=1e-2,
+    )
+    seen = []
+    real_solve = halfline_nls.cli.solve_ibvp
+
+    def recording_solve(spec_k, cfg_k):
+        seen.append(cfg_k)
+        return real_solve(spec_k, cfg_k)
+
+    monkeypatch.setattr(halfline_nls.cli, "solve_ibvp", recording_solve)
+    _fd_comparison(cfg, spec, scfg)
+    half = SpatialGrid(scfg.sgrid.x_min, scfg.sgrid.x_max, scfg.sgrid.n // 2)
+    assert seen == [scfg, dataclasses.replace(scfg, sgrid=half, max_halvings=0)]
 
 
 def test_verify_passes_at_default_resolution(tmp_path, capsys):

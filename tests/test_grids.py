@@ -55,8 +55,8 @@ def test_index_nearest_zero_and_positive_indices():
     g = SpatialGrid(-2.0, 2.0, 16)
     j = g.index_nearest_zero()
     assert g.nodes[j] == 0.0
-    pos = g.positive_indices()
-    assert np.all(g.nodes[pos] > 0.0)
+    pos = np.nonzero(g.nodes > 0.0)[0]
+    assert np.array_equal(pos, np.arange(j + 1, g.n))
     assert len(pos) + j + 1 == g.n  # nodes left of 0, the 0 node, nodes right
 
 

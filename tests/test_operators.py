@@ -21,13 +21,12 @@ from halfline_nls import (
     boundary_forcing_freq,
     boundary_forcing_time,
     derivative_jump,
-    duhamel,
     duhamel_field,
     frac_derivative,
     free_group,
     free_group_field,
 )
-from halfline_nls.operators import _bf_kernel_chunk, branch_sqrt, operator_plan
+from halfline_nls.operators import _bf_kernel_chunk, operator_plan
 
 
 def _gaussian_exact(x, t):
@@ -38,6 +37,17 @@ def _gaussian_exact(x, t):
 
 def _vxx_fd(V, dx):
     return (V[:, 2:] - 2.0 * V[:, 1:-1] + V[:, :-2]) / dx**2
+
+
+def _duhamel_slice(w, i):
+    # reference for duhamel_field: one slice Dw(., t_i) by a direct trapezoid
+    # sum over t' of the spectrally propagated slices
+    xi2 = w.sgrid.frequencies ** 2
+    phase = np.exp(1j * np.outer(w.tgrid.nodes[: i + 1], xi2))
+    g = phase * np.fft.fft(w.values[: i + 1], axis=1)
+    wts = np.full(i + 1, w.tgrid.dt)
+    wts[0] = wts[-1] = 0.5 * w.tgrid.dt
+    return -1j * np.fft.ifft(np.conj(phase[-1]) * (wts @ g))
 
 
 def test_free_group_zero_time_is_copy():
@@ -114,11 +124,6 @@ def test_duhamel_of_zero_and_index_checks():
     tg = TimeGrid(0.5, 8)
     w = SolutionField(sg, tg, np.zeros((9, 64)))
     assert np.all(duhamel_field(w).values == 0.0)
-    assert np.all(duhamel(w, 5).values == 0.0)
-    with pytest.raises(ValueError):
-        duhamel(w, 9)
-    with pytest.raises(ValueError):
-        duhamel(w, -1)
 
 
 def test_duhamel_of_free_evolution():
@@ -130,16 +135,16 @@ def test_duhamel_of_free_evolution():
     scale = np.max(np.abs(g.values))
     for i in (64, 128, 256):
         t = tg.nodes[i]
-        got = duhamel(w, i)
+        got = _duhamel_slice(w, i)
         expect = -1j * t * free_group(g, t).values
-        assert np.max(np.abs(got.values - expect)) / scale < 1e-6  # ~3e-15
+        assert np.max(np.abs(got - expect)) / scale < 1e-6  # ~3e-15
 
     # the field version agrees with the slice version
     fld = duhamel_field(w)
     assert np.all(fld.values[0] == 0.0)
     for i in (64, 256):
-        sl = duhamel(w, i)
-        assert np.max(np.abs(fld.values[i] - sl.values)) / scale < 1e-10
+        sl = _duhamel_slice(w, i)
+        assert np.max(np.abs(fld.values[i] - sl)) / scale < 1e-10
 
 
 def test_duhamel_interior_residual():
@@ -334,10 +339,3 @@ def test_derivative_jump_grid_checks():
     fld = boundary_forcing_time(TimeSignal(tg, b), sg, tg)
     with pytest.raises(ValueError):
         derivative_jump(TimeSignal(other, np.zeros(17)), fld)
-
-
-def test_branch_sqrt_edges():
-    out = branch_sqrt(np.array([4.0, 0.0, -4.0]))
-    assert out[0] == 2.0 + 0.0j
-    assert out[1] == 0.0 + 0.0j
-    assert out[2] == -2.0j

@@ -31,7 +31,6 @@ from halfline_nls import (
     criticality,
     extend_half_line,
     mass_flux_balance,
-    nonlinearity,
     solve_ibvp,
 )
 from halfline_nls.solver import _prepare_linear
@@ -183,47 +182,6 @@ def test_criticality_validation():
             criticality(bad, 3.0)
 
 
-def test_nonlinearity_constant_field():
-    sg = SpatialGrid(-2.0, 2.0, 16)
-    tg = TimeGrid(1.0, 8)
-    u = SolutionField(sg, tg, np.full((9, 16), 2.0 + 0j))
-    lam = 0.5 + 0.25j
-    out = nonlinearity(u, lam, 3.0)
-    assert np.allclose(out.values, 8.0 * lam, rtol=0.0, atol=0.0)
-
-
-def test_nonlinearity_rejects_small_alpha():
-    sg = SpatialGrid(-2.0, 2.0, 16)
-    tg = TimeGrid(1.0, 8)
-    u = SolutionField(sg, tg, np.zeros((9, 16), dtype=complex))
-    with pytest.raises(ValueError):
-        nonlinearity(u, 1.0, 0.5)
-
-
-def test_nonlinearity_zero_stays_zero():
-    sg = SpatialGrid(-2.0, 2.0, 16)
-    tg = TimeGrid(1.0, 8)
-    u = SolutionField(sg, tg, np.zeros((9, 16), dtype=complex))
-    out = nonlinearity(u, 3.0, 2.0)
-    assert np.all(out.values == 0.0)
-    assert np.all(np.isfinite(out.values))
-
-
-def test_nonlinearity_pointwise_lipschitz():
-    rng = np.random.default_rng(7)
-    sg = SpatialGrid(-2.0, 2.0, 32)
-    tg = TimeGrid(1.0, 8)
-    shape = (9, 32)
-    for alpha in (2.0, 3.5):
-        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        u = SolutionField(sg, tg, a)
-        v = SolutionField(sg, tg, b)
-        lhs = np.abs(nonlinearity(u, 1.0, alpha).values - nonlinearity(v, 1.0, alpha).values)
-        bound = alpha * (np.abs(a) ** (alpha - 1.0) + np.abs(b) ** (alpha - 1.0)) * np.abs(a - b)
-        assert np.all(lhs <= bound + 1e-12)
-
-
 def test_compatibility_low_regularity_always_passes():
     tg = TimeGrid(1.0, 8)
     f = TimeSignal(tg, np.full(9, 5.0 + 0j))
@@ -256,7 +214,7 @@ def test_apply_lambda_defocusing_free_is_w_independent():
     x = sg.nodes
     xp = x[x >= 0.0]
     tg = TimeGrid(0.5, 256)
-    pext = extend_half_line(_kf_phi(xp), sg, 0.0)
+    pext = extend_half_line(_kf_phi(xp), sg)
     f = TimeSignal(tg, _kf_f(tg.nodes))
     pre = _prepare_linear(pext, f, 0.0, 3.0, 1e-3)
     w1 = SolutionField(sg, tg, np.zeros_like(pre.linear.values))
@@ -273,7 +231,7 @@ def test_apply_lambda_boundary_trace():
     x = sg.nodes
     xp = x[x >= 0.0]
     tg = TimeGrid(0.5, 256)
-    pext = extend_half_line(_kf_phi(xp), sg, 0.0)
+    pext = extend_half_line(_kf_phi(xp), sg)
     f = TimeSignal(tg, _kf_f(tg.nodes))
     pre = _prepare_linear(pext, f, 1.0, 3.0, 1e-3)
     j0 = sg.index_nearest_zero()
@@ -297,7 +255,7 @@ def test_solve_zero_data_shortcut():
     assert np.all(u.values == 0.0)
     assert rep.converged
     assert rep.iterates == 0
-    assert rep.t_achieved == 0.5
+    assert rep.t_achieved == rep.t_requested == 0.5
 
 
 def test_solve_linear_boundary_and_initial_data(linear_solution):

@@ -1,20 +1,13 @@
-"""Fourier substrate: fractional spatial derivatives, Sobolev norms,
-smooth cutoffs, half-line extension.
+"""Spectral substrate: the H^s norms in x and t, the damped padded transform
+in t, the smooth ramp, the half-line extension and the boundary value at 0.
 
-The half-order derivative of the Gaussian is checked against quadrature
-values of
-
-    (1/sqrt(pi)) * int_0^inf sqrt(xi) exp(-xi^2/4) cos(x xi) dxi
-
-computed with scipy.integrate.quad offline and frozen below, plus the
-closed form sqrt(2)*Gamma(3/4)/sqrt(pi) at x=0.
+Closed forms serve as oracles: the H^1 norm of exp(-x^2) is (2 pi)^{1/4},
+and t^2 (1-t)^2 on [0, 1] has H^1 norm sqrt(13/630).
 """
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from halfline_nls import (
     GridFunction,
@@ -22,124 +15,43 @@ from halfline_nls import (
     TimeGrid,
     TimeSignal,
     boundary_value,
-    cutoff,
     extend_half_line,
-    fractional_derivative,
     smooth_ramp,
     sobolev_norm,
     time_sobolev_norm,
 )
-
-# D^{1/2} of exp(-x^2), quadrature oracle at x = -4.75, -4.25, ..., -0.25.
-# The function is even so the positive-x values mirror these.
-_DHALF_GAUSS_LEFT = np.array(
-    [
-        -0.0357148844601286,
-        -0.04272489904474444,
-        -0.05252792952135315,
-        -0.06716500253192828,
-        -0.09094985418902973,
-        -0.12914314262486362,
-        -0.1592032671206554,
-        -0.049844079573532395,
-        0.375137903831771,
-        0.8893444112247679,
-    ]
-)
+from halfline_nls.spectral import padded_spectrum
 
 
 def _gaussian_on(grid):
     return GridFunction(grid, np.exp(-grid.nodes**2).astype(complex))
 
 
-def test_zero_order_is_identity_copy():
-    g = _gaussian_on(SpatialGrid(-20.0, 20.0, 256))
-    out = fractional_derivative(g, 0.0)
-    assert np.array_equal(out.values, g.values)
-    out.values[0] = 7.0
-    assert g.values[0] != 7.0
-
-
-def test_sine_is_eigenfunction():
-    # |xi|^s acts diagonally on a pure sine that fits the periodic box
-    grid = SpatialGrid(-16.0, 16.0, 256)
-    k0 = np.pi / 2.0
-    g = GridFunction(grid, np.sin(k0 * grid.nodes).astype(complex))
-    for s in (0.5, 1.0, 2.0):
-        out = fractional_derivative(g, s)
-        expect = k0**s * np.sin(k0 * grid.nodes)
-        err = np.max(np.abs(out.values - expect)) / k0**s
-        assert err < 1e-12
-
-
-def test_half_derivative_of_gaussian_against_quadrature():
-    # wide grid so that both the periodization error and the frequency
-    # truncation are far below the quadrature tolerance
-    grid = SpatialGrid(-524288.0, 524288.0, 2**22)
-    out = fractional_derivative(_gaussian_on(grid), 0.5)
-
-    pts = np.linspace(-4.75, 4.75, 20)
-    idx = np.searchsorted(grid.nodes, pts)
-    assert np.allclose(grid.nodes[idx], pts)  # the points are grid nodes
-    oracle = np.concatenate([_DHALF_GAUSS_LEFT, _DHALF_GAUSS_LEFT[::-1]])
-    got = out.values[idx]
-    assert np.max(np.abs(got.imag)) < 1e-10
-    scaled = np.max(np.abs(got.real - oracle)) / np.max(np.abs(oracle))
-    assert scaled < 1e-8  # measured 1.9e-9
-
-    # closed form at the origin
-    j0 = grid.index_nearest_zero()
-    exact0 = math.sqrt(2.0) * math.gamma(0.75) / math.sqrt(math.pi)
-    assert abs(out.values[j0].real - exact0) < 1e-8 * exact0
-
-
-def test_negative_order_requires_mean_free_data():
-    grid = SpatialGrid(-20.0, 20.0, 256)
-    with pytest.raises(ValueError):
-        fractional_derivative(_gaussian_on(grid), -0.5)
-    # an odd function has no mean; the -s then inverts the +s
-    x = grid.nodes
-    g = GridFunction(grid, (x * np.exp(-x * x)).astype(complex))
-    back = fractional_derivative(fractional_derivative(g, 0.5), -0.5)
-    err = np.max(np.abs(back.values - g.values)) / np.max(np.abs(g.values))
-    assert err < 1e-9
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    s1=st.floats(min_value=0.1, max_value=1.5),
-    s2=st.floats(min_value=0.1, max_value=1.5),
-)
-def test_multiplier_composition(s1, s2):
-    g = _gaussian_on(SpatialGrid(-20.0, 20.0, 256))
-    two = fractional_derivative(fractional_derivative(g, s1), s2)
-    one = fractional_derivative(g, s1 + s2)
-    err = np.max(np.abs(two.values - one.values))
-    assert err <= 1e-9 * max(np.max(np.abs(one.values)), 1e-300)
-
-
 def test_sobolev_norm_s0_is_l2():
     grid = SpatialGrid(-20.0, 20.0, 512)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-    g = GridFunction(grid, v)
     direct = math.sqrt(grid.dx * float(np.sum(np.abs(v) ** 2)))
-    assert abs(sobolev_norm(g, 0.0) - direct) < 1e-12 * direct
+    assert abs(sobolev_norm(v, grid, 0.0) - direct) < 1e-12 * direct
 
 
 def test_h1_norm_of_gaussian_closed_form():
     # || exp(-x^2) ||_{H^1}^2 = sqrt(2 pi), so the norm is (2 pi)^{1/4}
     g = _gaussian_on(SpatialGrid(-40.0, 40.0, 1024))
     exact = (2.0 * np.pi) ** 0.25
-    assert abs(sobolev_norm(g, 1.0) - exact) < 1e-12 * exact
+    assert abs(sobolev_norm(g.values, g.grid, 1.0) - exact) < 1e-12 * exact
 
 
-def test_homogeneous_at_most_inhomogeneous():
-    g = _gaussian_on(SpatialGrid(-40.0, 40.0, 512))
-    for s in (0.25, 0.5, 1.0, 2.0):
-        assert sobolev_norm(g, s, homogeneous=True) <= sobolev_norm(g, s)
-    with pytest.raises(ValueError):
-        sobolev_norm(g, -0.5, homogeneous=True)
+def test_sobolev_norm_is_batched_over_the_last_axis():
+    grid = SpatialGrid(-20.0, 20.0, 256)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((5, 256)) + 1j * rng.standard_normal((5, 256))
+    for s in (0.0, 0.3, 1.0):
+        batched = sobolev_norm(v, grid, s)
+        assert batched.shape == (5,)
+        rows = [sobolev_norm(row, grid, s) for row in v]
+        assert all(isinstance(r, float) for r in rows)
+        np.testing.assert_allclose(batched, rows, rtol=1e-15, atol=0.0)
 
 
 def test_time_norm_s0_matches_rectangle_l2():
@@ -160,6 +72,29 @@ def test_time_h1_norm_closed_form():
     assert abs(time_sobolev_norm(h, 1.0) - exact) < 1e-5 * exact  # measured 2e-8
 
 
+@pytest.mark.parametrize("pad, m", [(4, 8), (4, 15), (4, 16), (1, 63), (3, 20)])
+def test_padded_spectrum_length_is_smallest_power_of_two(pad, m):
+    # pad*(m+1) = 36, 64, 68, 64, 63: (4, 15) and (1, 63) are powers of two
+    tg = TimeGrid(1.0, m)
+    fhat, tau, gamma = padded_spectrum(TimeSignal(tg, np.ones(m + 1)), pad, 30.0)
+    M = len(fhat)
+    assert M & (M - 1) == 0
+    assert M >= pad * (m + 1) > M // 2
+    assert len(tau) == M
+    assert gamma == 30.0 / (M * tg.dt)
+
+
+def test_padded_spectrum_without_damping_is_the_zero_extended_fft():
+    tg = TimeGrid(1.0, 16)
+    v = np.arange(17) + 1j
+    fhat, tau, gamma = padded_spectrum(TimeSignal(tg, v), 4, 0.0)
+    assert gamma == 0.0
+    buf = np.zeros(128, dtype=complex)
+    buf[:17] = v
+    assert np.array_equal(fhat, np.fft.fft(buf))
+    assert np.array_equal(tau, 2.0 * np.pi * np.fft.fftfreq(128, d=tg.dt))
+
+
 def test_smooth_ramp_profile():
     assert smooth_ramp(np.array([-3.0, -1e-12, 0.0])).tolist() == [0.0, 0.0, 0.0]
     assert smooth_ramp(np.array([1.0, 1.5, 10.0])).tolist() == [1.0, 1.0, 1.0]
@@ -174,20 +109,6 @@ def test_smooth_ramp_profile():
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
-def test_cutoff_plateau_and_support():
-    tg = TimeGrid(2.0, 64)
-    theta = cutoff(0.5, tg)
-    t = tg.nodes
-    assert np.all(theta.values[t <= 0.5] == 1.0)
-    assert np.all(theta.values[t >= 1.0] == 0.0)
-    mid = (t > 0.5) & (t < 1.0)
-    assert np.all((theta.values[mid].real > 0.0) & (theta.values[mid].real < 1.0))
-    with pytest.raises(ValueError):
-        cutoff(0.0, tg)
-    # T at or past t_max just gives the constant 1
-    assert np.all(cutoff(2.0, tg).values == 1.0)
-
-
 def _halfline_h1_sech():
     # || sech(x-2) ||_{H^1(0, inf)} frozen from scipy.integrate.quad of
     # sech^2(u-2) (1 + tanh^2(u-2)) over [0, 60]
@@ -199,11 +120,11 @@ def test_extension_copies_data_and_is_bounded():
     x = grid.nodes
     xpos = x[x >= 0.0]
     phi = 1.0 / np.cosh(xpos - 2.0) + 0j
-    ext = extend_half_line(phi, grid, s=1.0)
+    ext = extend_half_line(phi, grid)
     assert np.array_equal(ext.values[x >= 0.0], phi)
     # the window kills everything left of x_min/2
     assert np.all(ext.values[x <= -20.0] == 0.0)
-    ratio = sobolev_norm(ext, 1.0) / _halfline_h1_sech()
+    ratio = sobolev_norm(ext.values, grid, 1.0) / _halfline_h1_sech()
     assert 0.99 < ratio < 2.5  # measured 1.4146
 
 

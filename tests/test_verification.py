@@ -186,6 +186,21 @@ def test_convergence_study_standing_wave_exact_reference():
     assert errs[-1] < 1e-3
 
 
+def test_convergence_study_keeps_solver_settings():
+    # the README's sech case has |g(0)|/scale = 5.0e-3 at the corner: the
+    # solve is accepted only with the raised seam_mismatch_cap, which every
+    # refined level has to keep
+    sg = SpatialGrid(-30.0, 30.0, 128)
+    spec = _make_spec(2.0, 3.0, _sol_phi, _zero_fn, 0.25, sg.nodes, 32)
+    cfg = SolverConfig(sgrid=sg, tol=1e-10, seam_mismatch_cap=1e-2)
+    _, rep = solve_ibvp(spec, cfg)
+    assert rep.converged
+    st = convergence_study(spec, cfg, levels=3)
+    assert not st["flagged"]
+    assert [(r["nx"], r["nt"]) for r in st["table"]] == [(128, 32), (256, 64), (512, 128)]
+    assert 1.3 < st["orders"][0] < 1.8  # measured 1.55
+
+
 def test_convergence_study_flags_zero_field():
     sg = SpatialGrid(-40.0, 40.0, 256)
     spec = _make_spec(1.0, 3.0, _zero_fn, _zero_fn, 0.5, sg.nodes, 128)

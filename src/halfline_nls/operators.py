@@ -30,8 +30,9 @@ zero-padded contour of spectral.padded_spectrum, which the fractional Fourier
 path shares.
 
 Everything that depends only on the grid pair lives in one OperatorPlan,
-returned by operator_plan(sgrid, tgrid) from a two-slot LRU cache (the
-fixed-point solver reapplies the operators on fixed grids every iteration):
+returned by operator_plan(sgrid, tgrid) from a three-slot LRU cache (the
+fixed-point solver reapplies the operators on fixed grids every iteration,
+and a solve that halves its interval twice works on three time grids):
 
 * the phase table e^{-i t xi^2}, shared by the free group and Duhamel;
 * the forcing kernels on the distinct values of |x| only (they depend on x^2,
@@ -57,6 +58,9 @@ _E_MINUS4 = np.exp(-0.25j * np.pi)
 _F_INF = 0.5 * ROOT_PI * _E_PLUS4
 _EDGE_TOL = 1e-8
 _X_CHUNK = 256
+# a solve that halves twice touches three time grids (T, T/2, T/4); with two
+# slots each one is evicted before the next solve on the same data reaches it
+_PLAN_SLOTS = 3
 
 
 class EdgeDecayWarning(UserWarning):
@@ -100,35 +104,29 @@ def duhamel_field(w: SolutionField) -> SolutionField:
 
     With g_j = e^{i t_j xi^2} w_hat_j, the trapezoid prefix sum S_i gives
     Dw(., t_i) = -i dt ifft(e^{-i t_i xi^2} S_i); the t=0 slice is exactly 0.
+    Every step works in place on the one FFT buffer, which becomes the
+    result; w and the plan are only read.
     """
     sgrid, tgrid = w.sgrid, w.tgrid
     if not isinstance(sgrid, SpatialGrid):
         raise TypeError("duhamel_field needs a whole-line field")
     phase = operator_plan(sgrid, tgrid).phase
-    g = np.conj(phase) * np.fft.fft(w.values, axis=1)
-    S = 0.5 * (g[:-1] + g[1:])
-    np.cumsum(S, axis=0, out=S)
-    out = np.zeros_like(g)
-    out[1:] = -1j * tgrid.dt * phase[1:] * S
-    vals = np.fft.ifft(out, axis=1)
-    vals[0] = 0.0
-    return SolutionField(sgrid, tgrid, vals)
-
-
-def _fresnel_antiderivative(sig, A):
-    """G with G'(sigma) = e^{i A / sigma^2}, continuous at sigma=0."""
-    out = np.empty(sig.shape, dtype=complex)
-    zero = sig == 0.0
-    nz = ~zero
-    s = sig[nz]
-    a = A[nz] if A.shape == sig.shape else np.broadcast_to(A, sig.shape)[nz]
-    ra = np.sqrt(a)
-    out[nz] = s * np.exp(1j * a / (s * s)) - 2j * ra * (
-        0.5 * ROOT_PI * _E_PLUS4 * erf(_E_MINUS4 * ra / s)
-    )
-    az = np.broadcast_to(A, sig.shape)[zero]
-    out[zero] = -2j * np.sqrt(az) * _F_INF
-    return out
+    # one spare row: g_j sits on row j+1, so the panel sum g_{i-1} + g_i
+    # formed in place lands on row i, the row of t_i, with no shift
+    buf = np.empty((tgrid.m + 2, sgrid.n), dtype=complex)
+    g = np.fft.fft(w.values, axis=1, out=buf[1:])
+    # g * conj(phase) as conj(conj(g) * phase): no conjugated table
+    np.conjugate(g, out=g)
+    g *= phase
+    np.conjugate(g, out=g)
+    g[:-1] += g[1:]
+    rows = buf[1:-1]
+    np.cumsum(rows, axis=0, out=rows)
+    rows *= phase[1:]
+    rows *= -0.5j * tgrid.dt
+    np.fft.ifft(rows, axis=1, out=rows)
+    buf[0] = 0.0
+    return SolutionField(sgrid, tgrid, buf[:-1])
 
 
 def _bf_kernel_chunk(x, dt, m):
@@ -139,17 +137,23 @@ def _bf_kernel_chunk(x, dt, m):
     M0 = 2[G]_{sigma_{k-1}}^{sigma_k} and the first moment comes from the
     antiderivative of sigma^2 e^{i A/sigma^2},
     W(sigma) = (sigma^3 e^{i A/sigma^2} + 2 i A G(sigma)) * 2/3.
+    G (the Fresnel antiderivative of the module docstring) and W share one
+    e^{i A/sigma^2} for sigma > 0; the sigma = 0 column takes their limits,
+    G = -2 i sqrt(A) F(inf) and sigma^3 e^{i A/sigma^2} -> 0.
     At x=0 these reduce exactly to the half-order integral weights.
     """
     A = (0.25 * x * x)[:, None]
-    sig = np.sqrt(np.arange(m + 1) * dt)[None, :]
-    sigb = np.broadcast_to(sig, (len(x), m + 1))
-    Ab = np.broadcast_to(A, sigb.shape)
-    G = _fresnel_antiderivative(sigb, Ab)
-    E3 = np.zeros_like(G)
-    nz = sigb != 0.0
-    E3[nz] = sigb[nz] ** 3 * np.exp(1j * Ab[nz] / (sigb[nz] ** 2))
-    W = (2.0 / 3.0) * (E3 + 2j * A * G)
+    ra = np.sqrt(A)
+    sig = np.sqrt(np.arange(1, m + 1) * dt)
+    E = np.exp(1j * A / (sig * sig))
+    G = np.empty((len(x), m + 1), dtype=complex)
+    G[:, :1] = -2j * ra * _F_INF
+    G[:, 1:] = sig * E - 2j * ra * (
+        0.5 * ROOT_PI * _E_PLUS4 * erf(_E_MINUS4 * ra / sig)
+    )
+    W = 2j * A * G
+    W[:, 1:] += sig**3 * E
+    W *= 2.0 / 3.0
     M0 = 2.0 * (G[:, 1:] - G[:, :-1])
     Q1 = W[:, 1:] - W[:, :-1]
     k = np.arange(1, m + 1, dtype=float)[None, :]
@@ -199,7 +203,7 @@ class OperatorPlan:
             arr.flags.writeable = False
 
 
-operator_plan = functools.lru_cache(maxsize=2)(OperatorPlan)
+operator_plan = functools.lru_cache(maxsize=_PLAN_SLOTS)(OperatorPlan)
 
 
 def _check_vanishing_start(f: TimeSignal, what):

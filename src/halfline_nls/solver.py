@@ -29,7 +29,13 @@ import numpy as np
 
 from .grids import GridFunction, SolutionField, SpatialGrid, TimeGrid, TimeSignal
 from .operators import boundary_forcing_time, duhamel_field, free_group_field
-from .spectral import boundary_value, extend_half_line, smooth_ramp, sobolev_norm
+from .spectral import (
+    _plancherel_norm,
+    boundary_value,
+    extend_half_line,
+    smooth_ramp,
+    sobolev_norm,
+)
 
 log = logging.getLogger(__name__)
 
@@ -258,31 +264,41 @@ def apply_lambda(w: SolutionField, pre: LinearData) -> SolutionField:
     """
     if pre.lam == 0.0:
         return SolutionField(pre.sgrid, pre.tgrid, pre.linear.values.copy())
-    F = SolutionField(
-        pre.sgrid, pre.tgrid, w.values * np.abs(w.values) ** (pre.alpha - 1.0)
-    )
-    DF = duhamel_field(F)
+    power = np.abs(w.values)
+    power **= pre.alpha - 1.0
+    DF = duhamel_field(SolutionField(pre.sgrid, pre.tgrid, w.values * power))
+    del power
     trace = DF.values[:, pre.zero_index].copy()
     if abs(trace[0]) > 1e-12 * max(np.max(np.abs(trace)), 1e-300):
         raise AssertionError("duhamel trace must vanish at t=0 by construction")
     trace[0] = 0.0
-    corr = boundary_forcing_time(TimeSignal(pre.tgrid, trace), pre.sgrid)
-    vals = pre.linear.values + pre.lam * (corr.values - DF.values)
+    # linear + lam * (corr - DF), built in the forcing result's own buffer
+    vals = boundary_forcing_time(TimeSignal(pre.tgrid, trace), pre.sgrid).values
+    vals -= DF.values
+    del DF
+    vals *= pre.lam
+    vals += pre.linear.values
     return SolutionField(pre.sgrid, pre.tgrid, vals)
 
 
 def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig):
     """Iterate from the linear part; returns (field, converged, counts, history)."""
     u = pre.linear
+    # the iterate's spectrum in x: by linearity fft(u_next - u) is
+    # fft(u_next) - fft(u), so each iteration transforms only u_next
+    uhat = np.fft.fft(u.values, axis=1)
     residuals = []
     ratios = []
     n_apps = 0
     for _ in range(cfg.max_iter):
         u_next = apply_lambda(u, pre)
         n_apps += 1
+        uhat_next = np.fft.fft(u_next.values, axis=1)
         # C_t H^s_x norms: the max over time slices of the H^s norm in x
-        delta = float(np.max(sobolev_norm(u_next.values - u.values, pre.sgrid, s)))
-        norm_u = float(np.max(sobolev_norm(u_next.values, pre.sgrid, s)))
+        norm_u = float(np.max(_plancherel_norm(uhat_next, pre.sgrid, s)))
+        np.subtract(uhat_next, uhat, out=uhat)
+        delta = float(np.max(_plancherel_norm(uhat, pre.sgrid, s)))
+        uhat = uhat_next
         if delta > 0.0:
             if residuals:
                 ratios.append(delta / residuals[-1])

@@ -28,11 +28,17 @@ def sobolev_norm(values, grid: SpatialGrid, s: float):
     the scale is applied after the sum, so the spectrum is never rescaled.
     Returns a float for one slice and an array for a stack of slices.
     """
+    norm = _plancherel_norm(np.fft.fft(values, axis=-1), grid, s)
+    return float(norm) if norm.ndim == 0 else norm
+
+
+def _plancherel_norm(spectrum, grid: SpatialGrid, s: float):
+    """sobolev_norm from the slices' fft along the last axis: a caller that
+    already holds the spectrum (the Picard loop) skips the transform."""
     xi = grid.frequencies
     w2 = (1.0 + xi * xi) ** s
-    total = np.sum(w2 * np.abs(np.fft.fft(values, axis=-1)) ** 2, axis=-1)
-    norm = np.sqrt(grid.dx / grid.n * total)
-    return float(norm) if norm.ndim == 0 else norm
+    total = np.sum(w2 * np.abs(spectrum) ** 2, axis=-1)
+    return np.sqrt(grid.dx / grid.n * total)
 
 
 def padded_spectrum(f: TimeSignal, pad: int, damp: float):

@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.linalg import solve_banded
 
 from .grids import HalfLineGrid, SolutionField, SpatialGrid, TimeGrid
 from .solver import ProblemSpec, SolverConfig, solve_ibvp
@@ -67,6 +65,11 @@ def crank_nicolson(spec: ProblemSpec, cfg: FDConfig) -> SolutionField:
     fallback on the real/imaginary interleaved banded system; divergence
     aborts with the step index.
     """
+    # imported here, as in _newton_step and compare_fields: a plain solve
+    # imports this module through the package and the CLI, and should not
+    # pay for scipy.linalg and scipy.interpolate
+    from scipy.linalg import solve_banded
+
     grid = HalfLineGrid(cfg.x_max, cfg.nx)
     x = grid.nodes
     h = grid.dx
@@ -150,6 +153,8 @@ def _newton_step(v, c, ab, lam, am1, dt, fval, cfg: FDConfig, step_index):
     conjugation makes the system real-linear, solved in interleaved
     [Re v_0, Im v_0, Re v_1, ...] form, bandwidth 3.
     """
+    from scipy.linalg import solve_banded
+
     nxp = len(v)
     coef = 0.5j * dt * lam
 
@@ -238,6 +243,8 @@ def compare_fields(a: SolutionField, b: SolutionField) -> CompareReport:
     (deterministic tie-break), with linear interpolation for the other.
     The scalar metrics are symmetric under argument swap, bit-exact.
     """
+    from scipy.interpolate import RegularGridInterpolator
+
     xa, va = _positive_window(a)
     xb, vb = _positive_window(b)
     ta = a.tgrid.nodes

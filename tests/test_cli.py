@@ -356,6 +356,22 @@ def test_solve_outputs_are_deterministic(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_cli_import_leaves_the_oracle_dependencies_unloaded():
+    # only verify and converge need scipy.interpolate and scipy.linalg; a
+    # solve must not pay for importing them
+    probe = (
+        "import sys, halfline_nls.cli; "
+        "print(sorted(m for m in ('scipy.interpolate', 'scipy.linalg') "
+        "if m in sys.modules))"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_console_script_entry_point_is_main():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"

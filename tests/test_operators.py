@@ -6,6 +6,8 @@ forcing field has a corner at x=0, so its residual is evaluated on
 |x| > 1/2 only; spectral differentiation would smear that corner over the
 whole grid.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,13 @@ from hypothesis import strategies as st
 from halfline_nls import (
     EdgeDecayWarning,
     GridFunction,
+    ProblemSpec,
     SolutionField,
+    SolverConfig,
     SpatialGrid,
     TimeGrid,
     TimeSignal,
+    apply_lambda,
     boundary_forcing_freq,
     boundary_forcing_time,
     derivative_jump,
@@ -25,8 +30,10 @@ from halfline_nls import (
     frac_derivative,
     free_group,
     free_group_field,
+    solve_ibvp,
 )
 from halfline_nls.operators import _bf_kernel_chunk, operator_plan
+from halfline_nls.solver import _prepare_linear
 
 
 def _gaussian_exact(x, t):
@@ -259,12 +266,63 @@ def test_forcing_plan_matches_two_kernel_quadrature(sg, kernel_rows):
     assert operator_plan(sg, tg).kspec.shape == (2 * tg.m, kernel_rows)
 
 
-def test_operator_plan_cache_keeps_two_slots():
-    phi_fn = lambda x: np.exp(-x * x) + 0j
-    for n, m in ((64, 16), (128, 16), (64, 32)):
-        sg = SpatialGrid(-20.0, 20.0, n)
-        free_group_field(GridFunction(sg, phi_fn(sg.nodes)), TimeGrid(0.5, m))
-    assert operator_plan.cache_info().currsize <= 2
+def test_operator_plan_cache_holds_a_twice_halving_solve():
+    # the standing wave asked for on [0, 2] contracts only on [0, 0.5]: one
+    # solve builds plans on three time grids, and a repeat solve reuses them
+    sg = SpatialGrid(-30.0, 30.0, 128)
+    tg = TimeGrid(2.0, 64)
+    xp = sg.nodes[sg.nodes >= 0.0]
+    wave = lambda x, t: np.exp(1j * t) / np.cosh(x - 6.0)
+    spec = ProblemSpec(
+        2.0, 3.0, 0.0, wave(xp, 0.0), TimeSignal(tg, wave(0.0, tg.nodes)), 2.0
+    )
+    cfg = SolverConfig(sgrid=sg, tol=1e-10)
+    _, first = solve_ibvp(spec, cfg)
+    misses = operator_plan.cache_info().misses
+    _, second = solve_ibvp(spec, cfg)
+    assert first.halvings == second.halvings == 2
+    assert operator_plan.cache_info().misses == misses
+    assert operator_plan.cache_info().currsize <= 3
+
+
+def test_duhamel_and_map_leave_inputs_and_plan_unchanged():
+    # the in-place arithmetic of duhamel_field and apply_lambda must never
+    # write into an input, the precomputed linear part or a cached plan;
+    # the first Picard step passes the linear part itself as the iterate
+    sg = SpatialGrid(-20.0, 20.0, 64)
+    tg = TimeGrid(0.5, 32)
+    phi = GridFunction(sg, np.exp(-(sg.nodes - 6.0) ** 2) + 0j)
+    f = TimeSignal(tg, np.zeros(tg.m + 1, dtype=complex))
+    pre = _prepare_linear(phi, f, 1.0, 3.0, 1e-3)
+    other = SolutionField(sg, tg, 0.5j * pre.linear.values)
+    plan = operator_plan(sg, tg)
+    kept = [a.copy() for a in (pre.linear.values, other.values, plan.phase, plan.kspec)]
+    for w in (pre.linear, other):
+        out = apply_lambda(w, pre)
+        dw = duhamel_field(w)
+        for res in (out, dw):
+            assert not np.shares_memory(res.values, w.values)
+            assert not np.shares_memory(res.values, pre.linear.values)
+    now = (pre.linear.values, other.values, plan.phase, plan.kspec)
+    assert all(np.array_equal(a, b) for a, b in zip(kept, now))
+
+
+def test_duhamel_field_peak_memory_is_two_fields():
+    # duhamel_field works in place on its FFT buffer, which becomes the
+    # result; the third operator plan slot is paid for by this budget
+    sg = SpatialGrid(-20.0, 20.0, 64)
+    tg = TimeGrid(0.5, 32)
+    x, t = sg.nodes[None, :], tg.nodes[:, None]
+    w = SolutionField(sg, tg, np.exp(-x * x) * np.exp(1j * t))
+    duhamel_field(w)  # builds the plan outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        duhamel_field(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 2 * w.values.nbytes, (peak - base) / w.values.nbytes
 
 
 def test_representations_agree_and_improve():

@@ -32,6 +32,7 @@ from halfline_nls import (
     extend_half_line,
     mass_flux_balance,
     solve_ibvp,
+    sobolev_norm,
 )
 from halfline_nls.solver import _prepare_linear
 
@@ -241,6 +242,28 @@ def test_apply_lambda_boundary_trace():
         tr = out.values[:, j0]
         rel = np.linalg.norm(tr - f.values) / np.linalg.norm(f.values)
         assert rel < 1e-3, rel  # measured 1.08e-4 for both iterates
+
+
+def test_residual_history_is_the_norm_of_each_update():
+    # the loop takes the update's norm from spectra, fft(u_next) - fft(u);
+    # recomputed here from the iterates themselves
+    sg = SpatialGrid(-30.0, 30.0, 256)
+    spec = _make_spec(1.0, 3.0, 0.0, _kf_phi, _kf_f, 0.5, sg, 64)
+    cfg = SolverConfig(sgrid=sg, tol=1e-6)
+    _, rep = solve_ibvp(spec, cfg)
+    assert rep.converged and rep.halvings == 0
+    pre = _prepare_linear(
+        extend_half_line(spec.phi, sg), spec.f, spec.lam, spec.alpha,
+        cfg.seam_mismatch_cap,
+    )
+    u, direct = pre.linear, []
+    for _ in range(rep.iterates):
+        u_next = apply_lambda(u, pre)
+        direct.append(np.max(sobolev_norm(u_next.values - u.values, sg, spec.s)))
+        u = u_next
+    rel = np.abs(np.array(rep.residual_history) / np.array(direct) - 1.0)
+    assert len(direct) == len(rep.residual_history) >= 3
+    assert np.max(rel) < 1e-9, rel
 
 
 def test_solve_zero_data_shortcut():

@@ -346,6 +346,9 @@ def _solve_from_slice(
     pair = admissible_pair(s, alpha)
     f_work = f
     for halving in range(cfg.max_halvings + 1):
+        # a failed attempt's iterate and linear part are whole fields: free
+        # them before the next attempt builds its own
+        u = pre = None
         tgrid = TimeGrid(T_work, m)
         f_work = _resample_signal(f, tgrid)
         pre = _prepare_linear(phi_ext, f_work, lam, alpha, cfg.seam_mismatch_cap)

@@ -37,8 +37,11 @@ def _plancherel_norm(spectrum, grid: SpatialGrid, s: float):
     already holds the spectrum (the Picard loop) skips the transform."""
     xi = grid.frequencies
     w2 = (1.0 + xi * xi) ** s
-    total = np.sum(w2 * np.abs(spectrum) ** 2, axis=-1)
-    return np.sqrt(grid.dx / grid.n * total)
+    # w2 * |spectrum|^2 with one temporary: **2 is x*x, so this is bit-equal
+    p = np.abs(spectrum)
+    p *= p
+    p *= w2
+    return np.sqrt(grid.dx / grid.n * np.sum(p, axis=-1))
 
 
 def padded_spectrum(f: TimeSignal, pad: int, damp: float):

@@ -330,6 +330,38 @@ def test_field_roundtrip_is_exact(tmp_path):
     assert np.array_equal(t, tg.nodes)
 
 
+def test_field_csv_bytes_are_the_per_cell_format(tmp_path):
+    # write_field formats a whole row at once; its bytes must stay those of
+    # formatting every cell on its own, for any memory layout of the values
+    sg = SpatialGrid(-20.0, 20.0, 16)
+    tg = TimeGrid(0.5, 8)
+    rng = np.random.default_rng(5)
+    vals = rng.normal(size=(9, 16)) + 1j * rng.normal(size=(9, 16))
+    vals[0, :4] = [-0.0, 5e-324, 1e300, 0.1]
+    vals[1, :4] = [-0.0j, 5e-324j, -1e300j, 0.1j]
+    x, t = sg.nodes, tg.nodes
+    lines = [
+        f"# kind=whole x_first={x[0]:.17g} x_last={x[-1]:.17g} "
+        f"n={len(x)} t_max={t[-1]:.17g} nt={tg.m}\n"
+    ]
+    for ti, row in zip(t, vals):
+        cells = [f"{ti:.17g}"]
+        for v in row:
+            cells += [f"{v.real:.17g}", f"{v.imag:.17g}"]
+        lines.append(",".join(cells) + "\n")
+    expected = "".join(lines).encode()
+
+    every_other_row = np.zeros((18, 16), dtype=complex)
+    every_other_row[::2] = vals
+    transposed = SolutionField(sg, tg, vals)
+    transposed.values = np.asfortranarray(vals)
+    for k, field in enumerate((SolutionField(sg, tg, every_other_row[::2]), transposed)):
+        assert not field.values.flags.c_contiguous
+        path = tmp_path / f"field{k}.csv"
+        write_field(path, field)
+        assert path.read_bytes() == expected
+
+
 def test_signal_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(4)
     t = np.linspace(0.0, 1.0, 33)

@@ -6,6 +6,7 @@ Interior residuals use centered differences in t and x away from x=0
 slices trimmed. Accuracy targets are checked against a standing wave
 profile whose exactness is verified symbolically before use.
 """
+import gc
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from halfline_nls import (
     solve_ibvp,
     sobolev_norm,
 )
+import halfline_nls.solver as solver_module
 from halfline_nls.solver import _prepare_linear
 
 
@@ -523,6 +525,39 @@ def test_continuation_restart_shorter_than_parent_step():
     assert out.meta["restart_shorter_than_step"] is True
     assert out.tgrid == u.tgrid
     assert np.array_equal(out.values, u.values)
+
+
+def test_failed_halving_attempt_is_freed_before_the_retry(monkeypatch):
+    # the standing wave asked for on [0, 2] contracts only on [0, 0.5]; no
+    # field of a failed attempt may live on into the next one, which would
+    # hold one more whole field through every retry
+    def live_fields():
+        return sum(isinstance(o, SolutionField) for o in gc.get_objects())
+
+    seen = []
+
+    def counted(name):
+        inner = getattr(solver_module, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append((name, live_fields() - base))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, name, wrapper)
+
+    counted("_prepare_linear")
+    counted("_picard_loop")
+    sg = SpatialGrid(-30.0, 30.0, 128)
+    tg = TimeGrid(2.0, 64)
+    xp = sg.nodes[sg.nodes >= 0.0]
+    spec = ProblemSpec(
+        2.0, 3.0, 0.0, _soliton(xp, 0.0), TimeSignal(tg, _soliton(0.0, tg.nodes)), 2.0
+    )
+    base = live_fields()
+    _, report = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
+    assert report.halvings == 2
+    # each attempt starts from nothing and iterates from its own linear part
+    assert seen == [("_prepare_linear", 0), ("_picard_loop", 1)] * 3
 
 
 def test_blowup_suspected_carries_report():

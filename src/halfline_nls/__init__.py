@@ -30,33 +30,17 @@ from .operators import (
     boundary_forcing_freq,
     boundary_forcing_time,
     derivative_jump,
-    duhamel_field,
     free_group,
-    free_group_field,
 )
 from .solver import (
-    AdmissiblePair,
     BlowupSuspected,
     CompatibilityError,
     IterationReport,
     ProblemSpec,
     SolverConfig,
     SupercriticalError,
-    admissible_pair,
-    apply_lambda,
-    blowup_monitor,
-    compatibility_check,
     continue_solution,
-    criticality,
-    mixed_norm,
     solve_ibvp,
-)
-from .spectral import (
-    boundary_value,
-    extend_half_line,
-    smooth_ramp,
-    sobolev_norm,
-    time_sobolev_norm,
 )
 from .verification import (
     CompareReport,
@@ -70,7 +54,6 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissiblePair",
     "BlowupSuspected",
     "CompareReport",
     "CompatibilityError",
@@ -87,30 +70,17 @@ __all__ = [
     "SupercriticalError",
     "TimeGrid",
     "TimeSignal",
-    "admissible_pair",
-    "apply_lambda",
-    "blowup_monitor",
     "boundary_forcing_freq",
     "boundary_forcing_time",
-    "boundary_value",
     "compare_fields",
-    "compatibility_check",
     "continue_solution",
     "convergence_study",
     "crank_nicolson",
-    "criticality",
     "derivative_jump",
-    "duhamel_field",
-    "extend_half_line",
     "frac_derivative",
     "frac_fourier_path",
     "frac_integral",
     "free_group",
-    "free_group_field",
     "mass_flux_balance",
-    "mixed_norm",
-    "smooth_ramp",
-    "sobolev_norm",
     "solve_ibvp",
-    "time_sobolev_norm",
 ]

@@ -12,7 +12,6 @@ Outputs are deterministic: identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -20,7 +19,9 @@ import sys
 import numpy as np
 
 from .fractional import frac_derivative, frac_fourier_path, frac_integral
-from .grids import SolutionField, SpatialGrid, TimeGrid, TimeSignal
+from .grids import (
+    GridFunction, SolutionField, SpatialGrid, TimeGrid, TimeSignal, interp_complex,
+)
 from .operators import (
     boundary_forcing_freq,
     boundary_forcing_time,
@@ -33,11 +34,12 @@ from .solver import (
     ProblemSpec,
     SolverConfig,
     SupercriticalError,
-    criticality,
     solve_ibvp,
 )
 from .spectral import smooth_ramp, sobolev_norm
-from .verification import FDConfig, compare_fields, convergence_study, crank_nicolson
+from .verification import (
+    FDConfig, compare_fields, convergence_study, crank_nicolson, refined_problem,
+)
 
 _DEFAULTS = {
     "problem.lambda_re": 0.0,
@@ -120,9 +122,7 @@ def _phi_preset(cfg, x):
                 f"phi.file has {data.shape[0]} rows, grid needs {len(x)}"
             )
         vals = data[:, 1] + 1j * data[:, 2]
-        return lambda xx: np.interp(xx, data[:, 0], vals.real) + 1j * np.interp(
-            xx, data[:, 0], vals.imag
-        )
+        return lambda xx: interp_complex(xx, data[:, 0], vals)
     raise ConfigError(f"unknown phi.preset '{kind}'")
 
 
@@ -150,9 +150,7 @@ def _f_preset(cfg, T, m):
         if data.shape[0] != m + 1:
             raise ConfigError(f"f.file has {data.shape[0]} rows, grid needs {m + 1}")
         vals = data[:, 1] + 1j * data[:, 2]
-        return lambda tt: np.interp(tt, data[:, 0], vals.real) + 1j * np.interp(
-            tt, data[:, 0], vals.imag
-        )
+        return lambda tt: interp_complex(tt, data[:, 0], vals)
     raise ConfigError(f"unknown f.preset '{kind}'")
 
 
@@ -192,11 +190,26 @@ def build_problem(cfg):
     return spec, scfg
 
 
-def write_signal(path, t, values):
+def _write_csv(path, header, width, rows):
+    """The header line, then each row of `width` numbers in one "%.17g,..."
+    format: the same bytes as formatting each cell with f"{v:.17g}"."""
+    fmt = ",".join(["%.17g"] * width) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,re,im\n")
-        for ti, v in zip(t, values):
-            fh.write(f"{ti:.17g},{v.real:.17g},{v.imag:.17g}\n")
+        fh.write(header)
+        for row in rows:
+            fh.write(fmt % row)
+
+
+def _write_json(path, obj):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_signal(path, t, values):
+    v = np.asarray(values)
+    rows = zip(np.asarray(t).tolist(), v.real.tolist(), v.imag.tolist())
+    _write_csv(path, "t,re,im\n", 3, rows)
 
 
 def read_signal(path):
@@ -208,17 +221,16 @@ def write_field(path, field: SolutionField):
     x = np.asarray(field.sgrid.nodes)
     t = field.tgrid.nodes
     kind = "whole" if isinstance(field.sgrid, SpatialGrid) else "half"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# kind={kind} x_first={x[0]:.17g} x_last={x[-1]:.17g} "
-            f"n={len(x)} t_max={t[-1]:.17g} nt={field.tgrid.m}\n"
-        )
-        # one format per row over t, re_0, im_0, re_1, ...: the same bytes
-        # as formatting each cell with f"{v:.17g}"
-        fmt = ",".join(["%.17g"] * (2 * len(x) + 1)) + "\n"
-        for ti, row in zip(t.tolist(), field.values):
-            cells = np.ascontiguousarray(row).view(np.float64).tolist()
-            fh.write(fmt % (ti, *cells))
+    header = (
+        f"# kind={kind} x_first={x[0]:.17g} x_last={x[-1]:.17g} "
+        f"n={len(x)} t_max={t[-1]:.17g} nt={field.tgrid.m}\n"
+    )
+    # each row is t, re_0, im_0, re_1, ...
+    rows = (
+        (ti, *np.ascontiguousarray(row).view(np.float64).tolist())
+        for ti, row in zip(t.tolist(), field.values)
+    )
+    _write_csv(path, header, 2 * len(x) + 1, rows)
 
 
 def read_field(path):
@@ -240,11 +252,18 @@ def read_field(path):
     return x, t, vals
 
 
-def cmd_solve(config_path, out_dir=None):
+def _load(config_path, out_dir):
+    """(config dict, ProblemSpec, SolverConfig, output directory), with the
+    directory created."""
     cfg = parse_config(config_path)
     spec, scfg = build_problem(cfg)
     out = out_dir or cfg["output.directory"]
     os.makedirs(out, exist_ok=True)
+    return cfg, spec, scfg, out
+
+
+def cmd_solve(config_path, out_dir=None):
+    _, spec, scfg, out = _load(config_path, out_dir)
     try:
         field, report = solve_ibvp(spec, scfg)
     except (SupercriticalError, CompatibilityError) as exc:
@@ -252,9 +271,7 @@ def cmd_solve(config_path, out_dir=None):
         return 1
     except BlowupSuspected as exc:
         print(f"blow-up suspected: {exc}", file=sys.stderr)
-        with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(exc.report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out, "report.json"), exc.report.as_dict())
         return 2
 
     write_field(os.path.join(out, "field.csv"), field)
@@ -263,23 +280,22 @@ def cmd_solve(config_path, out_dir=None):
 
     x = scfg.sgrid.nodes
     keep = x >= 0.0
-    with open(os.path.join(out, "initial_slice.csv"), "w", encoding="utf-8") as fh:
-        fh.write("x,re_u,im_u,re_phi,im_phi\n")
-        for xj, uj, pj in zip(x[keep], field.values[0, keep], spec.phi):
-            fh.write(
-                f"{xj:.17g},{uj.real:.17g},{uj.imag:.17g},"
-                f"{pj.real:.17g},{pj.imag:.17g}\n"
-            )
+    u0 = field.values[0, keep]
+    rows = zip(
+        x[keep].tolist(),
+        u0.real.tolist(),
+        u0.imag.tolist(),
+        spec.phi.real.tolist(),
+        spec.phi.imag.tolist(),
+    )
+    header = "x,re_u,im_u,re_phi,im_phi\n"
+    _write_csv(os.path.join(out, "initial_slice.csv"), header, 5, rows)
 
     norms = sobolev_norm(field.values, scfg.sgrid, spec.s)
-    with open(os.path.join(out, "norm_history.csv"), "w", encoding="utf-8") as fh:
-        fh.write("t,hs_norm\n")
-        for ti, nv in zip(field.tgrid.nodes, norms):
-            fh.write(f"{ti:.17g},{nv:.17g}\n")
+    rows = zip(field.tgrid.nodes.tolist(), norms.tolist())
+    _write_csv(os.path.join(out, "norm_history.csv"), "t,hs_norm\n", 2, rows)
 
-    with open(os.path.join(out, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "report.json"), report.as_dict())
     if report.t_achieved < report.t_requested:
         print(
             f"warning: solved on [0, {report.t_achieved:g}] only, "
@@ -290,7 +306,12 @@ def cmd_solve(config_path, out_dir=None):
     return 0
 
 
-def _suite_checks(cfg, spec, scfg):
+def _max_rel(a, ref):
+    """max |a - ref| relative to max |ref|."""
+    return float(np.max(np.abs(a - ref)) / max(np.max(np.abs(ref)), 1e-300))
+
+
+def _suite_checks(spec, scfg):
     """The operator property suite at the config's grids."""
     sgrid = scfg.sgrid
     T = spec.T
@@ -303,8 +324,6 @@ def _suite_checks(cfg, spec, scfg):
     w = sgrid.x_max / 10.0
     c = sgrid.x_max / 4.0
     phi_c = np.exp(-(((x - c) / w) ** 2)) + 0j
-    from .grids import GridFunction
-
     phi_g = GridFunction(sgrid, phi_c)
     t = tgrid.nodes
     f_c = TimeSignal(tgrid, 16.0 * t**2 * np.maximum(T - t, 0.0) ** 2 / T**4 + 0j)
@@ -332,14 +351,7 @@ def _suite_checks(cfg, spec, scfg):
     half = frac_integral(f_c, 0.5)
     twice = frac_integral(half, 0.5)
     whole = frac_integral(f_c, 1.0)
-    ns = max(float(np.max(np.abs(whole.values))), 1e-300)
-    checks.append(
-        (
-            "frac_semigroup",
-            float(np.max(np.abs(twice.values - whole.values)) / ns),
-            1e-5,
-        )
-    )
+    checks.append(("frac_semigroup", _max_rel(twice.values, whole.values), 1e-5))
     worst = 0.0
     for alpha in (1.0, 0.5, -0.5):
         if alpha > 0:
@@ -347,10 +359,7 @@ def _suite_checks(cfg, spec, scfg):
         else:
             ref = frac_derivative(f_c, -alpha)
         four = frac_fourier_path(f_c, alpha)
-        nsc = max(float(np.max(np.abs(ref.values))), 1e-300)
-        worst = max(
-            worst, float(np.max(np.abs(four.values - ref.values)) / nsc)
-        )
+        worst = max(worst, _max_rel(four.values, ref.values))
     checks.append(("frac_path_agreement", worst, 1e-3))
 
     lt = boundary_forcing_time(f_c, sgrid, tgrid)
@@ -361,30 +370,13 @@ def _suite_checks(cfg, spec, scfg):
 
     j0 = sgrid.index_nearest_zero()
     trace = lt.values[:, j0]
-    checks.append(
-        (
-            "boundary_trace",
-            float(
-                np.max(np.abs(trace - f_c.values))
-                / max(np.max(np.abs(f_c.values)), 1e-300)
-            ),
-            1e-3,
-        )
-    )
+    checks.append(("boundary_trace", _max_rel(trace, f_c.values), 1e-3))
 
     minus, plus = derivative_jump(f_c, lt)
     h = frac_derivative(f_c, 0.5)
     target = 2.0 * np.exp(-0.25j * np.pi) * h.values
     jump = minus.values - plus.values
-    checks.append(
-        (
-            "derivative_jump",
-            float(
-                np.max(np.abs(jump - target)) / max(np.max(np.abs(target)), 1e-300)
-            ),
-            1e-2,
-        )
-    )
+    checks.append(("derivative_jump", _max_rel(jump, target), 1e-2))
     return checks
 
 
@@ -396,17 +388,7 @@ def _fd_comparison(cfg, spec, scfg):
     full, _ = solve_ibvp(spec, scfg)
 
     half_sgrid = SpatialGrid(scfg.sgrid.x_min, scfg.sgrid.x_max, max(16, nx // 2))
-    xh = half_sgrid.nodes
-    xph = xh[xh >= 0.0]
-    tg_h = TimeGrid(spec.T, max(8, nt // 2))
-    from .verification import _f_on, _phi_on
-
-    spec_h = ProblemSpec(
-        spec.lam, spec.alpha, spec.s, _phi_on(spec, xph),
-        TimeSignal(tg_h, _f_on(spec, tg_h.nodes)), spec.T,
-        phi_x=xph, phi_fn=spec.phi_fn, f_fn=spec.f_fn,
-    )
-    cfg_h = dataclasses.replace(scfg, sgrid=half_sgrid, max_halvings=0)
+    spec_h, cfg_h = refined_problem(spec, scfg, half_sgrid, max(8, nt // 2))
     half, _ = solve_ibvp(spec_h, cfg_h)
     e_ie = compare_fields(half, full).rel_l2
 
@@ -424,11 +406,8 @@ def _fd_comparison(cfg, spec, scfg):
 
 
 def cmd_verify(config_path, out_dir=None):
-    cfg = parse_config(config_path)
-    spec, scfg = build_problem(cfg)
-    out = out_dir or cfg["output.directory"]
-    os.makedirs(out, exist_ok=True)
-    checks = _suite_checks(cfg, spec, scfg)
+    cfg, spec, scfg, out = _load(config_path, out_dir)
+    checks = _suite_checks(spec, scfg)
     try:
         rel, tol = _fd_comparison(cfg, spec, scfg)
         checks.append(("fd_oracle_agreement", rel, tol))
@@ -446,9 +425,7 @@ def cmd_verify(config_path, out_dir=None):
         print(f"{line} {name}: {value:.3e} (tol {tol:.3e})")
         if not ok:
             failed.append(name)
-    with open(os.path.join(out, "verify_report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "verify_report.json"), report)
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)
         return 3
@@ -456,10 +433,7 @@ def cmd_verify(config_path, out_dir=None):
 
 
 def cmd_converge(config_path, levels, out_dir=None):
-    cfg = parse_config(config_path)
-    spec, scfg = build_problem(cfg)
-    out = out_dir or cfg["output.directory"]
-    os.makedirs(out, exist_ok=True)
+    _, spec, scfg, out = _load(config_path, out_dir)
     try:
         result = convergence_study(spec, scfg, levels=levels)
     except BlowupSuspected as exc:

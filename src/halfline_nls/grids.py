@@ -14,9 +14,16 @@ def _is_pow2(n):
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def interp_complex(x, xp, fp):
+    """Piecewise-linear interpolation of complex samples fp at nodes xp,
+    real and imaginary parts separately (np.interp on each)."""
+    return np.interp(x, xp, fp.real) + 1j * np.interp(x, xp, fp.imag)
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform whole-line (truncated) grid with x_min <= 0 < x_max."""
+    """Uniform whole-line (truncated) grid with x_min < 0 < x_max and at
+    least three nodes at x >= 0."""
 
     x_min: float
     x_max: float
@@ -27,6 +34,9 @@ class SpatialGrid:
             raise ValueError("need x_min < 0 < x_max")
         if not _is_pow2(self.n) or self.n < 16:
             raise ValueError("n must be a power of two, n >= 16")
+        # x=0 extrapolation and the one-sided stencils at x=0 use three nodes
+        if np.count_nonzero(self.nodes >= 0.0) < 3:
+            raise ValueError("need at least three nodes with x >= 0")
 
     @property
     def dx(self):

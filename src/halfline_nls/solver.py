@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
 
-from .grids import GridFunction, SolutionField, SpatialGrid, TimeGrid, TimeSignal
+from .grids import (
+    GridFunction, SolutionField, SpatialGrid, TimeGrid, TimeSignal, interp_complex,
+)
 from .operators import boundary_forcing_time, duhamel_field, free_group_field
 from .spectral import (
     _plancherel_norm,
@@ -119,18 +121,7 @@ class IterationReport:
     converged: bool = False
 
     def as_dict(self):
-        return {
-            "iterates": self.iterates,
-            "residual_history": list(self.residual_history),
-            "contraction_ratios": list(self.contraction_ratios),
-            "fixed_point_residual": self.fixed_point_residual,
-            "halvings": self.halvings,
-            "t_achieved": self.t_achieved,
-            "t_requested": self.t_requested,
-            "criticality": self.criticality,
-            "linear_mixed_norm": self.linear_mixed_norm,
-            "converged": self.converged,
-        }
+        return asdict(self)
 
 
 def admissible_pair(s: float, alpha: float) -> AdmissiblePair:
@@ -320,10 +311,7 @@ def _resample_signal(f: TimeSignal, tgrid: TimeGrid) -> TimeSignal:
     tnew = tgrid.nodes
     if tnew[-1] > told[-1] * (1.0 + 1e-12):
         raise ValueError("signal does not cover the requested interval")
-    vals = np.interp(tnew, told, f.values.real) + 1j * np.interp(
-        tnew, told, f.values.imag
-    )
-    return TimeSignal(tgrid, vals)
+    return TimeSignal(tgrid, interp_complex(tnew, told, f.values))
 
 
 def _solve_from_slice(
@@ -457,9 +445,7 @@ def continue_solution(
     crit = criticality(spec.s, spec.alpha)
     psi = u.slice_at(u.tgrid.m)
     tgrid2 = TimeGrid(delta_eff, m2)
-    shifted = np.interp(
-        T + tgrid2.nodes, spec.f.grid.nodes, spec.f.values.real
-    ) + 1j * np.interp(T + tgrid2.nodes, spec.f.grid.nodes, spec.f.values.imag)
+    shifted = interp_complex(T + tgrid2.nodes, spec.f.grid.nodes, spec.f.values)
     f2 = TimeSignal(tgrid2, shifted)
     try:
         tail, tail_report = _solve_from_slice(
@@ -485,12 +471,3 @@ def continue_solution(
     out.meta["seam_index"] = u.tgrid.m
     out.meta["restart_report"] = tail_report.as_dict()
     return out
-
-
-def blowup_monitor(u: SolutionField, s: float) -> TimeSignal:
-    """Per-slice H^s norm history of the x>0 restriction (re-extended)."""
-    if not isinstance(u.sgrid, SpatialGrid):
-        raise TypeError("blowup_monitor needs a whole-line field")
-    nonneg = u.sgrid.nodes >= 0.0
-    exts = [extend_half_line(row, u.sgrid).values for row in u.values[:, nonneg]]
-    return TimeSignal(u.tgrid, sobolev_norm(np.array(exts), u.sgrid, s))

@@ -1,6 +1,6 @@
-"""Spectral substrate: the Sobolev norms in x and t, the damped padded
-transform in t, the smooth ramp, the half-line -> whole-line extension and
-the boundary value at x=0. Each is the one implementation its callers share.
+"""Spectral substrate: the Sobolev norm in x, the damped padded transform in
+t, the smooth ramp, the half-line -> whole-line extension and the boundary
+value at x=0. Each is the one implementation its callers share.
 
 Conventions. The forward transform approximates g_hat(xi) = int e^{-i x xi} g dx
 and is realized as dx * fft(g) on the periodic grid; the discrete frequencies
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import GridFunction, SpatialGrid, TimeSignal
+from .grids import GridFunction, SpatialGrid, TimeSignal, interp_complex
 
 
 def sobolev_norm(values, grid: SpatialGrid, s: float):
@@ -59,22 +59,6 @@ def padded_spectrum(f: TimeSignal, pad: int, damp: float):
     fhat = np.fft.fft(f.values * np.exp(-gamma * f.grid.nodes), M)
     tau = 2.0 * np.pi * np.fft.fftfreq(M, d=dt)
     return fhat, tau, gamma
-
-
-def time_sobolev_norm(h: TimeSignal, s: float) -> float:
-    """Inhomogeneous Sobolev norm in t of the zero-extended signal.
-
-    The signal is embedded by zero extension into a power-of-two buffer of
-    length >= 4(m+1); for data vanishing at both endpoints the weighted
-    rectangle sum in tau has no aliasing, leaving only the O(dt^2) quadrature
-    error of the discrete transform.
-    """
-    dt = h.grid.dt
-    fhat, tau, _ = padded_spectrum(h, 4, 0.0)
-    hhat = dt * fhat
-    dtau = 2.0 * np.pi / (len(tau) * dt)
-    w2 = (1.0 + tau * tau) ** s
-    return float(np.sqrt(dtau / (2.0 * np.pi) * np.sum(w2 * np.abs(hhat) ** 2)))
 
 
 def _psi(sigma):
@@ -128,13 +112,13 @@ def extend_half_line(phi, grid: SpatialGrid) -> GridFunction:
 
     xs = x[nonneg]
     vals = phi
-    if xs[0] > 0.0 and len(xs) >= 3:
+    if xs[0] > 0.0:
         xs = np.concatenate(([0.0], xs))
         vals = np.concatenate(([boundary_value(phi, grid)], vals))
 
     neg = np.nonzero(x < 0.0)[0]
     xr = -x[neg]
-    refl = np.interp(xr, xs, vals.real) + 1j * np.interp(xr, xs, vals.imag)
+    refl = interp_complex(xr, xs, vals)
     out[neg] = _extension_window(x[neg], grid.x_min) * refl
     return GridFunction(grid, out)
 

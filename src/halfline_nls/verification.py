@@ -15,7 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import HalfLineGrid, SolutionField, SpatialGrid, TimeGrid
+from .grids import (
+    HalfLineGrid, SolutionField, SpatialGrid, TimeGrid, TimeSignal, interp_complex,
+)
 from .solver import ProblemSpec, SolverConfig, solve_ibvp
 
 log = logging.getLogger(__name__)
@@ -41,20 +43,32 @@ def _phi_on(spec: ProblemSpec, x):
     if spec.phi_fn is not None:
         return np.asarray(spec.phi_fn(x), dtype=complex)
     if spec.phi_x is not None:
-        xs = np.asarray(spec.phi_x, dtype=float)
-        return np.interp(x, xs, spec.phi.real) + 1j * np.interp(
-            x, xs, spec.phi.imag
-        )
+        return interp_complex(x, np.asarray(spec.phi_x, dtype=float), spec.phi)
     raise ValueError("spec carries neither phi_fn nor phi_x; cannot resample")
 
 
 def _f_on(spec: ProblemSpec, t):
     if spec.f_fn is not None:
         return np.asarray(spec.f_fn(t), dtype=complex)
-    tn = spec.f.grid.nodes
-    return np.interp(t, tn, spec.f.values.real) + 1j * np.interp(
-        t, tn, spec.f.values.imag
+    return interp_complex(t, spec.f.grid.nodes, spec.f.values)
+
+
+def refined_problem(spec: ProblemSpec, cfg: SolverConfig, sgrid: SpatialGrid, m: int):
+    """(spec, cfg) moved onto sgrid and m time steps on [0, T].
+
+    phi and f are resampled from spec's sources (phi_fn or phi_x, f_fn or
+    f). Every solver setting is kept, except that halving is off, so the
+    solve covers the whole [0, T] it is compared on.
+    """
+    tg = TimeGrid(spec.T, m)
+    x = sgrid.nodes
+    xpos = x[x >= 0.0]
+    spec_r = ProblemSpec(
+        spec.lam, spec.alpha, spec.s, _phi_on(spec, xpos),
+        TimeSignal(tg, _f_on(spec, tg.nodes)), spec.T,
+        phi_x=xpos, phi_fn=spec.phi_fn, f_fn=spec.f_fn,
     )
+    return spec_r, replace(cfg, sgrid=sgrid, max_halvings=0)
 
 
 def crank_nicolson(spec: ProblemSpec, cfg: FDConfig) -> SolutionField:
@@ -348,27 +362,20 @@ def convergence_study(
     """
     if levels < 3:
         raise ValueError("levels >= 3 required")
-    from .grids import TimeSignal
-
     base = cfg.sgrid
     m0 = spec.f.grid.m
     fields = []
     rows = []
     for k in range(levels):
         sg = SpatialGrid(base.x_min, base.x_max, base.n * 2**k)
-        tg = TimeGrid(spec.T, m0 * 2**k)
-        x = sg.nodes
-        phi_k = _phi_on(spec, x[x >= 0.0]) if k > 0 else spec.phi
-        f_k = TimeSignal(tg, _f_on(spec, tg.nodes))
-        cfg_k = replace(cfg, sgrid=sg, max_halvings=0)
-        spec_k = ProblemSpec(
-            spec.lam, spec.alpha, spec.s, phi_k, f_k, spec.T,
-            phi_x=x[x >= 0.0], phi_fn=spec.phi_fn, f_fn=spec.f_fn,
-        )
+        spec_k, cfg_k = refined_problem(spec, cfg, sg, m0 * 2**k)
+        if k == 0:
+            # the base level solves the caller's own samples
+            spec_k = replace(spec_k, phi=spec.phi)
         u_k, _ = solve_ibvp(spec_k, cfg_k)
         fields.append(u_k)
-        rows.append({"nx": sg.n, "nt": tg.m})
-        log.info("convergence level %d: %dx%d", k, sg.n, tg.m)
+        rows.append({"nx": sg.n, "nt": spec_k.f.grid.m})
+        log.info("convergence level %d: %dx%d", k, sg.n, spec_k.f.grid.m)
 
     errors = []
     if exact is not None:

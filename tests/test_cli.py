@@ -123,6 +123,25 @@ def test_main_bad_config_exits_one(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_grid_with_too_few_nonnegative_nodes_is_a_config_error(tmp_path):
+    # no node at x >= 0: this once reached the extension and died there with
+    # an IndexError traceback
+    cfg = _write_cfg(tmp_path / "a.cfg", [
+        "grid.x_min = -100.0",
+        "grid.x_max = 1.0",
+        "grid.nx = 16",
+        "f.preset = bump",
+    ])
+    r = subprocess.run(
+        [sys.executable, "-m", "halfline_nls.cli", "solve", cfg,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert r.returncode == 1
+    assert "config error" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_solve_zero_data(tmp_path, capsys):
     cfg = _zero_cfg(tmp_path)
     out = tmp_path / "out"
@@ -331,8 +350,9 @@ def test_field_roundtrip_is_exact(tmp_path):
 
 
 def test_field_csv_bytes_are_the_per_cell_format(tmp_path):
-    # write_field formats a whole row at once; its bytes must stay those of
-    # formatting every cell on its own, for any memory layout of the values
+    # write_field and write_signal format a whole row at once; their bytes
+    # must stay those of formatting every cell on its own, for any memory
+    # layout of the values
     sg = SpatialGrid(-20.0, 20.0, 16)
     tg = TimeGrid(0.5, 8)
     rng = np.random.default_rng(5)
@@ -360,6 +380,16 @@ def test_field_csv_bytes_are_the_per_cell_format(tmp_path):
         path = tmp_path / f"field{k}.csv"
         write_field(path, field)
         assert path.read_bytes() == expected
+
+    sig = np.empty(4, dtype=complex)
+    sig.real = [-0.0, 5e-324, 1e300, 0.1]
+    sig.imag = [-0.0, 5e-324, -1e300, 0.1]
+    expected = "t,re,im\n" + "".join(
+        f"{ti:.17g},{v.real:.17g},{v.imag:.17g}\n" for ti, v in zip(t[:4], sig)
+    )
+    path = tmp_path / "signal.csv"
+    write_signal(path, t[:4], sig)
+    assert path.read_bytes() == expected.encode()
 
 
 def test_signal_roundtrip_is_exact(tmp_path):

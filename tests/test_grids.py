@@ -36,6 +36,15 @@ def test_spatial_grid_needs_origin_strictly_inside():
         SpatialGrid(-10.0, -1.0, 64)
 
 
+def test_spatial_grid_needs_three_nonnegative_nodes():
+    # x=0 extrapolation and the one-sided stencils at x=0 use three nodes
+    with pytest.raises(ValueError, match="three nodes"):
+        SpatialGrid(-100.0, 1.0, 16)  # no node at x >= 0
+    with pytest.raises(ValueError, match="three nodes"):
+        SpatialGrid(-14.0, 2.0, 16)  # nodes 0 and 1 only
+    assert np.count_nonzero(SpatialGrid(-13.0, 3.0, 16).nodes >= 0.0) == 3
+
+
 def test_spatial_grid_node_layout():
     g = SpatialGrid(-2.0, 2.0, 16)
     assert g.dx == 0.25

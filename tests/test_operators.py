@@ -22,18 +22,20 @@ from halfline_nls import (
     SpatialGrid,
     TimeGrid,
     TimeSignal,
-    apply_lambda,
     boundary_forcing_freq,
     boundary_forcing_time,
     derivative_jump,
-    duhamel_field,
     frac_derivative,
     free_group,
-    free_group_field,
     solve_ibvp,
 )
-from halfline_nls.operators import _bf_kernel_chunk, operator_plan
-from halfline_nls.solver import _prepare_linear
+from halfline_nls.operators import (
+    _bf_kernel_chunk,
+    duhamel_field,
+    free_group_field,
+    operator_plan,
+)
+from halfline_nls.solver import _prepare_linear, apply_lambda
 
 
 def _gaussian_exact(x, t):

@@ -1,5 +1,5 @@
 """Fixed-point solver: exponent bookkeeping, criticality gates, the
-contraction loop, continuation, and the blowup monitor.
+contraction loop, and continuation.
 
 Interior residuals use centered differences in t and x away from x=0
 (the forcing term has a corner there) with the first and last m/8 time
@@ -24,19 +24,19 @@ from halfline_nls import (
     SupercriticalError,
     TimeGrid,
     TimeSignal,
-    admissible_pair,
-    apply_lambda,
-    blowup_monitor,
-    compatibility_check,
     continue_solution,
-    criticality,
-    extend_half_line,
     mass_flux_balance,
     solve_ibvp,
-    sobolev_norm,
 )
 import halfline_nls.solver as solver_module
-from halfline_nls.solver import _prepare_linear
+from halfline_nls.solver import (
+    _prepare_linear,
+    admissible_pair,
+    apply_lambda,
+    compatibility_check,
+    criticality,
+)
+from halfline_nls.spectral import extend_half_line, sobolev_norm
 
 
 def _soliton(x, t):
@@ -298,11 +298,8 @@ def test_solve_linear_boundary_and_initial_data(linear_solution):
     assert rel < 1e-3, rel  # measured 2.56e-5
 
 
-def test_solve_linear_monitor_and_mass(linear_solution):
+def test_solve_linear_mass_flux_balance(linear_solution):
     sg, spec, u, rep = linear_solution
-    mon = blowup_monitor(u, 0.0)
-    mvals = np.abs(mon.values)
-    assert mvals.max() / mvals.min() < 10.0  # measured 1.066
     rel = mass_flux_balance(u)["rel"]
     assert rel < 1e-2, rel  # measured 1.6e-3
 
@@ -570,21 +567,3 @@ def test_blowup_suspected_carries_report():
         solve_ibvp(spec, cruel)
     assert exc.value.report.iterates == 2
     assert not exc.value.report.converged
-
-
-def test_blowup_monitor_zero_field():
-    sg = SpatialGrid(-20.0, 20.0, 64)
-    tg = TimeGrid(0.5, 16)
-    u = SolutionField(sg, tg, np.zeros((17, 64), dtype=complex))
-    mon = blowup_monitor(u, 0.0)
-    assert np.all(mon.values == 0.0)
-
-
-def test_blowup_monitor_rejects_half_line_field():
-    from halfline_nls import HalfLineGrid
-
-    hg = HalfLineGrid(20.0, 64)
-    tg = TimeGrid(0.5, 16)
-    u = SolutionField(hg, tg, np.zeros((17, 65), dtype=complex))
-    with pytest.raises(TypeError):
-        blowup_monitor(u, 0.0)

@@ -1,26 +1,21 @@
-"""Spectral substrate: the H^s norms in x and t, the damped padded transform
-in t, the smooth ramp, the half-line extension and the boundary value at 0.
+"""Spectral substrate: the H^s norm in x, the damped padded transform in t,
+the smooth ramp, the half-line extension and the boundary value at 0.
 
-Closed forms serve as oracles: the H^1 norm of exp(-x^2) is (2 pi)^{1/4},
-and t^2 (1-t)^2 on [0, 1] has H^1 norm sqrt(13/630).
+A closed form serves as oracle: the H^1 norm of exp(-x^2) is (2 pi)^{1/4}.
 """
 import math
 
 import numpy as np
 import pytest
 
-from halfline_nls import (
-    GridFunction,
-    SpatialGrid,
-    TimeGrid,
-    TimeSignal,
+from halfline_nls import GridFunction, SpatialGrid, TimeGrid, TimeSignal
+from halfline_nls.spectral import (
     boundary_value,
     extend_half_line,
+    padded_spectrum,
     smooth_ramp,
     sobolev_norm,
-    time_sobolev_norm,
 )
-from halfline_nls.spectral import padded_spectrum
 
 
 def _gaussian_on(grid):
@@ -52,24 +47,6 @@ def test_sobolev_norm_is_batched_over_the_last_axis():
         rows = [sobolev_norm(row, grid, s) for row in v]
         assert all(isinstance(r, float) for r in rows)
         np.testing.assert_allclose(batched, rows, rtol=1e-15, atol=0.0)
-
-
-def test_time_norm_s0_matches_rectangle_l2():
-    tg = TimeGrid(1.0, 512)
-    t = tg.nodes
-    h = TimeSignal(tg, (t * (1.0 - t)) ** 2 + 0j)
-    direct = math.sqrt(tg.dt * float(np.sum(np.abs(h.values) ** 2)))
-    assert abs(time_sobolev_norm(h, 0.0) - direct) < 1e-12 * direct
-
-
-def test_time_h1_norm_closed_form():
-    # h = t^2 (1-t)^2 on [0,1]: int h^2 = 1/630, int h'^2 = 2/105,
-    # so ||h||_{H^1} = sqrt(13/630)
-    tg = TimeGrid(1.0, 512)
-    t = tg.nodes
-    h = TimeSignal(tg, (t * (1.0 - t)) ** 2 + 0j)
-    exact = math.sqrt(13.0 / 630.0)
-    assert abs(time_sobolev_norm(h, 1.0) - exact) < 1e-5 * exact  # measured 2e-8
 
 
 @pytest.mark.parametrize("pad, m", [(4, 8), (4, 15), (4, 16), (1, 63), (3, 20)])

@@ -77,7 +77,8 @@ def parse_config(path):
     """Flat key=value config with dotted sections; '#' starts a comment."""
     cfg = dict(_DEFAULTS)
     try:
-        text = open(path, "r", encoding="utf-8").read()
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -104,6 +105,21 @@ def parse_config(path):
     return cfg
 
 
+def _file_preset(path, rows, key):
+    """Interpolant of a headerless `x or t, re, im` CSV of `rows` rows whose
+    first column increases strictly."""
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2, usecols=(0, 1, 2))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {key}: {exc}") from exc
+    if data.shape[0] != rows:
+        raise ConfigError(f"{key} has {data.shape[0]} rows, grid needs {rows}")
+    if not np.all(np.diff(data[:, 0]) > 0):
+        raise ConfigError(f"{key}: first column must increase strictly")
+    vals = data[:, 1] + 1j * data[:, 2]
+    return lambda xx: interp_complex(xx, data[:, 0], vals)
+
+
 def _phi_preset(cfg, x):
     kind = cfg["phi.preset"]
     A = cfg["phi.amplitude"]
@@ -116,13 +132,7 @@ def _phi_preset(cfg, x):
     if kind == "zero":
         return lambda xx: np.zeros_like(np.asarray(xx), dtype=complex)
     if kind == "file":
-        data = np.loadtxt(cfg["phi.file"], delimiter=",", ndmin=2)
-        if data.shape[0] != len(x):
-            raise ConfigError(
-                f"phi.file has {data.shape[0]} rows, grid needs {len(x)}"
-            )
-        vals = data[:, 1] + 1j * data[:, 2]
-        return lambda xx: interp_complex(xx, data[:, 0], vals)
+        return _file_preset(cfg["phi.file"], len(x), "phi.file")
     raise ConfigError(f"unknown phi.preset '{kind}'")
 
 
@@ -146,11 +156,7 @@ def _f_preset(cfg, T, m):
     if kind == "zero":
         return lambda tt: np.zeros_like(np.asarray(tt), dtype=complex)
     if kind == "file":
-        data = np.loadtxt(cfg["f.file"], delimiter=",", ndmin=2)
-        if data.shape[0] != m + 1:
-            raise ConfigError(f"f.file has {data.shape[0]} rows, grid needs {m + 1}")
-        vals = data[:, 1] + 1j * data[:, 2]
-        return lambda tt: interp_complex(tt, data[:, 0], vals)
+        return _file_preset(cfg["f.file"], m + 1, "f.file")
     raise ConfigError(f"unknown f.preset '{kind}'")
 
 
@@ -159,6 +165,14 @@ def build_problem(cfg):
     try:
         sgrid = SpatialGrid(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.nx"])
         tgrid = TimeGrid(cfg["problem.T"], cfg["grid.nt"])
+        scfg = SolverConfig(
+            sgrid=sgrid,
+            tol=cfg["solver.tol"],
+            max_iter=cfg["solver.max_iter"],
+            ratio_cap=cfg["solver.ratio_cap"],
+            delta_crit=cfg["solver.delta_crit"],
+            max_halvings=cfg["solver.max_halvings"],
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     x = sgrid.nodes
@@ -179,14 +193,6 @@ def build_problem(cfg):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    scfg = SolverConfig(
-        sgrid=sgrid,
-        tol=cfg["solver.tol"],
-        max_iter=cfg["solver.max_iter"],
-        ratio_cap=cfg["solver.ratio_cap"],
-        delta_crit=cfg["solver.delta_crit"],
-        max_halvings=cfg["solver.max_halvings"],
-    )
     return spec, scfg
 
 

@@ -30,8 +30,8 @@ class SpatialGrid:
     n: int
 
     def __post_init__(self):
-        if not (self.x_min < 0.0 < self.x_max):
-            raise ValueError("need x_min < 0 < x_max")
+        if not (-np.inf < self.x_min < 0.0 < self.x_max < np.inf):
+            raise ValueError("need finite x_min < 0 < x_max")
         if not _is_pow2(self.n) or self.n < 16:
             raise ValueError("n must be a power of two, n >= 16")
         # x=0 extrapolation and the one-sided stencils at x=0 use three nodes
@@ -63,8 +63,8 @@ class TimeGrid:
     m: int
 
     def __post_init__(self):
-        if self.t_max <= 0.0:
-            raise ValueError("t_max must be positive")
+        if not 0.0 < self.t_max < np.inf:
+            raise ValueError("t_max must be positive and finite")
         if self.m < 8:
             raise ValueError("m >= 8 required")
 
@@ -85,7 +85,7 @@ class HalfLineGrid:
     nx: int
 
     def __post_init__(self):
-        if self.x_max <= 0.0 or self.nx < 2:
+        if not 0.0 < self.x_max < np.inf or self.nx < 2:
             raise ValueError("bad half-line grid")
 
     @property

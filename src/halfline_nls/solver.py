@@ -100,6 +100,16 @@ class SolverConfig:
     compat_tol: float = 1e-8
     seam_mismatch_cap: float = 1e-3
 
+    def __post_init__(self):
+        for name in ("tol", "ratio_cap", "delta_crit"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("compat_tol", "seam_mismatch_cap"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if self.max_iter < 1 or self.max_halvings < 0:
+            raise ValueError("max_iter >= 1 and max_halvings >= 0 required")
+
 
 @dataclass(frozen=True)
 class AdmissiblePair:

@@ -23,20 +23,20 @@ from .solver import ProblemSpec, SolverConfig, solve_ibvp
 log = logging.getLogger(__name__)
 
 
+# per-step fixed-point sweeps: relative step tolerance and sweep cap
+_STEP_TOL = 1e-12
+_MAX_SWEEPS = 40
+
+
 @dataclass(frozen=True)
 class FDConfig:
     nx: int
     nt: int
     x_max: float
-    right_bc: str = "dirichlet_zero"
-    newton_tol: float = 1e-12
-    newton_max: int = 40
 
     def __post_init__(self):
         if self.nx < 64 or self.nt < 64:
             raise ValueError("nx, nt >= 64 required")
-        if self.right_bc != "dirichlet_zero":
-            raise ValueError("only dirichlet_zero right boundary supported")
 
 
 def _phi_on(spec: ProblemSpec, x):
@@ -75,13 +75,13 @@ def crank_nicolson(spec: ProblemSpec, cfg: FDConfig) -> SolutionField:
     """Theta=1/2 time stepping of i u_t = -u_xx - lam |u|^(alpha-1) u.
 
     Dirichlet u(0,t)=f(t) strongly imposed, u(x_max,t)=0. The nonlinearity
-    is resolved per step by fixed-point sweeps (at most 5) with a Newton
-    fallback on the real/imaginary interleaved banded system; divergence
-    aborts with the step index.
+    is resolved per step by fixed-point sweeps, each one tridiagonal solve,
+    until the step falls below _STEP_TOL relative to max |u|; a step that
+    has not converged after _MAX_SWEEPS sweeps aborts with its index.
     """
-    # imported here, as in _newton_step and compare_fields: a plain solve
-    # imports this module through the package and the CLI, and should not
-    # pay for scipy.linalg and scipy.interpolate
+    # imported here, as in compare_fields: a plain solve imports this module
+    # through the package and the CLI, and should not pay for scipy.linalg
+    # and scipy.interpolate
     from scipy.linalg import solve_banded
 
     grid = HalfLineGrid(cfg.x_max, cfg.nx)
@@ -129,19 +129,19 @@ def crank_nicolson(spec: ProblemSpec, cfg: FDConfig) -> SolutionField:
         v = u.copy()
         v[0] = fvals[n + 1]
         v[-1] = 0.0
-        converged = False
-        for _ in range(5):
+        for _ in range(_MAX_SWEEPS):
             rhs = c + 0.5j * dt * lam * nonlin(v)
             rhs[0] = fvals[n + 1]
             rhs[-1] = 0.0
             v_new = solve_banded((1, 1), ab, rhs)
             step = np.max(np.abs(v_new - v))
             v = v_new
-            if step <= cfg.newton_tol * max(1.0, np.max(np.abs(v))):
-                converged = True
+            if step <= _STEP_TOL * max(1.0, np.max(np.abs(v))):
                 break
-        if not converged:
-            v = _newton_step(v, c, ab, lam, am1, dt, fvals[n + 1], cfg, n)
+        else:
+            raise RuntimeError(
+                f"crank_nicolson: inner iteration diverged at step {n}"
+            )
         u = v
         out[n + 1] = u
 
@@ -156,83 +156,6 @@ def crank_nicolson(spec: ProblemSpec, cfg: FDConfig) -> SolutionField:
         )
         field.meta["edge_warning"] = True
     return field
-
-
-def _newton_step(v, c, ab, lam, am1, dt, fval, cfg: FDConfig, step_index):
-    """Newton iterations on the interleaved real system for one CN step.
-
-    G(v) = A v - (i dt lam / 2) N(v) - c with N(v) = |v|^(alpha-1) v.
-    The differential of N is dN = p delta + q conj(delta) with
-    p = (alpha+1)/2 |v|^(alpha-1) and q = (alpha-1)/2 v^2 |v|^(alpha-3);
-    conjugation makes the system real-linear, solved in interleaved
-    [Re v_0, Im v_0, Re v_1, ...] form, bandwidth 3.
-    """
-    from scipy.linalg import solve_banded
-
-    nxp = len(v)
-    coef = 0.5j * dt * lam
-
-    def residual(v):
-        Av = np.empty_like(v)
-        Av[0] = v[0]
-        Av[-1] = v[-1]
-        Av[1:-1] = (
-            ab[1, 1:-1] * v[1:-1] + ab[0, 2:] * v[2:] + ab[2, :-2] * v[:-2]
-        )
-        G = Av - coef * v * np.abs(v) ** am1 - c
-        G[0] = v[0] - fval
-        G[-1] = v[-1]
-        return G
-
-    # complex tridiagonal coefficients of A (Dirichlet rows are identity)
-    main = ab[1].copy()
-    upper = np.zeros(nxp, dtype=complex)  # upper[j] = A[j, j+1]
-    lower = np.zeros(nxp, dtype=complex)  # lower[j] = A[j, j-1]
-    upper[1:-1] = ab[0, 2:]
-    lower[1:-1] = ab[2, :-2]
-
-    for _ in range(cfg.newton_max):
-        G = residual(v)
-        if np.max(np.abs(G)) <= cfg.newton_tol * max(1.0, np.max(np.abs(v))):
-            return v
-        absv = np.abs(v)
-        # d(N)/dv = p, d(N)/d(conj v) = q; both vanish as v -> 0 for alpha > 1
-        p = -coef * 0.5 * (am1 + 2.0) * absv**am1
-        safe = np.where(absv > 0.0, absv, 1.0)
-        q = -coef * 0.5 * am1 * (v / safe) ** 2 * absv**am1
-        p[0] = p[-1] = 0.0
-        q[0] = q[-1] = 0.0
-        diag = main + p
-
-        # interleaved real system, rows (2j, 2j+1) = (Re, Im) of equation j;
-        # a*z contributes [[a.re, -a.im], [a.im, a.re]],
-        # b*conj(z) contributes [[b.re, b.im], [b.im, -b.re]];
-        # banded storage J[3 + i - j, j] for solve_banded((3, 3), ...)
-        J = np.zeros((7, 2 * nxp))
-        J[3, 0::2] = diag.real + q.real
-        J[3, 1::2] = diag.real - q.real
-        J[2, 1::2] = -diag.imag + q.imag
-        J[4, 0::2] = diag.imag + q.imag
-        a = upper[:-1]  # row j -> column j+1, j = 0..nxp-2
-        J[1, 2::2] = a.real
-        J[0, 3::2] = -a.imag
-        J[2, 2::2] = a.imag
-        J[1, 3::2] = a.real
-        b = lower[1:]  # row j -> column j-1, j = 1..nxp-1
-        J[5, 0:-2:2] = b.real
-        J[4, 1:-2:2] = -b.imag
-        J[6, 0:-2:2] = b.imag
-        J[5, 1:-2:2] = b.real
-
-        rhs = np.empty(2 * nxp)
-        rhs[0::2] = -G.real
-        rhs[1::2] = -G.imag
-        delta = solve_banded((3, 3), J, rhs)
-        v = v + delta[0::2] + 1j * delta[1::2]
-
-    raise RuntimeError(
-        f"crank_nicolson: inner iteration diverged at step {step_index}"
-    )
 
 
 @dataclass

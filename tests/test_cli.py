@@ -118,9 +118,40 @@ def test_parse_config_missing_file(tmp_path):
 
 
 def test_main_bad_config_exits_one(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path / "a.cfg", ["grid.nx = not_a_number"])
-    assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert "config error" in capsys.readouterr().err
+    # the bump preset's samples on [0, 0.5]: last time first, and without
+    # the imaginary column
+    t = TimeGrid(0.5, 64).nodes
+    bump = 16.0 * t**2 * (0.5 - t) ** 2 / 0.5**4
+    np.savetxt(tmp_path / "descending.csv", np.c_[t, bump, 0 * t][::-1], delimiter=",")
+    np.savetxt(tmp_path / "two_columns.csv", np.c_[t, bump], delimiter=",")
+    cases = [
+        (["grid.nx = not_a_number"], "bad value"),
+        # these three once ran: the first two exited 2 as suspected blow-up,
+        # the third solved with exit 0 and wrote nan and inf to its outputs
+        (["solver.max_halvings = -1"], "max_halvings"),
+        (["solver.tol = nan"], "tol"),
+        (["grid.x_max = inf"], "finite"),
+        (["f.preset = file", f"f.file = {tmp_path}/missing.csv"],
+         "cannot read f.file"),
+        # np.interp does not check that its nodes increase: a time column in
+        # descending order was once read as garbage without an error
+        (["f.preset = file", f"f.file = {tmp_path}/descending.csv"],
+         "increase"),
+        (["f.preset = file", f"f.file = {tmp_path}/two_columns.csv"],
+         "cannot read f.file"),
+    ]
+    for lines, message in cases:
+        cfg = _write_cfg(tmp_path / "a.cfg", [
+            "problem.lambda_re = 2.0",
+            "problem.T = 0.5",
+            "phi.preset = gaussian",
+            "grid.nx = 64",
+            "grid.nt = 64",
+        ] + lines)
+        assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 1, lines
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err, err
+        assert "Traceback" not in err
 
 
 def test_grid_with_too_few_nonnegative_nodes_is_a_config_error(tmp_path):
@@ -408,11 +439,14 @@ def test_solve_outputs_are_deterministic(tmp_path):
     outs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
+        # development mode reports a file left unclosed as a ResourceWarning
         r = subprocess.run(
-            [sys.executable, "-m", "halfline_nls.cli", "solve", cfg, "--out", str(out)],
+            [sys.executable, "-X", "dev", "-m", "halfline_nls.cli", "solve", cfg,
+             "--out", str(out)],
             capture_output=True, text=True, env=_child_env(), timeout=300,
         )
         assert r.returncode == 0, r.stderr
+        assert "ResourceWarning" not in r.stderr, r.stderr
         outs.append(out)
     for name in SOLVE_OUTPUTS:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -34,6 +34,9 @@ def test_spatial_grid_needs_origin_strictly_inside():
         SpatialGrid(-10.0, 0.0, 64)
     with pytest.raises(ValueError):
         SpatialGrid(-10.0, -1.0, 64)
+    for lo, hi in ((-np.inf, 10.0), (-10.0, np.inf), (np.nan, 10.0), (-10.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            SpatialGrid(lo, hi, 64)
 
 
 def test_spatial_grid_needs_three_nonnegative_nodes():
@@ -76,6 +79,9 @@ def test_time_grid_layout():
         TimeGrid(0.0, 64)
     with pytest.raises(ValueError):
         TimeGrid(-1.0, 64)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(bad, 64)
     tg = TimeGrid(0.5, 8)
     assert tg.dt == 0.0625
     t = tg.nodes
@@ -89,6 +95,9 @@ def test_half_line_grid_layout():
         HalfLineGrid(-1.0, 64)
     with pytest.raises(ValueError):
         HalfLineGrid(10.0, 1)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            HalfLineGrid(bad, 64)
     hg = HalfLineGrid(10.0, 100)
     assert hg.dx == 0.1
     assert len(hg.nodes) == 101

@@ -315,6 +315,22 @@ def test_solve_rejects_wrong_phi_length():
         solve_ibvp(spec, SolverConfig(sgrid=sg))
 
 
+@pytest.mark.parametrize("setting", [
+    {"tol": 0.0}, {"tol": math.nan}, {"tol": math.inf},
+    {"ratio_cap": -1.0}, {"delta_crit": math.nan},
+    {"compat_tol": -1e-8}, {"seam_mismatch_cap": math.inf},
+    {"max_iter": 0}, {"max_halvings": -1},
+], ids=lambda d: "%s=%s" % next(iter(d.items())))
+def test_solver_config_validation(setting):
+    # none of these was rejected before a solve that could not succeed
+    sg = SpatialGrid(-20.0, 20.0, 64)
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        SolverConfig(sgrid=sg, **setting)
+    # the boundary values are accepted
+    SolverConfig(sgrid=sg, compat_tol=0.0, seam_mismatch_cap=0.0,
+                 max_iter=1, max_halvings=0)
+
+
 def test_solve_rejects_supercritical():
     sg = SpatialGrid(-20.0, 20.0, 64)
     spec = _make_spec(

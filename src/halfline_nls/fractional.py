@@ -113,28 +113,26 @@ def frac_derivative(f: TimeSignal, alpha: float) -> TimeSignal:
     return out
 
 
-def frac_fourier_path(
-    f: TimeSignal, alpha: float, pad: int = 4, damp: float = 30.0
-) -> TimeSignal:
+def frac_fourier_path(f: TimeSignal, alpha: float) -> TimeSignal:
     """Frequency-domain evaluation of the order-alpha integral (any sign).
 
     The kernel transform is e^{-i pi a/2} (tau - i0)^(-a), the boundary value
     of (tau - i z)^(-a) from z > 0. It is evaluated at the small finite shift
-    z = gamma = damp/(M dt) on a x`pad` zero-extended grid (padded_spectrum),
+    z = gamma = _DAMP/(M dt) on a _PAD-fold zero-extended grid (padded_spectrum),
     conjugated by the exponential weight:
 
         I_a f = e^{gamma t} F^{-1}[ e^{-i pi a/2} (tau_k - i gamma)^(-a)
                                      F[e^{-gamma t} f] ]
 
     The shift removes the tau=0 singularity and simultaneously kills periodic
-    wrap-around (suppression e^{-damp}); the principal branch of the complex
+    wrap-around (suppression e^{-_DAMP}); the principal branch of the complex
     power is the correct branch since arg(tau - i gamma) lies in (-pi, 0).
-    The weight amplifies roundoff by at most e^{damp/pad} at the far end.
+    The weight amplifies roundoff by at most e^{_DAMP/_PAD} at the far end.
     """
     _check_order(alpha)
     if alpha == 0.0:
         return f.copy()
-    fhat, tau, gam = padded_spectrum(f, pad, damp)
+    fhat, tau, gam = padded_spectrum(f)
     mult = np.exp(-0.5j * np.pi * alpha) * (tau - 1j * gam) ** (-alpha)
     out = np.fft.ifft(mult * fhat)[: f.grid.m + 1]
     return TimeSignal(f.grid, out * np.exp(gam * f.grid.nodes))

@@ -245,20 +245,16 @@ def boundary_forcing_time(
 
 
 def boundary_forcing_freq(
-    f: TimeSignal,
-    sgrid: SpatialGrid,
-    tgrid: TimeGrid | None = None,
-    pad: int = 4,
-    damp: float = 30.0,
+    f: TimeSignal, sgrid: SpatialGrid, tgrid: TimeGrid | None = None
 ) -> SolutionField:
     """Frequency-representation boundary forcing field.
 
     The multiplier e^{-|x| sqrt(tau - i0)} is evaluated on the contour
-    shifted by gamma = damp/(M dt) into the lower half plane, conjugated by
+    shifted by gamma = _DAMP/(M dt) into the lower half plane, conjugated by
     e^{±gamma t} exactly as in the fractional Fourier path (padded_spectrum);
     the principal square root on that contour tends, as gamma -> 0, to the
     lower-edge branch: sqrt(tau) for tau > 0 and -i sqrt(|tau|) for tau < 0.
-    f is zero-padded x`pad` in t.
+    f is zero-padded _PAD-fold (4) in t.
     """
     if tgrid is None:
         tgrid = f.grid
@@ -266,7 +262,7 @@ def boundary_forcing_freq(
         raise ValueError("boundary_forcing_freq: f must live on tgrid")
     _check_vanishing_start(f, "boundary_forcing_freq")
     m = tgrid.m
-    fhat, tau, gam = padded_spectrum(f, pad, damp)
+    fhat, tau, gam = padded_spectrum(f)
     root = np.sqrt(tau - 1j * gam)
     absx = np.abs(sgrid.nodes)
     grow = np.exp(gam * tgrid.nodes)

@@ -20,6 +20,7 @@ blow-up rather than an answer.
 """
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import asdict, dataclass, field as dc_field
@@ -31,17 +32,12 @@ from .grids import (
     GridFunction, SolutionField, SpatialGrid, TimeGrid, TimeSignal, interp_complex,
 )
 from .operators import boundary_forcing_time, duhamel_field, free_group_field
-from .spectral import (
-    _plancherel_norm,
-    boundary_value,
-    extend_half_line,
-    smooth_ramp,
-    sobolev_norm,
-)
+from .spectral import _plancherel_norm, boundary_value, extend_half_line, smooth_ramp
 
 log = logging.getLogger(__name__)
 
 _CRIT_NOISE = 1e-12
+_COMPAT_TOL = 1e-8  # relative, for phi(0) = f(0) when s > 1/2
 
 
 class SupercriticalError(ValueError):
@@ -75,14 +71,16 @@ class ProblemSpec:
     f_fn: object = None
 
     def __post_init__(self):
-        if self.alpha < 2.0:
-            raise ValueError("alpha >= 2 required")
+        if not 2.0 <= self.alpha < math.inf:
+            raise ValueError("2 <= alpha < inf required")
         if not (0.0 <= self.s < 1.5):
             raise ValueError("0 <= s < 3/2 required")
         if self.s == 0.5:
             raise ValueError("s = 1/2 is excluded")
-        if self.T <= 0.0:
-            raise ValueError("T > 0 required")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError("0 < T < inf required")
+        if not cmath.isfinite(self.lam):
+            raise ValueError("lam must be finite")
         if self.f.grid.t_max < self.T * (1.0 - 1e-12):
             raise ValueError("boundary data does not cover [0, T]")
         self.phi = np.asarray(self.phi, dtype=complex)
@@ -97,16 +95,14 @@ class SolverConfig:
     ratio_cap: float = 0.9
     delta_crit: float = 0.1
     max_halvings: int = 8
-    compat_tol: float = 1e-8
     seam_mismatch_cap: float = 1e-3
 
     def __post_init__(self):
         for name in ("tol", "ratio_cap", "delta_crit"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        for name in ("compat_tol", "seam_mismatch_cap"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+        if not 0.0 <= self.seam_mismatch_cap < math.inf:
+            raise ValueError("seam_mismatch_cap must be finite and >= 0")
         if self.max_iter < 1 or self.max_halvings < 0:
             raise ValueError("max_iter >= 1 and max_halvings >= 0 required")
 
@@ -119,6 +115,15 @@ class AdmissiblePair:
 
 @dataclass
 class IterationReport:
+    """Record of a solve, as report.json holds it.
+
+    iterates counts the last Picard attempt's map applications, one per
+    iterate. residual_history holds each nonzero update's C_t H^s_x norm,
+    contraction_ratios the ratios of successive ones. fixed_point_residual is
+    the last update's norm over the last iterate's, the quotient the loop
+    stops on: <= tol when converged, 0 when the map returns its input (lam=0).
+    """
+
     iterates: int = 0
     residual_history: list = dc_field(default_factory=list)
     contraction_ratios: list = dc_field(default_factory=list)
@@ -171,7 +176,8 @@ def criticality(s: float, alpha: float) -> str:
     return "subcritical" if aF < threshold else "supercritical"
 
 
-def compatibility_check(phi, f: TimeSignal, s: float, grid=None, tol=1e-8) -> bool:
+def compatibility_check(phi, f: TimeSignal, s: float, grid=None,
+                        tol=_COMPAT_TOL) -> bool:
     """Boundary compatibility phi(0) = f(0), demanded only for s > 1/2."""
     if s <= 0.5:
         return True
@@ -282,21 +288,27 @@ def apply_lambda(w: SolutionField, pre: LinearData) -> SolutionField:
     return SolutionField(pre.sgrid, pre.tgrid, vals)
 
 
-def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig):
-    """Iterate from the linear part; returns (field, converged, counts, history)."""
+def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
+                 report: IterationReport):
+    """Iterate from the linear part; returns (field, converged).
+
+    Writes this attempt's iterates, residual_history, contraction_ratios and
+    fixed_point_residual into report (see IterationReport). One map
+    application per iterate: the last update is the fixed-point residual.
+    """
     u = pre.linear
     # the iterate's spectrum in x: by linearity fft(u_next - u) is
     # fft(u_next) - fft(u), so each iteration transforms only u_next
     uhat = np.fft.fft(u.values, axis=1)
-    residuals = []
-    ratios = []
-    n_apps = 0
+    report.iterates = 0
+    report.residual_history = residuals = []
+    report.contraction_ratios = ratios = []
     for _ in range(cfg.max_iter):
-        u_next = apply_lambda(u, pre)
-        n_apps += 1
-        uhat_next = np.fft.fft(u_next.values, axis=1)
+        u = apply_lambda(u, pre)
+        report.iterates += 1
+        uhat_next = np.fft.fft(u.values, axis=1)
         # C_t H^s_x norms: the max over time slices of the H^s norm in x
-        norm_u = float(np.max(_plancherel_norm(uhat_next, pre.sgrid, s)))
+        norm_u = max(float(np.max(_plancherel_norm(uhat_next, pre.sgrid, s))), 1e-300)
         np.subtract(uhat_next, uhat, out=uhat)
         delta = float(np.max(_plancherel_norm(uhat, pre.sgrid, s)))
         uhat = uhat_next
@@ -304,13 +316,13 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig):
             if residuals:
                 ratios.append(delta / residuals[-1])
             residuals.append(delta)
-        u = u_next
-        if delta <= cfg.tol * max(norm_u, 1e-300):
-            return u, True, n_apps, residuals, ratios
+        report.fixed_point_residual = delta / norm_u
+        if delta <= cfg.tol * norm_u:
+            return u, True
         if ratios and ratios[-1] > cfg.ratio_cap:
             log.debug("contraction ratio %.3f exceeds cap", ratios[-1])
-            return u, False, n_apps, residuals, ratios
-    return u, False, n_apps, residuals, ratios
+            return u, False
+    return u, False
 
 
 def _resample_signal(f: TimeSignal, tgrid: TimeGrid) -> TimeSignal:
@@ -342,7 +354,6 @@ def _solve_from_slice(
     report = IterationReport(t_requested=T_work, criticality=crit)
     m = f.grid.m
     pair = admissible_pair(s, alpha)
-    f_work = f
     for halving in range(cfg.max_halvings + 1):
         # a failed attempt's iterate and linear part are whole fields: free
         # them before the next attempt builds its own
@@ -360,16 +371,9 @@ def _solve_from_slice(
             report.halvings = halving + 1
             T_work *= 0.5
             continue
-        u, converged, n_apps, residuals, ratios = _picard_loop(pre, s, cfg)
-        report.iterates = n_apps
-        report.residual_history = residuals
-        report.contraction_ratios = ratios
+        u, converged = _picard_loop(pre, s, cfg, report)
         report.t_achieved = T_work
         if converged:
-            u_fix = apply_lambda(u, pre)
-            norm_u = float(np.max(sobolev_norm(u.values, pre.sgrid, s)))
-            residual = np.max(sobolev_norm(u_fix.values - u.values, pre.sgrid, s))
-            report.fixed_point_residual = float(residual) / max(norm_u, 1e-300)
             report.converged = True
             return u, report
         report.halvings = halving + 1
@@ -391,9 +395,7 @@ def solve_ibvp(spec: ProblemSpec, cfg: SolverConfig):
             f"alpha = {spec.alpha} is supercritical for s = {spec.s} "
             f"(admissible range 2 <= alpha <= {thr:g})"
         )
-    if spec.s > 0.5 and not compatibility_check(
-        spec.phi, spec.f, spec.s, grid=cfg.sgrid, tol=cfg.compat_tol
-    ):
+    if spec.s > 0.5 and not compatibility_check(spec.phi, spec.f, spec.s, grid=cfg.sgrid):
         raise CompatibilityError("phi(0) != f(0) while s > 1/2 demands it")
     x = cfg.sgrid.nodes
     n_nonneg = int(np.sum(x >= 0.0))

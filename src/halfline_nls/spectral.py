@@ -44,18 +44,21 @@ def _plancherel_norm(spectrum, grid: SpatialGrid, s: float):
     return np.sqrt(grid.dx / grid.n * np.sum(p, axis=-1))
 
 
-def padded_spectrum(f: TimeSignal, pad: int, damp: float):
+_PAD = 4
+_DAMP = 30.0
+
+
+def padded_spectrum(f: TimeSignal):
     """FFT of f e^{-gamma t}, zero-padded to M points, with its frequencies.
 
-    M is the smallest power of two >= pad*(m+1) and gamma = damp/(M dt): the
-    contour shift in the lower half plane that the damped Fourier paths
+    M is the smallest power of two >= _PAD*(m+1) and gamma = _DAMP/(M dt):
+    the contour shift in the lower half plane that the damped Fourier paths
     (fractional order, boundary forcing) use, with wrap-around suppressed by
-    e^{-damp}; damp = 0 gives the plain zero-extended transform. Returns
-    (fhat, tau, gamma) with tau = 2 pi fftfreq(M, dt).
+    e^{-_DAMP}. Returns (fhat, tau, gamma) with tau = 2 pi fftfreq(M, dt).
     """
     m, dt = f.grid.m, f.grid.dt
-    M = 1 << (pad * (m + 1) - 1).bit_length()
-    gamma = damp / (M * dt)
+    M = 1 << (_PAD * (m + 1) - 1).bit_length()
+    gamma = _DAMP / (M * dt)
     fhat = np.fft.fft(f.values * np.exp(-gamma * f.grid.nodes), M)
     tau = 2.0 * np.pi * np.fft.fftfreq(M, d=dt)
     return fhat, tau, gamma

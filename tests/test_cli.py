@@ -139,6 +139,12 @@ def test_main_bad_config_exits_one(tmp_path, capsys):
          "increase"),
         (["f.preset = file", f"f.file = {tmp_path}/two_columns.csv"],
          "cannot read f.file"),
+        # these ended in an OverflowError traceback, in "cannot convert NaN
+        # to integer ratio", and in a map application that wrote non-finite
+        # entries
+        (["problem.alpha = inf"], "2 <= alpha"),
+        (["problem.alpha = nan"], "2 <= alpha"),
+        (["problem.lambda_re = nan"], "lam must be finite"),
     ]
     for lines, message in cases:
         cfg = _write_cfg(tmp_path / "a.cfg", [
@@ -283,7 +289,7 @@ def test_fd_comparison_keeps_solver_settings(tmp_path, monkeypatch):
     spec, scfg = build_problem(cfg)
     scfg = dataclasses.replace(
         scfg, tol=1e-9, max_iter=7, ratio_cap=0.5, delta_crit=0.05,
-        compat_tol=1e-6, seam_mismatch_cap=1e-2,
+        seam_mismatch_cap=1e-2,
     )
     seen = []
     real_solve = halfline_nls.cli.solve_ibvp

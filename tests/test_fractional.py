@@ -5,7 +5,6 @@ Tolerances are set a factor of a few above errors measured on the pinned
 grids, so regressions in either computational path show up as failures
 rather than silent drift.
 """
-import math
 import warnings
 
 import numpy as np

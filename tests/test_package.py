@@ -1,5 +1,6 @@
 """Package hygiene: the names the package root exports, and no module-level
-import that its module never uses (no linter is assumed to be installed)."""
+import that its module, or a test module, never uses (no linter is assumed
+to be installed)."""
 import ast
 from pathlib import Path
 
@@ -76,6 +77,7 @@ def _unused_imports(path):
 
 def test_modules_use_every_name_they_import():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules += sorted(TESTS.glob("*.py"))
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == []

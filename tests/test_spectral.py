@@ -10,6 +10,8 @@ import pytest
 
 from halfline_nls import GridFunction, SpatialGrid, TimeGrid, TimeSignal
 from halfline_nls.spectral import (
+    _DAMP,
+    _PAD,
     boundary_value,
     extend_half_line,
     padded_spectrum,
@@ -49,25 +51,26 @@ def test_sobolev_norm_is_batched_over_the_last_axis():
         np.testing.assert_allclose(batched, rows, rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("pad, m", [(4, 8), (4, 15), (4, 16), (1, 63), (3, 20)])
+@pytest.mark.parametrize("pad, m", [(4, 8), (4, 15), (4, 16)])
 def test_padded_spectrum_length_is_smallest_power_of_two(pad, m):
-    # pad*(m+1) = 36, 64, 68, 64, 63: (4, 15) and (1, 63) are powers of two
+    # pad*(m+1) = 36, 64, 68: (4, 15) is a power of two
+    assert pad == _PAD
     tg = TimeGrid(1.0, m)
-    fhat, tau, gamma = padded_spectrum(TimeSignal(tg, np.ones(m + 1)), pad, 30.0)
+    fhat, tau, gamma = padded_spectrum(TimeSignal(tg, np.ones(m + 1)))
     M = len(fhat)
     assert M & (M - 1) == 0
     assert M >= pad * (m + 1) > M // 2
     assert len(tau) == M
-    assert gamma == 30.0 / (M * tg.dt)
+    assert gamma == _DAMP / (M * tg.dt)
 
 
-def test_padded_spectrum_without_damping_is_the_zero_extended_fft():
+def test_padded_spectrum_is_the_zero_extended_fft_of_the_damped_signal():
     tg = TimeGrid(1.0, 16)
     v = np.arange(17) + 1j
-    fhat, tau, gamma = padded_spectrum(TimeSignal(tg, v), 4, 0.0)
-    assert gamma == 0.0
+    fhat, tau, gamma = padded_spectrum(TimeSignal(tg, v))
+    assert gamma == _DAMP / (128 * tg.dt)
     buf = np.zeros(128, dtype=complex)
-    buf[:17] = v
+    buf[:17] = v * np.exp(-gamma * tg.nodes)
     assert np.array_equal(fhat, np.fft.fft(buf))
     assert np.array_equal(tau, 2.0 * np.pi * np.fft.fftfreq(128, d=tg.dt))
 

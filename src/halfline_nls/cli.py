@@ -272,9 +272,6 @@ def cmd_solve(config_path, out_dir=None):
     _, spec, scfg, out = _load(config_path, out_dir)
     try:
         field, report = solve_ibvp(spec, scfg)
-    except (SupercriticalError, CompatibilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BlowupSuspected as exc:
         print(f"blow-up suspected: {exc}", file=sys.stderr)
         _write_json(os.path.join(out, "report.json"), exc.report.as_dict())

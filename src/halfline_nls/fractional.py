@@ -87,14 +87,13 @@ def frac_derivative(f: TimeSignal, alpha: float) -> TimeSignal:
     Computed as d^k/dt^k of the (k - alpha)-integral, k = ceil(alpha), with
     second-order differencing (one-sided at the endpoints). Data should
     vanish at t=0; otherwise the continuum derivative is singular there and
-    the result is flagged (meta['endpoint_warning']) and a warning issued.
+    an EndpointWarning is issued.
     """
     _check_order(alpha)
     if alpha <= 0.0:
         raise ValueError("frac_derivative: alpha > 0 required")
     scale = np.max(np.abs(f.values)) or 1.0
-    flagged = abs(f.values[0]) > _VANISH_TOL * scale
-    if flagged:
+    if abs(f.values[0]) > _VANISH_TOL * scale:
         warnings.warn(
             "frac_derivative: f(0) != 0; result is inaccurate near t=0",
             EndpointWarning,
@@ -107,10 +106,7 @@ def frac_derivative(f: TimeSignal, alpha: float) -> TimeSignal:
         g = f.values.astype(complex)
     for _ in range(k):
         g = np.gradient(g, f.grid.dt, edge_order=2)
-    out = TimeSignal(f.grid, g)
-    if flagged:
-        out.meta["endpoint_warning"] = True
-    return out
+    return TimeSignal(f.grid, g)
 
 
 def frac_fourier_path(f: TimeSignal, alpha: float) -> TimeSignal:

@@ -126,13 +126,12 @@ class TimeSignal:
 
     grid: TimeGrid
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = _as_complex(self.values, self.grid.m + 1, "TimeSignal")
 
     def copy(self):
-        return TimeSignal(self.grid, self.values.copy(), dict(self.meta))
+        return TimeSignal(self.grid, self.values.copy())
 
 
 @dataclass

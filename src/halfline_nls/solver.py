@@ -325,69 +325,17 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     return u, False
 
 
-def _resample_signal(f: TimeSignal, tgrid: TimeGrid) -> TimeSignal:
-    """f restricted/interpolated onto tgrid's nodes (exact where they align)."""
-    if f.grid == tgrid:
-        return f.copy()
-    told = f.grid.nodes
-    tnew = tgrid.nodes
-    if tnew[-1] > told[-1] * (1.0 + 1e-12):
-        raise ValueError("signal does not cover the requested interval")
-    return TimeSignal(tgrid, interp_complex(tnew, told, f.values))
+def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
+                      T: float, m: int, cfg: SolverConfig):
+    """The one driver: whole-line slice at t0 -> field on [t0, t0 + T].
 
-
-def _solve_from_slice(
-    phi_ext: GridFunction,
-    f: TimeSignal,
-    lam,
-    alpha,
-    s: float,
-    cfg: SolverConfig,
-    crit: str,
-):
-    """Shared driver: whole-line initial slice + boundary data -> field.
-
-    Handles the interval halving loop; raises BlowupSuspected when the map
-    refuses to contract on every tried interval.
+    Rejects a supercritical (s, alpha) with SupercriticalError. Each attempt
+    reads its boundary data f(t0 + .) from spec.f on its own m-step grid
+    (exact on shared nodes) and halves the interval when the critical gate
+    refuses its linear part or the map stops contracting; report.halvings
+    counts the halvings made before the last attempt. Raises BlowupSuspected,
+    naming the last refusal's reason, when no attempt converges.
     """
-    T_work = f.grid.t_max
-    report = IterationReport(t_requested=T_work, criticality=crit)
-    m = f.grid.m
-    pair = admissible_pair(s, alpha)
-    for halving in range(cfg.max_halvings + 1):
-        # a failed attempt's iterate and linear part are whole fields: free
-        # them before the next attempt builds its own
-        u = pre = None
-        tgrid = TimeGrid(T_work, m)
-        f_work = _resample_signal(f, tgrid)
-        pre = _prepare_linear(phi_ext, f_work, lam, alpha, cfg.seam_mismatch_cap)
-        report.linear_mixed_norm = mixed_norm(pre.linear, s, pair.q, pair.r)
-        if crit == "critical" and report.linear_mixed_norm >= cfg.delta_crit:
-            log.info(
-                "critical case: linear mixed norm %.3e >= %.3e, halving T",
-                report.linear_mixed_norm,
-                cfg.delta_crit,
-            )
-            report.halvings = halving + 1
-            T_work *= 0.5
-            continue
-        u, converged = _picard_loop(pre, s, cfg, report)
-        report.t_achieved = T_work
-        if converged:
-            report.converged = True
-            return u, report
-        report.halvings = halving + 1
-        T_work *= 0.5
-        log.info("no contraction on [0, %.3g]; halving", 2 * T_work)
-    raise BlowupSuspected(
-        f"no contraction after {cfg.max_halvings} halvings "
-        f"(last interval [0, {2 * T_work:.3g}])",
-        report,
-    )
-
-
-def solve_ibvp(spec: ProblemSpec, cfg: SolverConfig):
-    """Solve the IBVP; returns (SolutionField, IterationReport)."""
     crit = criticality(spec.s, spec.alpha)
     if crit == "supercritical":
         thr = (5 - 2 * spec.s) / (1 - 2 * spec.s)
@@ -395,6 +343,39 @@ def solve_ibvp(spec: ProblemSpec, cfg: SolverConfig):
             f"alpha = {spec.alpha} is supercritical for s = {spec.s} "
             f"(admissible range 2 <= alpha <= {thr:g})"
         )
+    report = IterationReport(t_requested=T, criticality=crit)
+    pair = admissible_pair(spec.s, spec.alpha)
+    for halving in range(cfg.max_halvings + 1):
+        # a failed attempt's iterate and linear part are whole fields: free
+        # them before the next attempt builds its own
+        u = pre = None
+        report.halvings = halving
+        tgrid = TimeGrid(T, m)
+        f = TimeSignal(tgrid, interp_complex(t0 + tgrid.nodes, spec.f.grid.nodes,
+                                             spec.f.values))
+        pre = _prepare_linear(phi_ext, f, spec.lam, spec.alpha, cfg.seam_mismatch_cap)
+        report.linear_mixed_norm = mixed_norm(pre.linear, spec.s, pair.q, pair.r)
+        if crit == "critical" and report.linear_mixed_norm >= cfg.delta_crit:
+            reason = (f"linear mixed norm {report.linear_mixed_norm:.3e} "
+                      f">= delta_crit {cfg.delta_crit:g}")
+        else:
+            u, converged = _picard_loop(pre, spec.s, cfg, report)
+            report.t_achieved = T
+            if converged:
+                report.converged = True
+                return u, report
+            reason = "no contraction"
+        log.info("%s on [%.3g, %.3g]; halving", reason, t0, t0 + T)
+        T *= 0.5
+    raise BlowupSuspected(
+        f"{reason} after {cfg.max_halvings} halvings "
+        f"(last interval [{t0:.3g}, {t0 + 2 * T:.3g}])",
+        report,
+    )
+
+
+def solve_ibvp(spec: ProblemSpec, cfg: SolverConfig):
+    """Solve the IBVP; returns (SolutionField, IterationReport)."""
     if spec.s > 0.5 and not compatibility_check(spec.phi, spec.f, spec.s, grid=cfg.sgrid):
         raise CompatibilityError("phi(0) != f(0) while s > 1/2 demands it")
     x = cfg.sgrid.nodes
@@ -404,25 +385,8 @@ def solve_ibvp(spec: ProblemSpec, cfg: SolverConfig):
             f"phi must be sampled on the {n_nonneg} grid nodes with x >= 0"
         )
     m_work = max(8, round(spec.T / spec.f.grid.dt))
-    tgrid = TimeGrid(spec.T, m_work)
-    f_work = _resample_signal(spec.f, tgrid)
-
-    phi_scale = np.max(np.abs(spec.phi)) if len(spec.phi) else 0.0
-    if phi_scale == 0.0 and np.max(np.abs(f_work.values)) == 0.0:
-        field = SolutionField(
-            cfg.sgrid,
-            tgrid,
-            np.zeros((tgrid.m + 1, cfg.sgrid.n), dtype=complex),
-        )
-        report = IterationReport(
-            t_achieved=spec.T, t_requested=spec.T, criticality=crit, converged=True
-        )
-        return field, report
-
     phi_ext = extend_half_line(spec.phi, cfg.sgrid)
-    return _solve_from_slice(
-        phi_ext, f_work, spec.lam, spec.alpha, spec.s, cfg, crit
-    )
+    return _solve_from_slice(phi_ext, spec, 0.0, spec.T, m_work, cfg)
 
 
 def continue_solution(
@@ -431,8 +395,9 @@ def continue_solution(
     """Extend a solved field from [0, T] to [0, T + delta].
 
     Restarts the integral equation with initial slice u(., T) (already a
-    whole-line function, no re-extension) and boundary data f(T + .). The
-    seam slice is shared bit-exact. delta is rounded to a whole number of
+    whole-line function, no re-extension) and boundary data f(T + .), through
+    the same driver as solve_ibvp: a supercritical (s, alpha) raises
+    SupercriticalError here too. The seam slice is shared bit-exact. delta is rounded to a whole number of
     parent time steps to keep the concatenated grid uniform. A restart that
     contracts only after halving its interval is joined on the parent's time
     step: every (parent dt / tail dt)-th tail slice, whole parent steps only.
@@ -454,15 +419,9 @@ def continue_solution(
         log.info("continuation interval rounded to %d steps (%.6g)", m2, delta_eff)
     if spec.f.grid.t_max < T + delta_eff - 1e-12:
         raise ValueError("boundary data does not cover [T, T + delta]")
-    crit = criticality(spec.s, spec.alpha)
     psi = u.slice_at(u.tgrid.m)
-    tgrid2 = TimeGrid(delta_eff, m2)
-    shifted = interp_complex(T + tgrid2.nodes, spec.f.grid.nodes, spec.f.values)
-    f2 = TimeSignal(tgrid2, shifted)
     try:
-        tail, tail_report = _solve_from_slice(
-            psi, f2, spec.lam, spec.alpha, spec.s, cfg, crit
-        )
+        tail, tail_report = _solve_from_slice(psi, spec, T, delta_eff, m2, cfg)
     except BlowupSuspected as exc:
         out = SolutionField(u.sgrid, u.tgrid, u.values.copy(), dict(u.meta))
         out.meta["blowup"] = True

@@ -163,7 +163,6 @@ class CompareReport:
     rel_l2: float
     sup: float
     per_slice: np.ndarray
-    t_nodes: np.ndarray
 
 
 def _positive_window(field: SolutionField):
@@ -233,7 +232,6 @@ def compare_fields(a: SolutionField, b: SolutionField) -> CompareReport:
         rel_l2=rel,
         sup=float(np.max(np.abs(diff))),
         per_slice=per_slice,
-        t_nodes=ts.copy(),
     )
 
 

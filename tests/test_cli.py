@@ -189,7 +189,7 @@ def test_solve_zero_data(tmp_path, capsys):
     assert np.all(trace == 0.0)
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is True
-    assert report["iterates"] == 0
+    assert report["iterates"] == 1
 
 
 def test_solve_standing_wave_field(tmp_path):

@@ -169,15 +169,13 @@ def test_endpoint_warning_on_nonvanishing_data():
     tg = _grid(m=64)
     f = TimeSignal(tg, np.ones(65, dtype=complex))
     with pytest.warns(EndpointWarning):
-        out = frac_derivative(f, 0.5)
-    assert out.meta.get("endpoint_warning") is True
+        frac_derivative(f, 0.5)
 
-    # vanishing data stays silent and unflagged
+    # vanishing data stays silent
     b = _bump(tg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out2 = frac_derivative(b, 0.5)
-    assert "endpoint_warning" not in out2.meta
+        frac_derivative(b, 0.5)
 
 
 def test_order_validation():

@@ -124,16 +124,14 @@ def test_grid_function_copy_is_independent():
     assert a.values[0] == 1.0
 
 
-def test_time_signal_shape_and_meta():
+def test_time_signal_shape_and_copy():
     tg = TimeGrid(1.0, 8)
     s = TimeSignal(tg, np.zeros(9))
-    assert s.meta == {}
     with pytest.raises(ValueError):
         TimeSignal(tg, np.zeros(8))
-    s.meta["tag"] = 1
     c = s.copy()
-    c.meta["tag"] = 2
-    assert s.meta["tag"] == 1
+    c.values[0] = 2.0
+    assert s.values[0] == 0.0
 
 
 def test_solution_field_shape_check():

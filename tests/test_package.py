@@ -1,13 +1,17 @@
-"""Package hygiene: the names the package root exports, and no module-level
+"""Package hygiene: the names the package root exports, no module-level
 import that its module, or a test module, never uses (no linter is assumed
-to be installed)."""
+to be installed), and the names the benchmark's tracer wraps."""
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import halfline_nls
 
 PACKAGE = Path(halfline_nls.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 
 # the entry points and types of the library: what the acceptance criteria
 # import, plus the types public functions return or raise and the study
@@ -81,3 +85,20 @@ def test_modules_use_every_name_they_import():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_benchmark_trace_targets_resolve():
+    # a wrapped name that is renamed or inlined away is skipped by the tracer
+    # with one stderr line, and its per-layer metrics then read 0
+    if not TRACING.exists():
+        pytest.skip("perfbench/tracing.py not present")
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    )
+    assert targets
+    for module, attr, _ in targets:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

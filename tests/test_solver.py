@@ -6,6 +6,7 @@ Interior residuals use centered differences in t and x away from x=0
 slices trimmed. Accuracy targets are checked against a standing wave
 profile whose exactness is verified symbolically before use.
 """
+import dataclasses
 import gc
 import math
 
@@ -292,7 +293,8 @@ def test_converged_solve_applies_the_map_once_per_iterate(monkeypatch):
     assert rep.fixed_point_residual <= cfg.tol
 
 
-def test_solve_zero_data_shortcut():
+def test_solve_zero_data_converges_in_one_iterate():
+    # zero data take the general path: the map returns the exact zero field
     sg = SpatialGrid(-20.0, 20.0, 64)
     spec = _make_spec(
         1.0, 3.0, 0.0,
@@ -303,7 +305,8 @@ def test_solve_zero_data_shortcut():
     u, rep = solve_ibvp(spec, SolverConfig(sgrid=sg))
     assert np.all(u.values == 0.0)
     assert rep.converged
-    assert rep.iterates == 0
+    assert rep.iterates == 1
+    assert rep.halvings == 0 and rep.fixed_point_residual == 0.0
     assert rep.t_achieved == rep.t_requested == 0.5
 
 
@@ -515,7 +518,20 @@ def test_continuation_argument_validation():
         continue_solution(u, spec, 0.25, 0.25, cfg)
 
 
-def test_continuation_failed_restart_sets_blowup_meta():
+def test_continuation_rejects_supercritical_spec():
+    # a restart is the solve's construction from u(T), behind the same gate
+    sg = SpatialGrid(-30.0, 30.0, 128)
+    xp = sg.nodes[sg.nodes >= 0.0]
+    tg = TimeGrid(0.5, 32)
+    spec = ProblemSpec(2.0, 3.0, 0.0, _sol_phi(xp), TimeSignal(tg, _sol_f(tg.nodes)), 0.25)
+    cfg = SolverConfig(sgrid=sg)
+    u, rep = solve_ibvp(spec, cfg)
+    assert rep.converged
+    with pytest.raises(SupercriticalError, match="supercritical"):
+        continue_solution(u, dataclasses.replace(spec, alpha=6.0), 0.25, 0.25, cfg)
+
+
+def test_continuation_failed_restart_sets_blowup_meta(caplog):
     sg = SpatialGrid(-30.0, 30.0, 256)
     phi_fn = lambda xx: np.exp(-(np.asarray(xx) - 8.0) ** 2) + 0j
     f_fn = lambda tt: np.zeros_like(np.asarray(tt), dtype=complex)
@@ -526,7 +542,13 @@ def test_continuation_failed_restart_sets_blowup_meta():
     u, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-8))
     assert rep.converged and rep.halvings == 0
     cruel = SolverConfig(sgrid=sg, tol=1e-14, max_iter=2, ratio_cap=1e-6, max_halvings=1)
-    out = continue_solution(u, spec, 0.25, 0.25, cruel)
+    with caplog.at_level("INFO", logger="halfline_nls.solver"):
+        out = continue_solution(u, spec, 0.25, 0.25, cruel)
+    # the restart's intervals are named in absolute time
+    assert [r.getMessage() for r in caplog.records] == [
+        "no contraction on [0.25, 0.5]; halving",
+        "no contraction on [0.25, 0.375]; halving",
+    ]
     assert out.meta["blowup"] is True
     assert not out.meta["restart_report"]["converged"]
     assert np.array_equal(out.values, u.values)
@@ -623,3 +645,40 @@ def test_blowup_suspected_carries_report():
         solve_ibvp(spec, cruel)
     assert exc.value.report.iterates == 2
     assert not exc.value.report.converged
+    # two attempts, one halving between them, both refused by the ratio cap
+    assert exc.value.report.halvings == 1
+    assert str(exc.value).startswith("no contraction after 1 halvings")
+
+
+def _critical_case():
+    # A10's critical pair s = 0, alpha = 5 on small standing-wave data
+    sg = SpatialGrid(-30.0, 30.0, 128)
+    phi_fn = lambda xx: 0.2 / np.cosh(np.asarray(xx) - 6.0) + 0j
+    f_fn = lambda tt: 0.2 * np.exp(1j * np.asarray(tt)) / np.cosh(6.0)
+    return sg, _make_spec(1.0, 5.0, 0.0, phi_fn, f_fn, 0.25, sg, 16)
+
+
+def test_critical_gate_halves_until_the_linear_part_is_small():
+    sg, spec = _critical_case()
+    cfg = SolverConfig(sgrid=sg, tol=1e-8)
+    _, rep = solve_ibvp(spec, cfg)
+    assert rep.converged and rep.criticality == "critical"
+    assert rep.halvings == 6
+    assert rep.t_achieved == 0.25 / 64
+    assert rep.linear_mixed_norm < cfg.delta_crit  # measured 0.0910
+
+
+def test_critical_gate_refusals_name_the_mixed_norm():
+    # with one halving too few the gate refuses every attempt: no iterate is
+    # made, and the report says so
+    sg, spec = _critical_case()
+    cfg = SolverConfig(sgrid=sg, tol=1e-8, max_halvings=5)
+    with pytest.raises(BlowupSuspected) as exc:
+        solve_ibvp(spec, cfg)
+    rep = exc.value.report
+    assert rep.halvings == 5
+    assert rep.iterates == 0 and rep.t_achieved == 0.0 and not rep.converged
+    assert rep.linear_mixed_norm >= cfg.delta_crit
+    msg = str(exc.value)
+    assert msg.startswith("linear mixed norm") and "delta_crit 0.1" in msg
+    assert "after 5 halvings" in msg

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -188,7 +188,7 @@ def compatibility_check(phi, f: TimeSignal, s: float, grid=None,
 
 
 def mixed_norm(field: SolutionField, s: float, q: float, r: float) -> float:
-    """Discrete L^q_t W^{s,r}_x norm (sup norms for infinite exponents).
+    """Discrete L^q_t W^{s,r}_x norm (a sup norm in t for q = inf; r is finite).
 
     The Bessel smoothing J^s is followed by an L^r norm in x; with r != 2
     (s < 1/2) that is not the H^s norm, so sobolev_norm cannot stand in.
@@ -198,10 +198,7 @@ def mixed_norm(field: SolutionField, s: float, q: float, r: float) -> float:
     bessel = (1.0 + xi * xi) ** (s / 2.0)
     smoothed = np.fft.ifft(bessel * np.fft.fft(field.values, axis=1), axis=1)
     a = np.abs(smoothed)
-    if math.isinf(r):
-        slice_norms = np.max(a, axis=1)
-    else:
-        slice_norms = (sgrid.dx * np.sum(a**r, axis=1)) ** (1.0 / r)
+    slice_norms = (sgrid.dx * np.sum(a**r, axis=1)) ** (1.0 / r)
     if math.isinf(q):
         return float(np.max(slice_norms))
     return float((tgrid.dt * np.sum(slice_norms**q)) ** (1.0 / q))
@@ -333,8 +330,10 @@ def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
     reads its boundary data f(t0 + .) from spec.f on its own m-step grid
     (exact on shared nodes) and halves the interval when the critical gate
     refuses its linear part or the map stops contracting; report.halvings
-    counts the halvings made before the last attempt. Raises BlowupSuspected,
-    naming the last refusal's reason, when no attempt converges.
+    counts the halvings made before the last attempt. Its times are
+    absolute: t_requested is t0 + T, t_achieved the end of the last interval
+    iterated on (t0 if none was). Raises BlowupSuspected, naming the last refusal's reason,
+    when no attempt converges.
     """
     crit = criticality(spec.s, spec.alpha)
     if crit == "supercritical":
@@ -343,7 +342,7 @@ def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
             f"alpha = {spec.alpha} is supercritical for s = {spec.s} "
             f"(admissible range 2 <= alpha <= {thr:g})"
         )
-    report = IterationReport(t_requested=T, criticality=crit)
+    report = IterationReport(t_requested=t0 + T, t_achieved=t0, criticality=crit)
     pair = admissible_pair(spec.s, spec.alpha)
     for halving in range(cfg.max_halvings + 1):
         # a failed attempt's iterate and linear part are whole fields: free
@@ -360,7 +359,7 @@ def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
                       f">= delta_crit {cfg.delta_crit:g}")
         else:
             u, converged = _picard_loop(pre, spec.s, cfg, report)
-            report.t_achieved = T
+            report.t_achieved = t0 + T
             if converged:
                 report.converged = True
                 return u, report
@@ -394,17 +393,18 @@ def continue_solution(
 ) -> SolutionField:
     """Extend a solved field from [0, T] to [0, T + delta].
 
-    Restarts the integral equation with initial slice u(., T) (already a
-    whole-line function, no re-extension) and boundary data f(T + .), through
-    the same driver as solve_ibvp: a supercritical (s, alpha) raises
-    SupercriticalError here too. The seam slice is shared bit-exact. delta is rounded to a whole number of
-    parent time steps to keep the concatenated grid uniform. A restart that
-    contracts only after halving its interval is joined on the parent's time
-    step: every (parent dt / tail dt)-th tail slice, whole parent steps only.
-    When not one whole parent step remains, the [0, T] portion is returned
-    with meta['restart_shorter_than_step'] set. On a restart that fails to
-    contract, the [0, T] portion is returned with meta['blowup'] set instead
-    of raising.
+    Restarts the integral equation from u(., T) (already a whole-line
+    function, no re-extension) with boundary data f(T + .), through the same
+    driver as solve_ibvp, so it raises what a solve raises. delta is rounded
+    to a whole number m2 of parent time steps.
+
+    Returns u on [0, T] (the seam slice shared bit-exact) joined to the
+    restart on the parent's time step, with meta 'seam_index' and
+    'restart_report' (the restart's report, in absolute time). The restart
+    may halve only while its tail keeps one whole parent step (2**h <= m2):
+    after h halvings every 2**h-th tail slice is kept, so the result ends
+    after T and at most at T + m2 * dt. A restart that contracts on no such
+    interval raises BlowupSuspected.
     """
     if delta < 0.0:
         raise ValueError("delta >= 0 required")
@@ -419,26 +419,14 @@ def continue_solution(
         log.info("continuation interval rounded to %d steps (%.6g)", m2, delta_eff)
     if spec.f.grid.t_max < T + delta_eff - 1e-12:
         raise ValueError("boundary data does not cover [T, T + delta]")
-    psi = u.slice_at(u.tgrid.m)
-    try:
-        tail, tail_report = _solve_from_slice(psi, spec, T, delta_eff, m2, cfg)
-    except BlowupSuspected as exc:
-        out = SolutionField(u.sgrid, u.tgrid, u.values.copy(), dict(u.meta))
-        out.meta["blowup"] = True
-        out.meta["restart_report"] = exc.report.as_dict()
-        return out
-    # a restart that halved contracted only on a shorter interval, with the
-    # same m and so a finer dt: keep its slices on the parent's time nodes
-    step = round(dt / tail.tgrid.dt)
-    m_keep = tail.tgrid.m // step
-    if m_keep == 0:
-        out = SolutionField(u.sgrid, u.tgrid, u.values.copy(), dict(u.meta))
-        out.meta["restart_shorter_than_step"] = True
-        out.meta["restart_report"] = tail_report.as_dict()
-        return out
-    joined = TimeGrid(T + m_keep * dt, u.tgrid.m + m_keep)
-    vals = np.vstack([u.values, tail.values[step : m_keep * step + 1 : step]])
-    out = SolutionField(u.sgrid, joined, vals, dict(u.meta))
+    floor = replace(cfg, max_halvings=min(cfg.max_halvings, m2.bit_length() - 1))
+    tail, tail_report = _solve_from_slice(u.slice_at(u.tgrid.m), spec, T,
+                                          delta_eff, m2, floor)
+    # each halving kept m2 steps and halved dt: back onto the parent's nodes
+    step = 2**tail_report.halvings
+    rows = tail.values[step::step]
+    joined = TimeGrid(T + len(rows) * dt, u.tgrid.m + len(rows))
+    out = SolutionField(u.sgrid, joined, np.vstack([u.values, rows]), dict(u.meta))
     out.meta["seam_index"] = u.tgrid.m
     out.meta["restart_report"] = tail_report.as_dict()
     return out

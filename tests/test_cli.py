@@ -20,7 +20,7 @@ import pytest
 
 import halfline_nls
 import halfline_nls.cli
-from halfline_nls import SolutionField, SpatialGrid, TimeGrid
+from halfline_nls import SolutionField, SpatialGrid, TimeGrid, solve_ibvp
 from halfline_nls.cli import (
     ConfigError,
     _fd_comparison,
@@ -32,6 +32,7 @@ from halfline_nls.cli import (
     write_field,
     write_signal,
 )
+from halfline_nls.spectral import smooth_ramp
 
 
 SOLVE_OUTPUTS = ("field.csv", "trace.csv", "initial_slice.csv",
@@ -145,6 +146,7 @@ def test_main_bad_config_exits_one(tmp_path, capsys):
         (["problem.alpha = inf"], "2 <= alpha"),
         (["problem.alpha = nan"], "2 <= alpha"),
         (["problem.lambda_re = nan"], "lam must be finite"),
+        (["problem.s = 0.5"], "s = 1/2 is excluded"),
     ]
     for lines, message in cases:
         cfg = _write_cfg(tmp_path / "a.cfg", [
@@ -302,6 +304,73 @@ def test_fd_comparison_keeps_solver_settings(tmp_path, monkeypatch):
     _fd_comparison(cfg, spec, scfg)
     half = SpatialGrid(scfg.sgrid.x_min, scfg.sgrid.x_max, scfg.sgrid.n // 2)
     assert seen == [scfg, dataclasses.replace(scfg, sgrid=half, max_halvings=0)]
+
+
+def _halving_gaussian_cfg(path, amplitude, T, nx, nt):
+    # a Gaussian whose map contracts only after 3 halvings of [0, T]
+    return _write_cfg(path, [
+        "problem.lambda_re = 2.0",
+        f"problem.T = {T}",
+        "phi.preset = gaussian",
+        f"phi.amplitude = {amplitude}",
+        "phi.center = 10.0",
+        "phi.width = 1.5",
+        "grid.x_min = -30.0",
+        "grid.x_max = 30.0",
+        f"grid.nx = {nx}",
+        f"grid.nt = {nt}",
+        "solver.tol = 1e-10",
+    ])
+
+
+def test_fd_comparison_covers_what_a_halving_solve_achieved(tmp_path):
+    # the refined solves do not halve; asked for the whole [0, 1] they once
+    # raised BlowupSuspected, and verify failed fd_oracle_agreement with inf
+    cfg = parse_config(_halving_gaussian_cfg(tmp_path / "g.cfg", 2.0, 1.0, 256, 64))
+    spec, scfg = build_problem(cfg)
+    _, rep = solve_ibvp(spec, scfg)
+    assert rep.halvings == 3 and rep.t_achieved == 0.125
+    rel, tol = _fd_comparison(cfg, spec, scfg)
+    assert rel <= tol, (rel, tol)  # measured 4.6e-4 against 6.8e-3
+
+
+def test_converge_refines_what_a_halving_solve_achieved(tmp_path, capsys):
+    # level 0 is the solve itself, which halves 3 times; the finer levels
+    # refine its [0, 0.0625] and its 128 steps. They once asked for the whole
+    # [0, 0.5] with halving off and exited 2 as suspected blow-up
+    cfg = _halving_gaussian_cfg(tmp_path / "c.cfg", 2.5, 0.5, 256, 128)
+    out = tmp_path / "out"
+    assert main(["converge", cfg, "--out", str(out)]) == 0, capsys.readouterr().err
+    assert "observed orders" in capsys.readouterr().out
+    lines = (out / "converge.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[1], r[2]) for r in rows] == [("256", "128"), ("512", "256"), ("1024", "512")]
+    order = float(rows[1][4])
+    assert 2.0 < order < 2.7, order  # measured 2.33
+
+
+@pytest.mark.parametrize("preset", ["bump", "sinusoid_windowed"])
+def test_solve_boundary_presets_match_their_closed_form(tmp_path, preset):
+    # zero initial data, the boundary data alone drive the solution: the
+    # trace at x = 0 reproduces the preset
+    path = _write_cfg(tmp_path / "p.cfg", [
+        "problem.lambda_re = 1.0",
+        "problem.T = 0.5",
+        f"f.preset = {preset}",
+        "grid.nx = 256",
+        "grid.nt = 128",
+    ])
+    out = tmp_path / "out"
+    assert main(["solve", path, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] and report["iterates"] == 7
+    t, trace = read_signal(out / "trace.csv")
+    if preset == "bump":
+        f = 16.0 * t**2 * (0.5 - t) ** 2 / 0.5**4
+    else:
+        f = np.sin(2.0 * np.pi * t) * smooth_ramp(8.0 * t)
+    rel = np.linalg.norm(trace - f) / np.linalg.norm(f)
+    assert rel < 5e-3, rel  # measured 4.2e-4 (bump), 6.4e-4 (sinusoid_windowed)
 
 
 def test_verify_passes_at_default_resolution(tmp_path, capsys):

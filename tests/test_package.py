@@ -1,10 +1,12 @@
 """Package hygiene: the names the package root exports, no module-level
 import that its module, or a test module, never uses (no linter is assumed
-to be installed), and the names the benchmark's tracer wraps."""
+to be installed), the names the benchmark's tracer wraps, and the README's
+library example, run as written."""
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import halfline_nls
@@ -102,3 +104,18 @@ def test_benchmark_trace_targets_resolve():
     assert targets
     for module, attr, _ in targets:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_readme_library_example_runs_as_written():
+    readme = TESTS.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    u, report = scope["u"], scope["report"]
+    assert report.converged and report.iterates == 16
+    x = u.sgrid.nodes
+    keep = x > 0.0
+    TT, XX = np.meshgrid(u.tgrid.nodes, x[keep], indexing="ij")
+    ref = np.exp(1j * TT) / np.cosh(XX - 6.0)
+    err = np.linalg.norm(u.values[:, keep] - ref) / np.linalg.norm(ref)
+    assert err <= 2e-5, err  # measured 9.14e-6

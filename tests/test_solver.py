@@ -357,6 +357,11 @@ def test_problem_spec_rejects_non_finite_inputs():
     ]:
         with pytest.raises(ValueError, match=message):
             ProblemSpec(lam, alpha, 0.0, phi, f, T)
+    # and s outside the paper's range 0 <= s < 3/2, s != 1/2
+    for s, message in [(0.5, "s = 1/2 is excluded"), (-0.1, "0 <= s < 3/2"),
+                       (1.5, "0 <= s < 3/2"), (2.0, "0 <= s < 3/2")]:
+        with pytest.raises(ValueError, match=message):
+            ProblemSpec(1.0, 3.0, s, phi, f, 0.5)
 
 
 @pytest.mark.parametrize("setting", [
@@ -418,6 +423,18 @@ def test_solve_standing_wave(soliton_solutions):
     u2, _ = soliton_solutions[(1024, 512)]
     err2 = _global_err(u2, _soliton)
     assert err2 < err  # measured 9.1e-6
+
+
+def test_solve_standing_wave_on_a_grid_without_a_node_at_zero():
+    # dx = 60/512 puts no node at x = 0: the extension anchors its reflection
+    # at the boundary value extrapolated from the first three x > 0 nodes
+    sg = SpatialGrid(-29.9, 30.1, 512)
+    assert sg.nodes[sg.nodes >= 0.0][0] > 0.0
+    spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 128)
+    u, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
+    assert rep.converged and rep.halvings == 0 and rep.iterates == 16
+    err = _global_err(u, _soliton)
+    assert err < 1e-4, err  # measured 3.7e-5; 2.3e-5 on the aligned [-30, 30)
 
 
 def test_interior_residual_refines(kinkfree_solutions):
@@ -531,7 +548,7 @@ def test_continuation_rejects_supercritical_spec():
         continue_solution(u, dataclasses.replace(spec, alpha=6.0), 0.25, 0.25, cfg)
 
 
-def test_continuation_failed_restart_sets_blowup_meta(caplog):
+def test_continuation_failed_restart_raises_blowup_suspected(caplog):
     sg = SpatialGrid(-30.0, 30.0, 256)
     phi_fn = lambda xx: np.exp(-(np.asarray(xx) - 8.0) ** 2) + 0j
     f_fn = lambda tt: np.zeros_like(np.asarray(tt), dtype=complex)
@@ -542,17 +559,18 @@ def test_continuation_failed_restart_sets_blowup_meta(caplog):
     u, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-8))
     assert rep.converged and rep.halvings == 0
     cruel = SolverConfig(sgrid=sg, tol=1e-14, max_iter=2, ratio_cap=1e-6, max_halvings=1)
+    before = u.values.copy()
     with caplog.at_level("INFO", logger="halfline_nls.solver"):
-        out = continue_solution(u, spec, 0.25, 0.25, cruel)
+        with pytest.raises(BlowupSuspected) as exc:
+            continue_solution(u, spec, 0.25, 0.25, cruel)
     # the restart's intervals are named in absolute time
     assert [r.getMessage() for r in caplog.records] == [
         "no contraction on [0.25, 0.5]; halving",
         "no contraction on [0.25, 0.375]; halving",
     ]
-    assert out.meta["blowup"] is True
-    assert not out.meta["restart_report"]["converged"]
-    assert np.array_equal(out.values, u.values)
-    assert out.tgrid.m == u.tgrid.m
+    assert exc.value.report.halvings == 1
+    assert not exc.value.report.converged
+    assert np.array_equal(u.values, before)
 
 
 def _halving_restart_case():
@@ -578,6 +596,9 @@ def test_continuation_halved_restart_keeps_parent_step():
     tight = SolverConfig(sgrid=sg, tol=1e-10, ratio_cap=0.26)
     out = continue_solution(u, spec, 0.25, 0.25, tight)
     assert out.meta["restart_report"]["halvings"] == 1
+    # the restart's times are absolute: asked for [0.25, 0.5], got [0.25, 0.375]
+    assert out.meta["restart_report"]["t_requested"] == 0.5
+    assert out.meta["restart_report"]["t_achieved"] == 0.375
     assert abs(out.tgrid.dt - u.tgrid.dt) <= 1e-14 * u.tgrid.dt
     assert out.tgrid.t_max == 0.375 and out.tgrid.m == 96
     k = out.meta["seam_index"]
@@ -591,15 +612,15 @@ def test_continuation_halved_restart_keeps_parent_step():
 
 @pytest.mark.filterwarnings("ignore::halfline_nls.EdgeDecayWarning")
 def test_continuation_restart_shorter_than_parent_step():
-    # delta = 8 parent steps; ratio_cap 0.005 needs 4 halvings, which leave a
-    # tail of 8 steps of dt/16: not one whole parent step
+    # delta = 8 parent steps; ratio_cap 0.005 needs 4 halvings, which would
+    # leave a tail of 8 steps of dt/16: not one whole parent step. The
+    # restart stops at the floor of 3 halvings (2**3 <= 8) and raises
     sg, spec, cfg, u = _halving_restart_case()
     tight = SolverConfig(sgrid=sg, tol=1e-10, ratio_cap=0.005)
-    out = continue_solution(u, spec, 0.25, 8 * u.tgrid.dt, tight)
-    assert out.meta["restart_report"]["halvings"] == 4
-    assert out.meta["restart_shorter_than_step"] is True
-    assert out.tgrid == u.tgrid
-    assert np.array_equal(out.values, u.values)
+    with pytest.raises(BlowupSuspected) as exc:
+        continue_solution(u, spec, 0.25, 8 * u.tgrid.dt, tight)
+    assert exc.value.report.halvings == 3
+    assert not exc.value.report.converged
 
 
 def test_failed_halving_attempt_is_freed_before_the_retry(monkeypatch):
@@ -682,3 +703,20 @@ def test_critical_gate_refusals_name_the_mixed_norm():
     msg = str(exc.value)
     assert msg.startswith("linear mixed norm") and "delta_crit 0.1" in msg
     assert "after 5 halvings" in msg
+
+
+@pytest.mark.filterwarnings("ignore::halfline_nls.EdgeDecayWarning")
+def test_critical_gate_refusing_a_restart_reports_its_start():
+    # a restart the gate refuses makes no iterate and achieves nothing past
+    # its own start: t_achieved is the restart time, not 0
+    sg, spec = _critical_case()
+    cfg = SolverConfig(sgrid=sg, tol=1e-8)
+    u, rep = solve_ibvp(spec, cfg)
+    T = rep.t_achieved
+    with pytest.raises(BlowupSuspected) as exc:
+        continue_solution(u, spec, T, 16 * u.tgrid.dt,
+                          dataclasses.replace(cfg, delta_crit=1e-3))
+    rep = exc.value.report
+    # 16 steps: the floor allows 4 halvings
+    assert rep.halvings == 4 and rep.iterates == 0
+    assert rep.t_achieved == T and rep.t_requested == 2 * T

@@ -12,8 +12,10 @@ Outputs are deterministic: identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import logging
 import os
 import sys
 
@@ -459,6 +461,22 @@ def cmd_converge(config_path, levels, out_dir=None):
     return 0
 
 
+@contextlib.contextmanager
+def _log_to_stderr(level):
+    """Print the package's log records at level and above on stderr."""
+    pkg = logging.getLogger("halfline_nls")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    old_level = pkg.level
+    pkg.addHandler(handler)
+    pkg.setLevel(level)
+    try:
+        yield
+    finally:
+        pkg.removeHandler(handler)
+        pkg.setLevel(old_level)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="halfline-nls",
@@ -469,16 +487,19 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("config")
         p.add_argument("--out", default=None)
+        p.add_argument("--log-level", default="WARNING",
+                       choices=("DEBUG", "INFO", "WARNING", "ERROR"))
         if name == "converge":
             p.add_argument("--levels", type=int, default=3)
     args = ap.parse_args(argv)
 
     try:
-        if args.command == "solve":
-            return cmd_solve(args.config, args.out)
-        if args.command == "verify":
-            return cmd_verify(args.config, args.out)
-        return cmd_converge(args.config, args.levels, args.out)
+        with _log_to_stderr(args.log_level):
+            if args.command == "solve":
+                return cmd_solve(args.config, args.out)
+            if args.command == "verify":
+                return cmd_verify(args.config, args.out)
+            return cmd_converge(args.config, args.levels, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

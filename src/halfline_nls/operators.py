@@ -4,7 +4,7 @@
 * duhamel_field: the inhomogeneous-term operator
       (Dw)(t) = -i int_0^t e^{i (t-t') dxx} w(t') dt'
   on every time slice at once, by trapezoidal quadrature of spectrally
-  propagated slices.
+  propagated slices, advanced one time step at a time.
 * boundary_forcing_time / boundary_forcing_freq: the boundary-data operator
   in its two representations,
 
@@ -34,7 +34,9 @@ returned by operator_plan(sgrid, tgrid) from a three-slot LRU cache (the
 fixed-point solver reapplies the operators on fixed grids every iteration,
 and a solve that halves its interval twice works on three time grids):
 
-* the phase table e^{-i t xi^2}, shared by the free group and Duhamel;
+* the one-step propagator e^{-i dt xi^2}, one n-vector shared by the free
+  group and Duhamel: e^{-i t xi^2} is a group in t, so both advance their
+  spectra from one time slice to the next by it;
 * the forcing kernels on the distinct values of |x| only (they depend on x^2,
   so a grid symmetric about 0 needs about half the rows), folded into one
   kernel and stored as its FFT in t, so that one forcing application is one
@@ -99,45 +101,52 @@ def free_group(phi: GridFunction, t: float) -> GridFunction:
 
 
 def free_group_field(phi: GridFunction, tgrid: TimeGrid) -> SolutionField:
-    """Free evolution sampled on a whole time grid (one fft, m+1 iffts)."""
+    """Free evolution sampled on a whole time grid (one fft, one ifft).
+
+    The group property steps the spectra: row i is step * row i-1, built in
+    the output buffer and transformed back in place.
+    """
     _warn_edges(phi.values, "free_group_field")
-    phase = operator_plan(phi.grid, tgrid).phase
-    vals = np.fft.ifft(phase * np.fft.fft(phi.values)[None, :], axis=1)
+    step = operator_plan(phi.grid, tgrid).step
+    vals = np.empty((tgrid.m + 1, phi.grid.n), dtype=complex)
+    np.fft.fft(phi.values, out=vals[0])
+    for i in range(1, len(vals)):
+        np.multiply(vals[i - 1], step, out=vals[i])
+    np.fft.ifft(vals[1:], axis=1, out=vals[1:])
     vals[0] = phi.values  # t=0 multiplier is identically 1
     return SolutionField(phi.grid, tgrid, vals)
 
 
 def duhamel_field(w: SolutionField, out: np.ndarray | None = None) -> SolutionField:
-    """Dw on all time slices via a prefix trapezoid in Fourier space.
+    """Dw on all time slices by the trapezoid rule, stepped in Fourier space.
 
-    With g_j = e^{i t_j xi^2} w_hat_j, the trapezoid prefix sum S_i gives
-    Dw(., t_i) = -i dt ifft(e^{-i t_i xi^2} S_i); the t=0 slice is exactly 0.
-    Every step works in place on one (m+2, n) buffer, out when given (w may
-    then be out[1:] itself, transformed in place), whose first m+1 rows
-    become the result; the plan is only read.
+    With E = e^{-i dt xi^2} and w_hat_j the slices' spectra, the spectrum
+    D_i of Dw(., t_i), the trapezoid sum of -i e^{-i (t_i - t_j) xi^2} w_hat_j
+    over t_j <= t_i, obeys the exact recursion
+        D_i = E D_{i-1} + c (E w_hat_{i-1} + w_hat_i),      c = -i dt/2,
+    from D_0 = 0, so the t=0 slice is exactly 0. Every step works in place
+    on one (m+2, n) buffer, out when given (w may then be out[1:] itself,
+    transformed in place), whose first m+1 rows become the result; the plan
+    is only read.
     """
     sgrid, tgrid = w.sgrid, w.tgrid
     if not isinstance(sgrid, SpatialGrid):
         raise TypeError("duhamel_field needs a whole-line field")
-    phase = operator_plan(sgrid, tgrid).phase
-    # one spare row: g_j sits on row j+1, so the panel sum g_{i-1} + g_i
-    # formed in place lands on row i, the row of t_i, with no shift
+    step = operator_plan(sgrid, tgrid).step
+    # one spare row: w_hat_j sits on row j+1, so row i, the row of t_i, holds
+    # w_hat_{i-1} when D_i/c = E (D_{i-1}/c + w_hat_{i-1}) + w_hat_i is
+    # formed there from the row above and the row below
     buf = np.empty((tgrid.m + 2, sgrid.n), dtype=complex) if out is None else out
-    g = np.fft.fft(w.values, axis=1, out=buf[1:])
-    # g * conj(phase) as conj(conj(g) * phase): no conjugated table
-    np.conjugate(g, out=g)
-    g *= phase
-    np.conjugate(g, out=g)
-    g[:-1] += g[1:]
+    np.fft.fft(w.values, axis=1, out=buf[1:])
+    buf[0] = 0.0
+    for i in range(1, tgrid.m + 1):
+        row = buf[i]
+        row += buf[i - 1]
+        row *= step
+        row += buf[i + 1]
     rows = buf[1:-1]
-    # prefix sum as row adds: np.cumsum along the strided axis 0 costs about
-    # three times as much, for the same sums in the same order
-    for i in range(1, len(rows)):
-        rows[i] += rows[i - 1]
-    rows *= phase[1:]
     rows *= -0.5j * tgrid.dt
     np.fft.ifft(rows, axis=1, out=rows)
-    buf[0] = 0.0
     return SolutionField(sgrid, tgrid, buf[:-1])
 
 
@@ -180,8 +189,9 @@ def _bf_kernel_chunk(x, dt, m):
 class OperatorPlan:
     """The grid-only work of the three operators on one (sgrid, tgrid) pair.
 
-    * phase: e^{-i t xi^2}, shape (m+1, n); free_group_field applies it and
-      duhamel_field its conjugate.
+    * step: the one-step propagator e^{-i dt xi^2}, shape (n,); the free
+      group and Duhamel advance their spectra from one time slice to the
+      next by it.
     * inv: maps the r distinct values of |x| back to the nodes; the forcing
       kernels depend on x^2 only, so they are built once per distinct |x|.
     * kspec: the length-2m FFT in t of the folded forcing kernel
@@ -202,7 +212,7 @@ class OperatorPlan:
     def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid):
         m = tgrid.m
         xi = sgrid.frequencies
-        self.phase = np.exp(-1j * np.outer(tgrid.nodes, xi * xi))
+        self.step = np.exp(-1j * tgrid.dt * xi * xi)
         absx, self.inv = np.unique(np.abs(sgrid.nodes), return_inverse=True)
         r = len(absx)
         self.forcing_sizes = (max((m + 1) * sgrid.n, 2 * m * r), (m + 1) * r)
@@ -215,7 +225,7 @@ class OperatorPlan:
             a[:, :-1] += b[:, 1:]
             self.kspec[lo:hi] = np.fft.fft(a, 2 * m, axis=1)
             self.b[lo:hi] = b
-        for arr in (self.phase, self.inv, self.kspec, self.b):
+        for arr in (self.step, self.inv, self.kspec, self.b):
             arr.flags.writeable = False
 
 

@@ -200,11 +200,14 @@ def mixed_norm(field: SolutionField, s: float, q: float, r: float) -> float:
 
     The Bessel smoothing J^s is followed by an L^r norm in x; with r != 2
     (s < 1/2) that is not the H^s norm, so sobolev_norm cannot stand in.
+    J^0 is the identity, so at s = 0 the field is not transformed.
     """
     sgrid, tgrid = field.sgrid, field.tgrid
-    xi = sgrid.frequencies
-    bessel = (1.0 + xi * xi) ** (s / 2.0)
-    smoothed = np.fft.ifft(bessel * np.fft.fft(field.values, axis=1), axis=1)
+    smoothed = field.values
+    if s != 0.0:
+        xi = sgrid.frequencies
+        bessel = (1.0 + xi * xi) ** (s / 2.0)
+        smoothed = np.fft.ifft(bessel * np.fft.fft(smoothed, axis=1), axis=1)
     a = np.abs(smoothed)
     slice_norms = (sgrid.dx * np.sum(a**r, axis=1)) ** (1.0 / r)
     if math.isinf(q):
@@ -263,9 +266,9 @@ def _prepare_linear(phi_ext: GridFunction, f: TimeSignal, lam, alpha,
         g = g - mism * profile
         log.debug("seam mismatch %.2e removed", abs(mism) / scale)
     gsig = TimeSignal(tgrid, g)
-    forcing = boundary_forcing_time(gsig, sgrid)
-    linear = SolutionField(sgrid, tgrid, ufree.values + forcing.values)
-    return LinearData(linear, sgrid, tgrid, complex(lam), float(alpha), j0)
+    # the free field's own buffer becomes the linear part
+    ufree.values += boundary_forcing_time(gsig, sgrid).values
+    return LinearData(ufree, sgrid, tgrid, complex(lam), float(alpha), j0)
 
 
 class Workspace:

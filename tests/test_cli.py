@@ -275,6 +275,26 @@ def test_solve_says_when_halving_shortened_the_interval(tmp_path, capsys):
     assert attempts[-1]["iterates"] == report["iterates"]
 
 
+def test_log_level_info_prints_each_halving(tmp_path, capsys):
+    # the default level keeps the solver's INFO lines off stderr
+    cfg = _write_cfg(tmp_path / "h.cfg", [
+        "problem.lambda_re = 8.0",
+        "problem.T = 2.0",
+        "phi.preset = gaussian",
+        "phi.center = 10.0",
+        "phi.width = 1.5",
+        "grid.nx = 64",
+        "grid.nt = 64",
+    ])
+    assert main(["solve", cfg, "--out", str(tmp_path / "quiet")]) == 0
+    assert "halving" not in capsys.readouterr().err
+    args = ["solve", cfg, "--out", str(tmp_path / "out"), "--log-level", "INFO"]
+    assert main(args) == 0
+    err = capsys.readouterr().err
+    assert "no contraction on [0, 2]; halving" in err
+    assert err.count("; halving") == 4
+
+
 def test_readme_example_config_solves(tmp_path, capsys):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     text = readme.read_text(encoding="utf-8")

@@ -156,6 +156,34 @@ def test_duhamel_of_free_evolution():
         assert np.max(np.abs(fld.values[i] - sl)) / scale < 1e-10
 
 
+def test_stepped_spectra_do_not_drift_over_many_steps():
+    # duhamel_field and free_group_field advance their spectra one step at a
+    # time; after 2048 steps the last row must still match the direct
+    # trapezoid sum and the direct multiplier e^{-i T xi^2}
+    sg = SpatialGrid(-20.0, 20.0, 128)
+    tg = TimeGrid(1.0, 2048)
+    x, t = sg.nodes[None, :], tg.nodes[:, None]
+    w = SolutionField(sg, tg, np.exp(-(x - 2.0) ** 2) * np.exp(3j * t) * (1.0 + t))
+    last = duhamel_field(w).values[-1]
+    ref = _duhamel_slice(w, tg.m)
+    assert np.max(np.abs(last - ref)) / np.max(np.abs(ref)) <= 1e-12
+    phi = GridFunction(sg, np.exp(-(sg.nodes - 2.0) ** 2) + 0j)
+    last = free_group_field(phi, tg).values[-1]
+    ref = free_group(phi, tg.t_max).values
+    assert np.max(np.abs(last - ref)) / np.max(np.abs(ref)) <= 1e-12
+
+
+def test_operator_plan_keeps_no_field_sized_table():
+    # besides the forcing kernels the plan holds O(n): the free group and
+    # Duhamel step their spectra by one n-vector, not an (m+1, n) table
+    sg = SpatialGrid(-20.0, 20.0, 64)
+    tg = TimeGrid(0.5, 40)
+    plan = operator_plan(sg, tg)
+    arrays = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
+    assert all(a.size != (tg.m + 1) * sg.n for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= plan.kspec.nbytes + plan.b.nbytes + 32 * sg.n
+
+
 def test_duhamel_interior_residual():
     # i v_t + v_xx = w away from the time endpoints, checked with centered
     # differences for three inhomogeneities
@@ -298,14 +326,14 @@ def test_duhamel_and_map_leave_inputs_and_plan_unchanged():
     pre = _prepare_linear(phi, f, 1.0, 3.0, 1e-3)
     other = SolutionField(sg, tg, 0.5j * pre.linear.values)
     plan = operator_plan(sg, tg)
-    kept = [a.copy() for a in (pre.linear.values, other.values, plan.phase, plan.kspec)]
+    kept = [a.copy() for a in (pre.linear.values, other.values, plan.step, plan.kspec)]
     for w in (pre.linear, other):
         out = apply_lambda(w, pre)
         dw = duhamel_field(w)
         for res in (out, dw):
             assert not np.shares_memory(res.values, w.values)
             assert not np.shares_memory(res.values, pre.linear.values)
-    now = (pre.linear.values, other.values, plan.phase, plan.kspec)
+    now = (pre.linear.values, other.values, plan.step, plan.kspec)
     assert all(np.array_equal(a, b) for a, b in zip(kept, now))
 
 

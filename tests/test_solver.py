@@ -39,6 +39,7 @@ from halfline_nls.solver import (
     apply_lambda,
     compatibility_check,
     criticality,
+    mixed_norm,
 )
 from halfline_nls.spectral import extend_half_line, sobolev_norm
 
@@ -216,6 +217,34 @@ def test_compatibility_tolerance_scaling():
     assert not compatibility_check(phi, f, 1.0, tol=1e-10)
 
 
+def test_mixed_norm_at_s_zero_is_the_norm_in_x():
+    # J^0 is the identity: at s = 0 the norm is (dx sum |u|^r)^(1/r) in x,
+    # and s > 0 keeps the Bessel smoothing through the FFT bit for bit
+    sg = SpatialGrid(-20.0, 20.0, 64)
+    tg = TimeGrid(0.5, 16)
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((tg.m + 1, sg.n)) + 1j * rng.standard_normal((tg.m + 1, sg.n))
+    u = SolutionField(sg, tg, vals)
+    xi = sg.frequencies
+    for s, alpha in ((0.0, 3.0), (0.0, 5.0), (0.3, 3.0), (1.0, 3.0)):
+        pair = admissible_pair(s, alpha)
+        if s == 0.0:
+            smoothed = vals
+        else:
+            bessel = (1.0 + xi * xi) ** (s / 2.0)
+            smoothed = np.fft.ifft(bessel * np.fft.fft(vals, axis=1), axis=1)
+        rows = (sg.dx * np.sum(np.abs(smoothed) ** pair.r, axis=1)) ** (1.0 / pair.r)
+        if math.isinf(pair.q):
+            expect = np.max(rows)
+        else:
+            expect = (tg.dt * np.sum(rows**pair.q)) ** (1.0 / pair.q)
+        got = mixed_norm(u, s, pair.q, pair.r)
+        if s == 0.0:
+            assert got == pytest.approx(expect, rel=1e-14)
+        else:
+            assert got == expect
+
+
 def test_apply_lambda_defocusing_free_is_w_independent():
     sg = SpatialGrid(-30.0, 30.0, 512)
     x = sg.nodes
@@ -335,7 +364,7 @@ def test_consecutive_solves_share_no_memory(monkeypatch):
     assert np.array_equal(u1.values, kept)
     plan = operator_plan(sg, u1.tgrid)
     others = [p.linear.values for p in pres]
-    others += [plan.phase, plan.inv, plan.kspec, plan.b]
+    others += [plan.step, plan.inv, plan.kspec, plan.b]
     assert not np.shares_memory(u1.values, u2.values)
     for u in (u1, u2):
         assert not any(np.shares_memory(u.values, a) for a in others)

@@ -131,7 +131,7 @@ def _phi_preset(cfg, x):
     if kind == "gaussian":
         return lambda xx: A * np.exp(-(((np.asarray(xx) - c) / w) ** 2)) + 0j
     if kind == "sech":
-        return lambda xx: A / np.cosh(np.asarray(xx) - c) + 0j
+        return lambda xx: A / np.cosh((np.asarray(xx) - c) / w) + 0j
     if kind == "zero":
         return lambda xx: np.zeros_like(np.asarray(xx), dtype=complex)
     if kind == "file":

@@ -25,6 +25,12 @@ antiderivative
     F(w) = (sqrt(pi)/2) e^{i pi/4} erf(e^{-i pi/4} w),      A = x^2/4,
 
 so the only discretization error is the piecewise-linear interpolation of h.
+The error function comes from the Faddeeva function w_F(z) = e^{-z^2}
+erfc(-i z), evaluated by Weideman's rational series (SIAM J. Numer. Anal. 31,
+1994) in numpy alone: at w = sqrt(A)/sigma, erf(e^{-i pi/4} w) =
+1 - E w_F(e^{i pi/4} w) with E = e^{i A / sigma^2}, the same factor as G's
+first term, so the two terms of G share one phase rather than each rounding
+its own.
 The frequency representation evaluates its multiplier on the damped,
 zero-padded contour of spectral.padded_spectrum, which the fractional Fourier
 path shares.
@@ -56,7 +62,6 @@ import functools
 import warnings
 
 import numpy as np
-from scipy.special import erf
 
 from .fractional import frac_derivative
 from .grids import GridFunction, SolutionField, SpatialGrid, TimeGrid, TimeSignal
@@ -64,13 +69,44 @@ from .spectral import padded_spectrum
 
 ROOT_PI = np.sqrt(np.pi)
 _E_PLUS4 = np.exp(0.25j * np.pi)
-_E_MINUS4 = np.exp(-0.25j * np.pi)
 _F_INF = 0.5 * ROOT_PI * _E_PLUS4
 _EDGE_TOL = 1e-8
 _X_CHUNK = 256
 # a solve that halves twice touches three time grids (T, T/2, T/4); with two
 # slots each one is evicted before the next solve on the same data reaches it
 _PLAN_SLOTS = 3
+
+
+def _weideman_coefficients(n):
+    """Weideman's series for the Faddeeva function: the scale L and the n
+    coefficients of its polynomial in Z = (L + i z)/(L - i z), highest
+    power first, from one FFT of 4n samples of e^{-t^2} (L^2 + t^2) at
+    t = L tan(theta/2)."""
+    m = 2 * n
+    L = np.sqrt(n / np.sqrt(2.0))
+    t = L * np.tan(0.5 * np.pi * np.arange(1 - m, m) / m)
+    f = np.concatenate(([0.0], np.exp(-t * t) * (L * L + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return L, a[n:0:-1]
+
+
+# 40 terms: relative error about 1e-14 on Im z >= 0 (32 give 3e-14, 24 give 8e-11)
+_W_SCALE, _W_COEF = _weideman_coefficients(40)
+
+
+def _faddeeva(z):
+    """w(z) = e^{-z^2} erfc(-i z) for Im z >= 0, by Weideman's series
+    w(z) = 2 p(Z) / (L - i z)^2 + pi^(-1/2) / (L - i z), one Horner loop."""
+    d = 1.0 / (_W_SCALE - 1j * np.asarray(z))
+    Z = (2.0 * _W_SCALE) * d - 1.0  # (L + i z) / (L - i z)
+    p = np.full(Z.shape, _W_COEF[0], dtype=complex)
+    for c in _W_COEF[1:]:
+        p *= Z
+        p += c
+    p *= 2.0 * d
+    p += 1.0 / ROOT_PI
+    p *= d
+    return p
 
 
 class EdgeDecayWarning(UserWarning):
@@ -158,9 +194,10 @@ def _bf_kernel_chunk(x, dt, m):
     M0 = 2[G]_{sigma_{k-1}}^{sigma_k} and the first moment comes from the
     antiderivative of sigma^2 e^{i A/sigma^2},
     W(sigma) = (sigma^3 e^{i A/sigma^2} + 2 i A G(sigma)) * 2/3.
-    G (the Fresnel antiderivative of the module docstring) and W share one
-    e^{i A/sigma^2} for sigma > 0; the sigma = 0 column takes their limits,
-    G = -2 i sqrt(A) F(inf) and sigma^3 e^{i A/sigma^2} -> 0.
+    G (the Fresnel antiderivative of the module docstring, its error function
+    included) and W share one e^{i A/sigma^2} for sigma > 0; the sigma = 0
+    column takes their limits, G = -2 i sqrt(A) F(inf) and
+    sigma^3 e^{i A/sigma^2} -> 0.
     At x=0 these reduce exactly to the half-order integral weights.
     """
     A = (0.25 * x * x)[:, None]
@@ -169,9 +206,9 @@ def _bf_kernel_chunk(x, dt, m):
     E = np.exp(1j * A / (sig * sig))
     G = np.empty((len(x), m + 1), dtype=complex)
     G[:, :1] = -2j * ra * _F_INF
-    G[:, 1:] = sig * E - 2j * ra * (
-        0.5 * ROOT_PI * _E_PLUS4 * erf(_E_MINUS4 * ra / sig)
-    )
+    # F(w) = F(inf) (1 - E w_F(e^{i pi/4} w)) at w = sqrt(A)/sigma, w_F the
+    # Faddeeva function: E is the e^{i A/sigma^2} of G's first term
+    G[:, 1:] = sig * E - 2j * ra * _F_INF * (1.0 - E * _faddeeva(_E_PLUS4 * ra / sig))
     W = 2j * A * G
     W[:, 1:] += sig**3 * E
     W *= 2.0 / 3.0

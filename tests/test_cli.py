@@ -212,6 +212,23 @@ def test_solve_standing_wave_field(tmp_path):
     assert report["converged"] is True
 
 
+@pytest.mark.parametrize("preset, shape", [
+    ("gaussian", lambda y: np.exp(-y * y)),
+    ("sech", lambda y: 1.0 / np.cosh(y)),
+])
+def test_phi_presets_honour_width(tmp_path, preset, shape):
+    cfg = parse_config(_write_cfg(tmp_path / "w.cfg", [
+        f"phi.preset = {preset}",
+        "phi.amplitude = 0.5",
+        "phi.center = 3.0",
+        "phi.width = 2.0",
+        "grid.nx = 64",
+        "grid.nt = 16",
+    ]))
+    spec, _ = build_problem(cfg)
+    assert np.allclose(spec.phi, 0.5 * shape((spec.phi_x - 3.0) / 2.0), rtol=1e-15, atol=0.0)
+
+
 def test_solve_supercritical_exits_one(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "s.cfg", [
         "problem.alpha = 6.0",
@@ -552,20 +569,30 @@ def test_solve_outputs_are_deterministic(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-def test_cli_import_leaves_the_oracle_dependencies_unloaded():
-    # only verify and converge need scipy.interpolate and scipy.linalg; a
-    # solve must not pay for importing them
+def test_cli_import_leaves_the_oracle_dependencies_unloaded(tmp_path):
+    # only verify and converge need scipy (the Crank-Nicolson oracle and
+    # compare_fields); an import and a whole solve must not pay for it
+    cfg = _write_cfg(tmp_path / "g.cfg", [
+        "problem.lambda_re = 2.0",
+        "problem.T = 0.5",
+        "phi.preset = gaussian",
+        "phi.center = 10.0",
+        "grid.nx = 128",
+        "grid.nt = 64",
+    ])
     probe = (
         "import sys, halfline_nls.cli; "
-        "print(sorted(m for m in ('scipy.interpolate', 'scipy.linalg') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+        f"code = halfline_nls.cli.main(['solve', {cfg!r}, '--out', {str(tmp_path)!r}]); "
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     r = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, env=_child_env(), timeout=120,
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    lines = r.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []"), r.stdout
 
 
 def test_console_script_entry_point_is_main():

@@ -31,6 +31,7 @@ from halfline_nls import (
 )
 from halfline_nls.operators import (
     _bf_kernel_chunk,
+    _faddeeva,
     duhamel_field,
     free_group_field,
     operator_plan,
@@ -295,6 +296,55 @@ def test_forcing_plan_matches_two_kernel_quadrature(sg, kernel_rows):
     # one kernel row per distinct |x|
     assert operator_plan(sg, tg).kspec.shape == (kernel_rows, 2 * tg.m)
 
+
+
+def test_faddeeva_matches_wofz():
+    special = pytest.importorskip("scipy.special")
+    # the forcing kernels evaluate w on the ray e^{i pi/4} w, w = sqrt(A)/sigma
+    w = np.concatenate(([0.0], np.logspace(-8, 4, 2001), np.linspace(0.0, 1e4, 2001)))
+    ray = np.exp(0.25j * np.pi) * w
+    other = np.array([1 + 1j, 0.1j, 5j, 30 + 0.01j, -7 + 2j, 1e3j, -1e3 + 1e3j,
+                      3.3, -2.2 + 0.5j])
+    for z in (ray, other):
+        ref = special.wofz(z)
+        assert np.max(np.abs(_faddeeva(z) - ref) / np.abs(ref)) <= 1e-13
+
+
+def _forcing_b_exact(x, dt, lags):
+    # b_1..b_lags from the G/W formulas of _bf_kernel_chunk in 60-digit
+    # arithmetic, erf included
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        A = mp.mpf(x) ** 2 / 4
+        ra = mp.sqrt(A)
+        f_inf = mp.sqrt(mp.pi) / 2 * mp.expjpi(mp.mpf(1) / 4)
+        G = [-2j * ra * f_inf]
+        W = [G[0] * 4j * A / 3]
+        for k in range(1, lags + 1):
+            s = mp.sqrt(k * mp.mpf(dt))
+            e = mp.expj(A / s**2)
+            G.append(s * e - 2j * ra * f_inf * mp.erf(mp.expjpi(-mp.mpf(1) / 4) * ra / s))
+            W.append((s**3 * e + 2j * A * G[k]) * 2 / 3)
+        b = []
+        for k in range(1, lags + 1):
+            M1 = 2 * k * (G[k] - G[k - 1]) - (W[k] - W[k - 1]) / mp.mpf(dt)
+            b.append(complex(M1 / mp.sqrt(mp.pi)))
+    return b
+
+
+def test_forcing_kernel_matches_extended_precision_far_from_origin():
+    # far from x=0 the kernel's two Fresnel terms nearly cancel: b there is
+    # 1e-5 of its largest entry (x=0, lag 1) or less, so an error function
+    # that rounds its own phase, not the shared e^{i A/sigma^2}, shows
+    pytest.importorskip("mpmath")
+    absx = np.unique(np.abs(SpatialGrid(-30.0, 30.0, 1024).nodes))
+    rows = absx[[0, 26, 100, 300, 491]]  # 0, 1.52, 5.86, 17.58, 28.77
+    dt, lags = 0.5 / 512, 4
+    _, b = _bf_kernel_chunk(rows, dt, lags)
+    exact = np.array([_forcing_b_exact(x, dt, lags) for x in rows[1:]])
+    scale = np.max(np.abs(b))
+    assert scale == np.abs(b[0, 1])
+    assert np.max(np.abs(b[1:, 1:] - exact)) <= 2e-7 * scale
 
 def test_operator_plan_cache_holds_a_twice_halving_solve():
     # the standing wave asked for on [0, 2] contracts only on [0, 0.5]: one

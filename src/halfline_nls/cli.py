@@ -253,11 +253,8 @@ def read_field(path):
     data = np.loadtxt(path, delimiter=",", ndmin=2)
     t = data[:, 0]
     vals = data[:, 1::2] + 1j * data[:, 2::2]
+    # x_last is the last node of either grid kind
     x = np.linspace(float(meta["x_first"]), float(meta["x_last"]), n)
-    if meta["kind"] == "whole":
-        # whole-line grids exclude the right endpoint
-        dx = (float(meta["x_last"]) - float(meta["x_first"])) / (n - 1)
-        x = float(meta["x_first"]) + dx * np.arange(n)
     return x, t, vals
 
 

@@ -96,6 +96,9 @@ class HalfLineGrid:
     def nodes(self):
         return self.dx * np.arange(self.nx + 1)
 
+    def index_nearest_zero(self):
+        return 0
+
 
 def _as_complex(values, length, what):
     v = np.asarray(values, dtype=complex)
@@ -139,7 +142,7 @@ class SolutionField:
     """Space-time array u[i, j] = u(x_j, t_i) with attached grids.
 
     sgrid is a SpatialGrid for whole-line fields or a HalfLineGrid for
-    finite-difference fields; both expose .nodes.
+    finite-difference fields; both expose .nodes and .index_nearest_zero().
     """
 
     sgrid: object
@@ -164,8 +167,5 @@ class SolutionField:
 
     def trace_nearest_zero(self):
         """Time trace at the node nearest x=0."""
-        if isinstance(self.sgrid, SpatialGrid):
-            j = self.sgrid.index_nearest_zero()
-        else:
-            j = 0
+        j = self.sgrid.index_nearest_zero()
         return TimeSignal(self.tgrid, self.values[:, j].copy())

@@ -28,9 +28,13 @@ so the only discretization error is the piecewise-linear interpolation of h.
 The error function comes from the Faddeeva function w_F(z) = e^{-z^2}
 erfc(-i z), evaluated by Weideman's rational series (SIAM J. Numer. Anal. 31,
 1994) in numpy alone: at w = sqrt(A)/sigma, erf(e^{-i pi/4} w) =
-1 - E w_F(e^{i pi/4} w) with E = e^{i A / sigma^2}, the same factor as G's
-first term, so the two terms of G share one phase rather than each rounding
-its own.
+1 - E w_F(e^{i pi/4} w) with E = e^{i A / sigma^2}. Only differences of G
+enter the weights, so the kernels take G less G(0) = -2 i sqrt(A) F(inf),
+
+    G(sigma) - G(0) = E (sigma + 2 i sqrt(A) F(inf) w_F(e^{i pi/4} sqrt(A)/sigma)):
+
+G's two terms share one phase, and the constant G(0), far from x=0 much
+larger than the differences, is never added and subtracted.
 The frequency representation evaluates its multiplier on the damped,
 zero-padded contour of spectral.padded_spectrum, which the fractional Fourier
 path shares.
@@ -194,9 +198,9 @@ def _bf_kernel_chunk(x, dt, m):
     M0 = 2[G]_{sigma_{k-1}}^{sigma_k} and the first moment comes from the
     antiderivative of sigma^2 e^{i A/sigma^2},
     W(sigma) = (sigma^3 e^{i A/sigma^2} + 2 i A G(sigma)) * 2/3.
-    G (the Fresnel antiderivative of the module docstring, its error function
-    included) and W share one e^{i A/sigma^2} for sigma > 0; the sigma = 0
-    column takes their limits, G = -2 i sqrt(A) F(inf) and
+    M0 and the first moment are differences of G and W, so G is taken less
+    its value at sigma = 0 (the module docstring's form, one e^{i A/sigma^2}
+    shared with W): the sigma = 0 column of G is zero, and there
     sigma^3 e^{i A/sigma^2} -> 0.
     At x=0 these reduce exactly to the half-order integral weights.
     """
@@ -204,11 +208,8 @@ def _bf_kernel_chunk(x, dt, m):
     ra = np.sqrt(A)
     sig = np.sqrt(np.arange(1, m + 1) * dt)
     E = np.exp(1j * A / (sig * sig))
-    G = np.empty((len(x), m + 1), dtype=complex)
-    G[:, :1] = -2j * ra * _F_INF
-    # F(w) = F(inf) (1 - E w_F(e^{i pi/4} w)) at w = sqrt(A)/sigma, w_F the
-    # Faddeeva function: E is the e^{i A/sigma^2} of G's first term
-    G[:, 1:] = sig * E - 2j * ra * _F_INF * (1.0 - E * _faddeeva(_E_PLUS4 * ra / sig))
+    G = np.zeros((len(x), m + 1), dtype=complex)
+    G[:, 1:] = E * (sig + 2j * ra * _F_INF * _faddeeva(_E_PLUS4 * ra / sig))
     W = 2j * A * G
     W[:, 1:] += sig**3 * E
     W *= 2.0 / 3.0

@@ -24,7 +24,6 @@ import cmath
 import logging
 import math
 from dataclasses import asdict, dataclass, field as dc_field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .operators import (
     boundary_forcing_time, duhamel_field, free_group_field, operator_plan,
 )
 from .spectral import (
-    _l2_norm_rows, _plancherel_norm, boundary_value, extend_half_line, smooth_ramp,
+    _plancherel_norm, boundary_value, extend_half_line, smooth_ramp, sobolev_norm,
 )
 
 log = logging.getLogger(__name__)
@@ -150,49 +149,47 @@ class IterationReport:
 def admissible_pair(s: float, alpha: float) -> AdmissiblePair:
     """Strichartz exponents (q, r) for regularity s and power alpha.
 
-    For s >= 1/2 the high-regularity branch (q, r) = (inf, 2) applies. The
-    admissibility identity 1/q + 1/(2r) = 1/4 is verified in exact rational
-    arithmetic.
+    For s >= 1/2 the high-regularity branch (q, r) = (inf, 2) applies. Below
+    it, r = (alpha+1)/(1+(alpha-1)s) and q = 4(alpha+1)/((alpha-1)(1-2s)),
+    which satisfy 1/q + 1/(2r) = 1/4 and q, r >= 2 for every alpha > 1.
     """
     if s >= 0.5:
         return AdmissiblePair(q=math.inf, r=2.0)
     if not 0.0 <= s < 0.5:
         raise ValueError("0 <= s required")
-    if alpha <= 1.0:
-        raise ValueError("alpha > 1 required")
-    sF = Fraction(s)
-    aF = Fraction(alpha)
-    rF = (aF + 1) / (1 + (aF - 1) * sF)
-    qF = 4 * (aF + 1) / ((aF - 1) * (1 - 2 * sF))
-    if Fraction(1, 1) / qF + Fraction(1, 2) / rF != Fraction(1, 4):
-        raise AssertionError("admissibility identity violated")
-    if rF < 2 or qF < 2:
-        raise AssertionError("exponents below 2")
-    return AdmissiblePair(q=float(qF), r=float(rF))
+    if not 1.0 < alpha < math.inf:
+        raise ValueError("1 < alpha < inf required")
+    r = (alpha + 1.0) / (1.0 + (alpha - 1.0) * s)
+    q = 4.0 * (alpha + 1.0) / ((alpha - 1.0) * (1.0 - 2.0 * s))
+    return AdmissiblePair(q=q, r=r)
 
 
 def criticality(s: float, alpha: float) -> str:
-    """Classify (s, alpha) as subcritical, critical, or supercritical."""
+    """Classify (s, alpha) as subcritical, critical, or supercritical.
+
+    Critical means alpha within _CRIT_NOISE (relative) of (5-2s)/(1-2s)."""
     if not (0.0 <= s < 1.5) or s == 0.5:
         raise ValueError("0 <= s < 3/2, s != 1/2 required")
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     if s > 0.5:
         return "subcritical"
-    threshold = (5 - 2 * Fraction(s)) / (1 - 2 * Fraction(s))
-    aF = Fraction(alpha)
-    if aF == threshold or abs(alpha - float(threshold)) <= _CRIT_NOISE * float(threshold):
+    threshold = (5.0 - 2.0 * s) / (1.0 - 2.0 * s)
+    if abs(alpha - threshold) <= _CRIT_NOISE * threshold:
         return "critical"
-    return "subcritical" if aF < threshold else "supercritical"
+    return "subcritical" if alpha < threshold else "supercritical"
 
 
-def compatibility_check(phi, f: TimeSignal, s: float, grid=None,
-                        tol=_COMPAT_TOL) -> bool:
-    """Boundary compatibility phi(0) = f(0), demanded only for s > 1/2."""
+def compatibility_check(phi, f: TimeSignal, s: float, grid: SpatialGrid) -> bool:
+    """Boundary compatibility phi(0) = f(0), demanded only for s > 1/2.
+
+    phi holds the samples on grid's x >= 0 nodes; phi(0) is boundary_value's.
+    """
     if s <= 0.5:
         return True
-    phi = np.asarray(phi, dtype=complex)
-    phi0 = boundary_value(phi, grid) if grid is not None else complex(phi[0])
+    phi0 = boundary_value(phi, grid)
     f0 = complex(f.values[0])
-    return abs(phi0 - f0) <= tol * max(1.0, abs(phi0), abs(f0))
+    return abs(phi0 - f0) <= _COMPAT_TOL * max(1.0, abs(phi0), abs(f0))
 
 
 def mixed_norm(field: SolutionField, s: float, q: float, r: float) -> float:
@@ -360,9 +357,9 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
         report.iterates += 1
         # C_t H^s_x norms: the max over time slices of the H^s norm in x
         if s == 0.0:
-            norm_u = float(np.max(_l2_norm_rows(u_next.values, pre.sgrid)))
+            norm_u = float(np.max(sobolev_norm(u_next.values, pre.sgrid, 0.0)))
             update = np.subtract(u_next.values, u.values, out=work.field(spare))
-            delta = float(np.max(_l2_norm_rows(update, pre.sgrid)))
+            delta = float(np.max(sobolev_norm(update, pre.sgrid, 0.0)))
         else:
             uhat_next = np.fft.fft(u_next.values, axis=1, out=work.duhamel[:-1])
             norm_u = float(np.max(_plancherel_norm(uhat_next, pre.sgrid, s, p)))
@@ -448,16 +445,10 @@ def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
 
 def solve_ibvp(spec: ProblemSpec, cfg: SolverConfig):
     """Solve the IBVP; returns (SolutionField, IterationReport)."""
-    if spec.s > 0.5 and not compatibility_check(spec.phi, spec.f, spec.s, grid=cfg.sgrid):
-        raise CompatibilityError("phi(0) != f(0) while s > 1/2 demands it")
-    x = cfg.sgrid.nodes
-    n_nonneg = int(np.sum(x >= 0.0))
-    if len(spec.phi) != n_nonneg:
-        raise ValueError(
-            f"phi must be sampled on the {n_nonneg} grid nodes with x >= 0"
-        )
-    m_work = max(8, round(spec.T / spec.f.grid.dt))
     phi_ext = extend_half_line(spec.phi, cfg.sgrid)
+    if not compatibility_check(spec.phi, spec.f, spec.s, cfg.sgrid):
+        raise CompatibilityError("phi(0) != f(0) while s > 1/2 demands it")
+    m_work = max(8, round(spec.T / spec.f.grid.dt))
     return _solve_from_slice(phi_ext, spec, 0.0, spec.T, m_work, cfg)
 
 

@@ -9,10 +9,11 @@ the 1/(2*pi) weight, the discrete Parseval identity
 
     (d_xi / 2 pi) * sum |g_hat|^2  =  dx * sum |g|^2
 
-holds exactly, so the s=0 Sobolev norm reproduces the grid L2 norm to
-rounding. Multiplier applications ifft(m * fft(g)) do not depend on the grid's
-absolute position (the x_min phase factors cancel), which is the only way
-transforms are used here.
+holds exactly, so at s=0 the Plancherel sum is the grid L2 norm up to
+rounding; sobolev_norm takes that norm as the sum in x. Multiplier
+applications ifft(m * fft(g)) do not depend on the grid's absolute position
+(the x_min phase factors cancel), which is the only way transforms are used
+here.
 """
 from __future__ import annotations
 
@@ -26,9 +27,17 @@ def sobolev_norm(values, grid: SpatialGrid, s: float):
 
     The weighted Plancherel sum sqrt(dx/n * sum (1+xi^2)^s |fft(values)|^2);
     the scale is applied after the sum, so the spectrum is never rescaled.
+    At s = 0 it is the sum in x, sqrt(dx * sum |values|^2), equal by Parseval
+    up to rounding, with no transform and no temporary.
     Returns a float for one slice and an array for a stack of slices.
     """
-    norm = _plancherel_norm(np.fft.fft(values, axis=-1), grid, s)
+    if s == 0.0:
+        v = np.ascontiguousarray(values, dtype=complex).view(float)
+        rows = v.reshape(-1, v.shape[-1])
+        norm = np.sqrt(grid.dx * np.einsum("ij,ij->i", rows, rows))
+        norm = norm.reshape(v.shape[:-1])
+    else:
+        norm = _plancherel_norm(np.fft.fft(values, axis=-1), grid, s)
     return float(norm) if norm.ndim == 0 else norm
 
 
@@ -43,14 +52,6 @@ def _plancherel_norm(spectrum, grid: SpatialGrid, s: float, work=None):
     p *= p
     p *= w2
     return np.sqrt(grid.dx / grid.n * np.sum(p, axis=-1))
-
-
-def _l2_norm_rows(values, grid: SpatialGrid):
-    """The s=0 sobolev_norm of each row of a C-contiguous 2-D array, taken
-    in x: sqrt(dx * sum |values|^2), equal to the Plancherel sum by Parseval
-    up to rounding, with no transform and no temporary."""
-    v = values.view(float)
-    return np.sqrt(grid.dx * np.einsum("ij,ij->i", v, v))
 
 
 _PAD = 4
@@ -83,17 +84,10 @@ def _psi(sigma):
 def smooth_ramp(sigma):
     """C-infinity ramp: 0 for sigma<=0, 1 for sigma>=1, strictly monotone
     between, built from the standard exp(-1/s) gluing."""
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = np.clip(np.asarray(sigma, dtype=float), 0.0, 1.0)
     a = _psi(sigma)
     b = _psi(1.0 - sigma)
-    out = np.empty_like(sigma)
-    lo = sigma <= 0.0
-    hi = sigma >= 1.0
-    mid = ~(lo | hi)
-    out[lo] = 0.0
-    out[hi] = 1.0
-    out[mid] = a[mid] / (a[mid] + b[mid])
-    return out
+    return a / (a + b)
 
 
 def _extension_window(x, x_min):
@@ -116,7 +110,7 @@ def extend_half_line(phi, grid: SpatialGrid) -> GridFunction:
     nonneg = np.nonzero(x >= 0.0)[0]
     if len(phi) != len(nonneg):
         raise ValueError(
-            f"extend_half_line: expected {len(nonneg)} samples on x>=0 nodes, "
+            f"phi must be sampled on the {len(nonneg)} grid nodes with x >= 0, "
             f"got {len(phi)}"
         )
     out = np.zeros(grid.n, dtype=complex)

@@ -244,10 +244,7 @@ def mass_flux_balance(field: SolutionField) -> dict:
     imbalance and its value relative to the peak mass.
     """
     x = np.asarray(field.sgrid.nodes, dtype=float)
-    if isinstance(field.sgrid, SpatialGrid):
-        j0 = field.sgrid.index_nearest_zero()
-    else:
-        j0 = 0
+    j0 = field.sgrid.index_nearest_zero()
     xs = x[j0:]
     vals = field.values[:, j0:]
     dt = field.tgrid.dt
@@ -316,14 +313,13 @@ def convergence_study(
             errors.append(compare_fields(u_k, finest).rel_l2)
 
     table = []
-    effective = errors
     flagged = False
     reason = ""
-    if all(e == 0.0 for e in effective):
+    if all(e == 0.0 for e in errors):
         flagged = True
         reason = "zero field; orders undefined"
     elif any(
-        e2 >= e1 for e1, e2 in zip(effective[:-1], effective[1:])
+        e2 >= e1 for e1, e2 in zip(errors[:-1], errors[1:])
     ):
         flagged = True
         reason = "non-monotone errors; no order reported"
@@ -331,13 +327,13 @@ def convergence_study(
     if not flagged:
         orders = [
             math.log2(e1 / e2)
-            for e1, e2 in zip(effective[:-1], effective[1:])
+            for e1, e2 in zip(errors[:-1], errors[1:])
         ]
     for k, row in enumerate(rows):
         entry = dict(row)
         entry["error"] = errors[k] if k < len(errors) else None
         entry["order"] = (
-            orders[k - 1] if (not flagged and 1 <= k <= len(orders)) else None
+            orders[k - 1] if 1 <= k <= len(orders) else None
         )
         table.append(entry)
     return {"table": table, "flagged": flagged, "reason": reason, "orders": orders}

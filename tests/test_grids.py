@@ -165,6 +165,7 @@ def test_solution_field_on_half_line_grid():
     tg = TimeGrid(1.0, 8)
     u = SolutionField(hg, tg, np.zeros((9, 21)))
     # the trace lives at the left edge, which is x=0 for this grid kind
+    assert hg.index_nearest_zero() == 0
     tr = u.trace_nearest_zero()
     assert len(tr.values) == 9
     with pytest.raises(TypeError):

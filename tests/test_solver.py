@@ -162,6 +162,9 @@ def test_exponent_pair_validation():
         admissible_pair(-0.1, 3.0)
     with pytest.raises(ValueError):
         admissible_pair(0.2, 1.0)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            admissible_pair(0.2, alpha)
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,14 +191,19 @@ def test_criticality_validation():
     for bad in (0.5, -0.1, 1.5, 2.0):
         with pytest.raises(ValueError):
             criticality(bad, 3.0)
+    for s in (0.0, 1.0):
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                criticality(s, alpha)
 
 
 def test_compatibility_low_regularity_always_passes():
+    sg = SpatialGrid(-2.0, 2.0, 16)
     tg = TimeGrid(1.0, 8)
     f = TimeSignal(tg, np.full(9, 5.0 + 0j))
-    phi = np.zeros(4, dtype=complex)
-    assert compatibility_check(phi, f, 0.3)
-    assert compatibility_check(phi, f, 0.0)
+    phi = np.zeros(8, dtype=complex)
+    assert compatibility_check(phi, f, 0.3, sg)
+    assert compatibility_check(phi, f, 0.0, sg)
 
 
 def test_compatibility_high_regularity():
@@ -205,16 +213,18 @@ def test_compatibility_high_regularity():
     tg = TimeGrid(1.0, 8)
     f_good = TimeSignal(tg, np.full(9, phi[0]))
     f_bad = TimeSignal(tg, np.full(9, 0.5 + 0j))
-    assert compatibility_check(phi, f_good, 1.0, grid=sg)
-    assert not compatibility_check(phi, f_bad, 1.0, grid=sg)
+    assert compatibility_check(phi, f_good, 1.0, sg)
+    assert not compatibility_check(phi, f_bad, 1.0, sg)
 
 
 def test_compatibility_tolerance_scaling():
+    # the module tolerance is 1e-8 relative to max(1, |phi(0)|, |f(0)|)
+    sg = SpatialGrid(-2.0, 2.0, 16)
     tg = TimeGrid(1.0, 8)
-    f = TimeSignal(tg, np.full(9, 1.0 + 5e-9 + 0j))
-    phi = np.array([1.0 + 0j])
-    assert compatibility_check(phi, f, 1.0, tol=1e-8)
-    assert not compatibility_check(phi, f, 1.0, tol=1e-10)
+    phi = np.ones(8, dtype=complex)
+    for gap, ok in ((5e-9, True), (5e-8, False)):
+        f = TimeSignal(tg, np.full(9, 1.0 + gap + 0j))
+        assert compatibility_check(phi, f, 1.0, sg) is ok
 
 
 def test_mixed_norm_at_s_zero_is_the_norm_in_x():
@@ -429,19 +439,22 @@ def test_solve_linear_mass_flux_balance(linear_solution):
 
 
 def test_solve_rejects_wrong_phi_length():
+    # the length is checked first: at s = 1 this phi(0) = 1 != f(0) = 0 must
+    # not be judged from samples that do not sit on the grid's x >= 0 nodes
     sg = SpatialGrid(-20.0, 20.0, 64)
     tg = TimeGrid(0.5, 32)
-    spec = ProblemSpec(
-        1.0, 3.0, 0.0, np.zeros(7, dtype=complex),
-        TimeSignal(tg, np.zeros(33, dtype=complex)), 0.5,
-    )
-    with pytest.raises(ValueError, match="x >= 0"):
-        solve_ibvp(spec, SolverConfig(sgrid=sg))
+    for s in (0.0, 1.0):
+        spec = ProblemSpec(
+            1.0, 3.0, s, np.ones(7, dtype=complex),
+            TimeSignal(tg, np.zeros(33, dtype=complex)), 0.5,
+        )
+        with pytest.raises(ValueError, match="x >= 0"):
+            solve_ibvp(spec, SolverConfig(sgrid=sg))
 
 
 def test_problem_spec_rejects_non_finite_inputs():
     # rejected up front: past these checks, T = nan dies in the solver's
-    # round(T / dt), alpha = inf or nan in Fraction, and lam = nan only after
+    # round(T / dt), alpha = inf or nan in criticality, and lam = nan only after
     # a map application has filled the field with non-finite entries
     tg = TimeGrid(0.5, 32)
     f = TimeSignal(tg, np.zeros(33, dtype=complex))

@@ -30,6 +30,11 @@ def test_sobolev_norm_s0_is_l2():
     v = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     direct = math.sqrt(grid.dx * float(np.sum(np.abs(v) ** 2)))
     assert abs(sobolev_norm(v, grid, 0.0) - direct) < 1e-12 * direct
+    # on rows it is the Picard loop's sum in x, bit for bit
+    rows = np.stack([v, 2.0 * v, v.conj()])
+    re_im = rows.view(float)
+    xsum = np.sqrt(grid.dx * np.einsum("ij,ij->i", re_im, re_im))
+    assert np.array_equal(sobolev_norm(rows, grid, 0.0), xsum)
 
 
 def test_h1_norm_of_gaussian_closed_form():

@@ -44,6 +44,9 @@ from .verification import (
     FDConfig, compare_fields, convergence_study, crank_nicolson, refined_problem,
 )
 
+# by name: run as `python -m halfline_nls.cli`, __name__ is "__main__"
+log = logging.getLogger("halfline_nls.cli")
+
 _DEFAULTS = {
     "problem.lambda_re": 0.0,
     "problem.lambda_im": 0.0,
@@ -277,6 +280,8 @@ def cmd_solve(config_path, out_dir=None):
         _write_json(os.path.join(out, "report.json"), exc.report.as_dict())
         return 2
 
+    log.info("boundary residual %.3e (max_t |u(0,t) - f(t)| / max |u| on x >= 0)",
+             report.boundary_residual)
     write_field(os.path.join(out, "field.csv"), field)
     trace = field.trace_nearest_zero()
     write_signal(os.path.join(out, "trace.csv"), field.tgrid.nodes, trace.values)

@@ -50,10 +50,11 @@ and a solve that halves its interval twice works on three time grids):
 * the forcing kernels on the distinct values of |x| only (they depend on x^2,
   so a grid symmetric about 0 needs about half the rows), folded into one
   kernel and stored as its FFT in t, so that one forcing application is one
-  spectrum product and one inverse FFT. The kernels are stored one row per
-  distinct |x|, shapes (r, 2m) and (r, m+1), so that the transform runs along
-  t in place on contiguous rows; along a strided axis it took about twice as
-  long.
+  spectrum product and one inverse FFT. The folded kernel's spectrum is
+  stored one row per distinct |x|, shape (r, 2m), so that the transform runs
+  along t in place on contiguous rows (along a strided axis it took about
+  twice as long); the b kernel's correction, shape (m, r), is stored one row
+  per lag, as the transposed rows it is subtracted from.
 
 A plan owns no buffer: it is shared read-only by every caller on its grids.
 duhamel_field and boundary_forcing_time write into buffers the caller hands
@@ -157,7 +158,8 @@ def free_group_field(phi: GridFunction, tgrid: TimeGrid) -> SolutionField:
     return SolutionField(phi.grid, tgrid, vals)
 
 
-def duhamel_field(w: SolutionField, out: np.ndarray | None = None) -> SolutionField:
+def duhamel_field(w: SolutionField, out: np.ndarray | None = None, start: int = 0,
+                  carry: np.ndarray | None = None) -> SolutionField:
     """Dw on all time slices by the trapezoid rule, stepped in Fourier space.
 
     With E = e^{-i dt xi^2} and w_hat_j the slices' spectra, the spectrum
@@ -168,25 +170,44 @@ def duhamel_field(w: SolutionField, out: np.ndarray | None = None) -> SolutionFi
     on one (m+2, n) buffer, out when given (w may then be out[1:] itself,
     transformed in place), whose first m+1 rows become the result; the plan
     is only read.
+
+    The recursion is causal: slice i needs only D_{i-1} and the slices of w
+    at t_{i-1} and t_i. With start = k > 0 it restarts from carry, the
+    spectrum D_{k-1} = fft(Dw(., t_{k-1})) of an earlier call, reads only
+    w's slices k-1.. and computes only the slices k..; the slices before k
+    are returned as zeros. The fixed-point solver carries D_{k-1} across its
+    iterates this way, so that it recomputes only the slices that have not
+    converged.
     """
     sgrid, tgrid = w.sgrid, w.tgrid
     if not isinstance(sgrid, SpatialGrid):
         raise TypeError("duhamel_field needs a whole-line field")
+    m = tgrid.m
+    if not 0 <= start <= m:
+        raise ValueError("duhamel_field: 0 <= start <= m required")
+    if start > 0 and carry is None:
+        raise ValueError("duhamel_field: start > 0 needs the carried D_{start-1}")
     step = operator_plan(sgrid, tgrid).step
+    c = -0.5j * tgrid.dt
     # one spare row: w_hat_j sits on row j+1, so row i, the row of t_i, holds
     # w_hat_{i-1} when D_i/c = E (D_{i-1}/c + w_hat_{i-1}) + w_hat_i is
     # formed there from the row above and the row below
-    buf = np.empty((tgrid.m + 2, sgrid.n), dtype=complex) if out is None else out
-    np.fft.fft(w.values, axis=1, out=buf[1:])
-    buf[0] = 0.0
-    for i in range(1, tgrid.m + 1):
+    buf = np.empty((m + 2, sgrid.n), dtype=complex) if out is None else out
+    first = max(start, 1)
+    np.fft.fft(w.values[first - 1:], axis=1, out=buf[first:])
+    if start == 0:
+        buf[0] = 0.0
+    else:
+        np.multiply(carry, 1.0 / c, out=buf[start - 1])
+    for i in range(first, m + 1):
         row = buf[i]
         row += buf[i - 1]
         row *= step
         row += buf[i + 1]
-    rows = buf[1:-1]
-    rows *= -0.5j * tgrid.dt
+    rows = buf[first:-1]
+    rows *= c
     np.fft.ifft(rows, axis=1, out=rows)
+    buf[:start] = 0.0
     return SolutionField(sgrid, tgrid, buf[:-1])
 
 
@@ -237,9 +258,10 @@ class OperatorPlan:
       |x|, so forcing's inverse FFT runs along contiguous t. Only lags
       0..m of the product are read; the one wrapped lag, 2m, lands on lag 0,
       whose slice is zero by construction.
-    * b: the b kernel, shape (r, m+1). K's convolution with h counts
-      b_{l+1} h_0, which the b-sum (starting at h_1) does not; forcing
-      subtracts it.
+    * b: the b kernel less its lag 0, b_{l+1} on row l, shape (m, r): one
+      column per distinct |x|, laid out like forcing's transposed rows. K's
+      convolution with h counts b_{l+1} h_0, which the b-sum (starting at
+      h_1) does not; forcing subtracts it.
     * forcing_sizes: the element counts of forcing's two buffers, out
       (max((m+1) n, 2 m r)) and work ((m+1) r).
 
@@ -255,14 +277,14 @@ class OperatorPlan:
         r = len(absx)
         self.forcing_sizes = (max((m + 1) * sgrid.n, 2 * m * r), (m + 1) * r)
         self.kspec = np.empty((r, 2 * m), dtype=complex)
-        self.b = np.empty((r, m + 1), dtype=complex)
+        self.b = np.empty((m, r), dtype=complex)
         # row chunks bound the Fresnel temporaries of the kernel build
         for lo in range(0, r, _X_CHUNK):
             hi = min(lo + _X_CHUNK, r)
             a, b = _bf_kernel_chunk(absx[lo:hi], tgrid.dt, m)
             a[:, :-1] += b[:, 1:]
             self.kspec[lo:hi] = np.fft.fft(a, 2 * m, axis=1)
-            self.b[lo:hi] = b
+            self.b[:, lo:hi] = b[:, 1:].T
         for arr in (self.step, self.inv, self.kspec, self.b):
             arr.flags.writeable = False
 
@@ -278,14 +300,16 @@ def _check_vanishing_start(f: TimeSignal, what):
 
 def boundary_forcing_time(
     f: TimeSignal, sgrid: SpatialGrid, tgrid: TimeGrid | None = None,
-    out: np.ndarray | None = None, work: np.ndarray | None = None,
+    out: np.ndarray | None = None, work: np.ndarray | None = None, start: int = 0,
 ) -> SolutionField:
     """Time-representation boundary forcing field on sgrid x f's grid.
 
     Two flat complex buffers, of at least the plan's forcing_sizes and
     allocated unless given, hold the work: out first holds the (r, 2m)
     spectrum product (r distinct |x|), then receives the field; work holds
-    the product's transposed rows.
+    the product's transposed rows. With start = k the t-FFT stays whole,
+    but only the slices k.. are transposed and gathered, bit-equal to the
+    full call's; the slices before k are returned as zeros.
     """
     if tgrid is None:
         tgrid = f.grid
@@ -293,6 +317,8 @@ def boundary_forcing_time(
         raise ValueError("boundary_forcing_time: f must live on tgrid")
     _check_vanishing_start(f, "boundary_forcing_time")
     m, n = tgrid.m, sgrid.n
+    if not 0 <= start <= m:
+        raise ValueError("boundary_forcing_time: 0 <= start <= m required")
     h = frac_derivative(f, 0.5).values
     plan = operator_plan(sgrid, tgrid)
     r = len(plan.kspec)
@@ -303,16 +329,21 @@ def boundary_forcing_time(
     buf = out[: 2 * m * r].reshape(r, 2 * m)
     np.multiply(plan.kspec, np.fft.fft(h, 2 * m), out=buf)
     np.fft.ifft(buf, axis=1, out=buf)
-    buf[:, :m] -= np.multiply(h[0], plan.b[:, 1:], out=work[: r * m].reshape(r, m))
-    rows = work[: (m + 1) * r].reshape(m + 1, r)
-    np.copyto(rows, buf[:, : m + 1].T)
-    rows[0] = 0.0  # every kernel weight at lag 0 is zero by construction
+    # the transposed lags less K's h_0 b_{l+1} term, in one pass over the
+    # product (b_{m+1} = 0: lag m takes none)
+    rows = work[: (m + 1 - start) * r].reshape(m + 1 - start, r)
+    np.multiply(h[0], plan.b[start:], out=rows[: m - start])
+    rows[m - start] = 0.0
+    np.subtract(buf[:, start: m + 1].T, rows, out=rows)
+    if start == 0:
+        rows[0] = 0.0  # every kernel weight at lag 0 is zero by construction
     # the gather overwrites the product it no longer needs. np.take, not
     # rows[:, inv]: SolutionField needs a C-contiguous array; mode "clip"
     # (inv is in range by construction) writes straight into out, where
     # "raise" would buffer a whole output
-    vals = np.take(rows, plan.inv, axis=1, out=out[: (m + 1) * n].reshape(m + 1, n),
-                   mode="clip")
+    vals = out[: (m + 1) * n].reshape(m + 1, n)
+    np.take(rows, plan.inv, axis=1, out=vals[start:], mode="clip")
+    vals[:start] = 0.0
     return SolutionField(sgrid, tgrid, vals)
 
 

@@ -17,6 +17,15 @@ C_t H^s_x norm. If successive updates stop contracting, the working time
 interval is halved (the construction is a contraction only for T small
 enough depending on the data), and repeated failure is reported as suspected
 blow-up rather than an answer.
+
+Every term of the map is causal in t (u on [0, t] depends on phi and on f
+over [0, t] only) and its contraction is local in t, so the iterates settle
+from t = 0 forward. Each attempt therefore iterates on a window: once the
+first time slices move by no more than tol (relative) in an update, they are
+frozen, and the map recomputes only the slices after them, restarting the
+Duhamel recursion and the forcing from what the window keeps of the frozen
+slices (Workspace, apply_lambda, _picard_loop). The fixed point reached is
+the full map's to within tol.
 """
 from __future__ import annotations
 
@@ -121,13 +130,20 @@ class IterationReport:
     """Record of a solve, as report.json holds it.
 
     iterates counts the last Picard attempt's map applications, one per
-    iterate. residual_history holds each nonzero update's C_t H^s_x norm,
-    contraction_ratios the ratios of successive ones. fixed_point_residual is
-    the last update's norm over the last iterate's, the quotient the loop
-    stops on: <= tol when converged, 0 when the map returns its input (lam=0).
+    iterate. Each iterate recomputes only the time slices from its first
+    active one on; the slices before it have converged and are frozen (see
+    _picard_loop). An iterate's residual is the larger of its update's
+    C_t H^s_x norm and the last update of any frozen slice, so that it does
+    not understate what freezing hid. residual_history holds each nonzero
+    residual, contraction_ratios the ratios of successive ones.
+    fixed_point_residual is the last residual over the last iterate's norm:
+    <= tol when converged, 0 when the map returns its input (lam=0).
+    boundary_residual is boundary_residual's, of the field returned (None
+    without one).
     attempts holds one entry per attempt, in order: its absolute interval
     [start, end], the reason it was refused (None for the one that
-    converged), its iterates and its contraction_ratios.
+    converged), its iterates, its contraction_ratios and its
+    first_active_rows, each iterate's first active slice.
     """
 
     iterates: int = 0
@@ -140,6 +156,7 @@ class IterationReport:
     criticality: str = "subcritical"
     linear_mixed_norm: float | None = None
     converged: bool = False
+    boundary_residual: float | None = None
     attempts: list = dc_field(default_factory=list)
 
     def as_dict(self):
@@ -212,6 +229,19 @@ def mixed_norm(field: SolutionField, s: float, q: float, r: float) -> float:
     return float((tgrid.dt * np.sum(slice_norms**q)) ** (1.0 / q))
 
 
+def boundary_residual(u: SolutionField, f: TimeSignal) -> float:
+    """max_t |u(0,t) - f(t)| over the largest |u| on x >= 0, u(0, .) read at
+    the node nearest x = 0.
+
+    It sees the error floor that the even extension of phi (only C^0 at
+    x = 0) sets, though not the time discretization's error.
+    """
+    x = u.sgrid.nodes
+    scale = max(float(np.max(np.abs(u.values[:, x >= 0.0]))), 1e-300)
+    gap = np.abs(u.values[:, u.sgrid.index_nearest_zero()] - f.values)
+    return float(np.max(gap)) / scale
+
+
 @dataclass
 class LinearData:
     """Precomputed w-independent pieces of the fixed-point map."""
@@ -269,15 +299,31 @@ def _prepare_linear(phi_ext: GridFunction, f: TimeSignal, lam, alpha,
 
 
 class Workspace:
-    """The buffers of one application of the fixed-point map on one grid
-    pair, as plain arrays (m+1 time slices, n nodes, r distinct |x|):
+    """The buffers of one Picard attempt's applications of the fixed-point
+    map on one grid pair, as plain arrays (m+1 time slices, n nodes, r
+    distinct |x|):
 
     * result: forcing's out, max((m+1) n, 2 m r) elements; it first holds
       forcing's (r, 2m) spectrum product, then receives the map's value;
     * duhamel: (m+2, n); w |w|^(alpha-1) is formed in its rows 1.. and
-      transformed there in place;
+      transformed there in place, and the Duhamel term stays there until
+      the next application;
     * half: forcing's work, (m+1) r elements, at least half a field (r >=
       n/2); |w|^(alpha-1) as (m+1, n) floats, then the transposed rows.
+
+    It also carries the attempt's causal window. The map is causal in t:
+    slice i of its value depends on the iterate's slices 0..i only. So once
+    the slices before start have stopped moving, the map recomputes the
+    slices start.. only, from what the window keeps of the frozen ones:
+
+    * start: the first slice the map recomputes, 0 in a fresh workspace
+      (the whole map); only freeze moves it, and only forward;
+    * trace: the Duhamel term's x = 0 trace, m+1 values, the input of the
+      forcing (nonlocal in t); each application rewrites its slices start..;
+    * carry: the spectrum D_{start-1} of the Duhamel term's slice start-1,
+      one n-vector, from which Duhamel's recursion restarts;
+    * frozen_norm: the largest H^s norm among the frozen slices, kept by the
+      Picard loop, which takes its norms on the slices start.. only.
     """
 
     def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid):
@@ -286,11 +332,25 @@ class Workspace:
         self.result = np.empty(result_size, dtype=complex)
         self.duhamel = np.empty((tgrid.m + 2, sgrid.n), dtype=complex)
         self.half = np.empty(half_size, dtype=complex)
+        self.start = 0
+        self.trace = np.zeros(tgrid.m + 1, dtype=complex)
+        self.carry = np.zeros(sgrid.n, dtype=complex)
+        self.frozen_norm = 0.0
 
     def field(self, buf):
         """The leading (m+1, n) field of a flat buffer, result's or half's
         (as floats)."""
         return buf[: self.shape[0] * self.shape[1]].reshape(self.shape)
+
+    def freeze(self, start: int):
+        """Freeze the slices before start, after an application of the map:
+        carry becomes the spectrum of that application's Duhamel slice
+        start-1, which it computed (start only moves forward)."""
+        if not self.start <= start <= self.shape[0] - 1:
+            raise ValueError("the window moves forward and keeps the last slice")
+        if start > self.start:
+            np.fft.fft(self.duhamel[start - 1], out=self.carry)
+            self.start = start
 
 
 def apply_lambda(w: SolutionField, pre: LinearData,
@@ -299,8 +359,16 @@ def apply_lambda(w: SolutionField, pre: LinearData,
 
     The value is built in out.result, and every temporary in out's other
     buffers; w must not live in out. Without out, a fresh Workspace is
-    allocated. The cutoffs multiplying each term are identically 1 on the
-    working interval [0, T] and are therefore not materialized.
+    allocated, whose window starts at 0: the whole map. With out.start = k,
+    the slices before k are copied from w, and only the slices k.. are
+    computed, from w's slices k-1.. and the window: w |w|^(alpha-1), the
+    Duhamel term restarted from out.carry, the trace and the forcing (whose
+    t-FFT stays whole). The map is causal, so these are the slices a whole
+    application would give if the frozen slices of w were those the window
+    was taken from; they differ from them by at most the frozen slices' last
+    update, below tol (see _picard_loop). The cutoffs multiplying each term
+    are identically 1 on the working interval [0, T] and are therefore not
+    materialized.
     """
     if out is None:
         out = Workspace(pre.sgrid, pre.tgrid)
@@ -308,30 +376,53 @@ def apply_lambda(w: SolutionField, pre: LinearData,
         vals = out.field(out.result)
         np.copyto(vals, pre.linear.values)
         return SolutionField(pre.sgrid, pre.tgrid, vals)
-    power = np.abs(w.values, out=out.field(out.half.view(float)))
+    k = out.start
+    lo = max(k - 1, 0)
+    power = np.abs(w.values[lo:], out=out.field(out.half.view(float))[lo:])
     power **= pre.alpha - 1.0
-    nonlin = np.multiply(w.values, power, out=out.duhamel[1:])
-    DF = duhamel_field(SolutionField(pre.sgrid, pre.tgrid, nonlin), out=out.duhamel)
-    trace = DF.values[:, pre.zero_index].copy()
-    if abs(trace[0]) > 1e-12 * max(np.max(np.abs(trace)), 1e-300):
-        raise AssertionError("duhamel trace must vanish at t=0 by construction")
-    trace[0] = 0.0
+    np.multiply(w.values[lo:], power, out=out.duhamel[1 + lo:])
+    DF = duhamel_field(SolutionField(pre.sgrid, pre.tgrid, out.duhamel[1:]),
+                       out=out.duhamel, start=k, carry=out.carry)
+    trace = out.trace
+    trace[k:] = DF.values[k:, pre.zero_index]
+    if k == 0:
+        if abs(trace[0]) > 1e-12 * max(np.max(np.abs(trace)), 1e-300):
+            raise AssertionError("duhamel trace must vanish at t=0 by construction")
+        trace[0] = 0.0
     # linear + lam * (corr - DF), built in the forcing result's own buffer
     vals = boundary_forcing_time(TimeSignal(pre.tgrid, trace), pre.sgrid,
-                                 out=out.result, work=out.half).values
-    vals -= DF.values
-    vals *= pre.lam
-    vals += pre.linear.values
+                                 out=out.result, work=out.half, start=k).values
+    active = vals[k:]
+    active -= DF.values[k:]
+    active *= pre.lam
+    active += pre.linear.values[k:]
+    vals[:k] = w.values[:k]
     return SolutionField(pre.sgrid, pre.tgrid, vals)
 
 
 def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
-                 report: IterationReport):
+                 report: IterationReport, first_active_rows: list):
     """Iterate from the linear part; returns (field, converged).
 
     Writes this attempt's iterates, residual_history, contraction_ratios and
-    fixed_point_residual into report (see IterationReport). One map
-    application per iterate: the last update is the fixed-point residual.
+    fixed_point_residual into report (see IterationReport), and appends each
+    iterate's first active slice to first_active_rows. One map application
+    per iterate: the last update is the fixed-point residual.
+
+    The iterates converge from t = 0 forward, the map being causal and its
+    contraction local in t. After each update, the window's start moves to
+    the first slice whose update exceeds tol times the C_t H^s_x norm of
+    the iterate; the slices before it are frozen, and the next applications
+    compute and measure only the slices from start on. A frozen slice moved
+    by at most tol (relative) on its last update. Its inputs, the slices up
+    to it, have moved since by no more than that update, so a whole
+    application would move it by at most the map's contraction factor
+    times that: the windowed iteration converges to the full map's fixed
+    point to within tol. The convergence test and ratio_cap read the update
+    of the active slices, the only ones that move. The residual reported,
+    per iterate and in fixed_point_residual, is the larger of that update
+    and the last update of any frozen slice (relative to the norm when it
+    froze, so at most tol), so it does not understate what freezing hid.
 
     The attempt owns one Workspace and a spare result buffer, freed when it
     returns but for the field returned: the map writes each iterate into
@@ -339,46 +430,59 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     trade places. For s = 0 the norms are sums in x (Parseval), the update
     formed in the last iterate's buffer. For s > 0 they come from spectra:
     fft(u_next - u) is fft(u_next) - fft(u), so each iteration transforms
-    only u_next, into the Duhamel buffer, which then trades places with the
-    spectrum buffer.
+    only u_next, into the last iterate's buffer, and keeps it in the
+    spectrum buffer; the Duhamel buffer is left to the window.
     """
     work = Workspace(pre.sgrid, pre.tgrid)
     spare = np.empty_like(work.result)
     u = pre.linear
     if s > 0.0:
-        spectrum = np.empty_like(work.duhamel)
-        uhat = np.fft.fft(u.values, axis=1, out=spectrum[:-1])
+        uhat = np.fft.fft(u.values, axis=1)
         p = work.field(work.half.view(float))
     report.iterates = 0
     report.residual_history = residuals = []
     report.contraction_ratios = ratios = []
+    frozen_rel = 0.0  # the largest last update of a frozen slice, relative
     for _ in range(cfg.max_iter):
+        k = work.start
+        first_active_rows.append(k)
         u_next = apply_lambda(u, pre, out=work)
         report.iterates += 1
-        # C_t H^s_x norms: the max over time slices of the H^s norm in x
+        # C_t H^s_x norms: the max over time slices of the H^s norm in x,
+        # taken per active slice; the frozen ones have stopped moving
+        new = u_next.values[k:]
         if s == 0.0:
-            norm_u = float(np.max(sobolev_norm(u_next.values, pre.sgrid, 0.0)))
-            update = np.subtract(u_next.values, u.values, out=work.field(spare))
-            delta = float(np.max(sobolev_norm(update, pre.sgrid, 0.0)))
+            norms = sobolev_norm(new, pre.sgrid, 0.0)
+            update = np.subtract(new, u.values[k:], out=work.field(spare)[k:])
+            deltas = sobolev_norm(update, pre.sgrid, 0.0)
         else:
-            uhat_next = np.fft.fft(u_next.values, axis=1, out=work.duhamel[:-1])
-            norm_u = float(np.max(_plancherel_norm(uhat_next, pre.sgrid, s, p)))
-            np.subtract(uhat_next, uhat, out=uhat)
-            delta = float(np.max(_plancherel_norm(uhat, pre.sgrid, s, p)))
-            work.duhamel, spectrum, uhat = spectrum, work.duhamel, uhat_next
-        norm_u = max(norm_u, 1e-300)
+            uhat_next = np.fft.fft(new, axis=1, out=work.field(spare)[k:])
+            norms = _plancherel_norm(uhat_next, pre.sgrid, s, p[k:])
+            diff = np.subtract(uhat_next, uhat[k:], out=uhat[k:])
+            deltas = _plancherel_norm(diff, pre.sgrid, s, p[k:])
+            np.copyto(uhat[k:], uhat_next)
+        norm_u = max(float(np.max(norms)), work.frozen_norm, 1e-300)
+        delta = float(np.max(deltas))
         u = u_next
         work.result, spare = spare, work.result
-        if delta > 0.0:
+        # until the update falls to tol it is the larger, since frozen_rel
+        # <= tol: ratio_cap reads update ratios
+        residual = max(delta, frozen_rel * norm_u)
+        if residual > 0.0:
             if residuals:
-                ratios.append(delta / residuals[-1])
-            residuals.append(delta)
-        report.fixed_point_residual = delta / norm_u
+                ratios.append(residual / residuals[-1])
+            residuals.append(residual)
+        report.fixed_point_residual = residual / norm_u
         if delta <= cfg.tol * norm_u:
             return u, True
         if ratios and ratios[-1] > cfg.ratio_cap:
             log.debug("contraction ratio %.3f exceeds cap", ratios[-1])
             return u, False
+        j = int(np.argmax(deltas > cfg.tol * norm_u))
+        if j > 0:
+            work.frozen_norm = max(work.frozen_norm, float(np.max(norms[:j])))
+            frozen_rel = max(frozen_rel, float(np.max(deltas[:j])) / norm_u)
+            work.freeze(k + j)
     return u, False
 
 
@@ -415,18 +519,20 @@ def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
         pre = _prepare_linear(phi_ext, f, spec.lam, spec.alpha, cfg.seam_mismatch_cap)
         report.linear_mixed_norm = mixed_norm(pre.linear, spec.s, pair.q, pair.r)
         attempt = {"interval": [t0, t0 + T], "reason": None, "iterates": 0,
-                   "contraction_ratios": []}
+                   "contraction_ratios": [], "first_active_rows": []}
         report.attempts.append(attempt)
         if crit == "critical" and report.linear_mixed_norm >= cfg.delta_crit:
             reason = (f"linear mixed norm {report.linear_mixed_norm:.3e} "
                       f">= delta_crit {cfg.delta_crit:g}")
         else:
-            u, converged = _picard_loop(pre, spec.s, cfg, report)
+            u, converged = _picard_loop(pre, spec.s, cfg, report,
+                                        attempt["first_active_rows"])
             report.t_achieved = t0 + T
             attempt["iterates"] = report.iterates
             attempt["contraction_ratios"] = report.contraction_ratios
             if converged:
                 report.converged = True
+                report.boundary_residual = boundary_residual(u, f)
                 return u, report
             reason = "no contraction"
         attempt["reason"] = reason

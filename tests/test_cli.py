@@ -210,6 +210,16 @@ def test_solve_standing_wave_field(tmp_path):
     assert rel < 1e-3, rel
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is True
+    # the solve's boundary residual and each iterate's first active slice
+    # are written out
+    scale = np.max(np.abs(vals[:, x >= 0.0]))
+    j0 = np.argmin(np.abs(x))
+    ft = np.exp(1j * t) / np.cosh(6.0)
+    assert report["boundary_residual"] == pytest.approx(
+        np.max(np.abs(vals[:, j0] - ft)) / scale, rel=1e-9
+    )
+    rows = report["attempts"][-1]["first_active_rows"]
+    assert len(rows) == report["iterates"] and rows[0] == 0 < rows[-1]
 
 
 @pytest.mark.parametrize("preset, shape", [
@@ -310,6 +320,7 @@ def test_log_level_info_prints_each_halving(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no contraction on [0, 2]; halving" in err
     assert err.count("; halving") == 4
+    assert err.count("boundary residual") == 1
 
 
 def test_readme_example_config_solves(tmp_path, capsys):
@@ -554,16 +565,20 @@ def test_signal_roundtrip_is_exact(tmp_path):
 def test_solve_outputs_are_deterministic(tmp_path):
     cfg = _soliton_cfg(tmp_path, nx=256, nt=64)
     outs = []
-    for sub in ("a", "b"):
+    for sub, level in (("a", "WARNING"), ("b", "INFO")):
         out = tmp_path / sub
         # development mode reports a file left unclosed as a ResourceWarning
         r = subprocess.run(
             [sys.executable, "-X", "dev", "-m", "halfline_nls.cli", "solve", cfg,
-             "--out", str(out)],
+             "--out", str(out), "--log-level", level],
             capture_output=True, text=True, env=_child_env(), timeout=300,
         )
         assert r.returncode == 0, r.stderr
         assert "ResourceWarning" not in r.stderr, r.stderr
+        # run as a module too, the CLI logs under the package's logger
+        assert ("INFO halfline_nls.cli: boundary residual" in r.stderr) == (
+            level == "INFO"
+        ), r.stderr
         outs.append(out)
     for name in SOLVE_OUTPUTS:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -174,6 +174,37 @@ def test_stepped_spectra_do_not_drift_over_many_steps():
     assert np.max(np.abs(last - ref)) / np.max(np.abs(ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 17, 40])
+def test_duhamel_restarted_from_a_carried_slice_matches_the_full_field(k):
+    # the recursion is causal: restarted at slice k from the spectrum of
+    # slice k-1, it gives the full call's slices k.. up to rounding, and
+    # zeros before k
+    sg = SpatialGrid(-20.0, 20.0, 128)
+    tg = TimeGrid(0.5, 40)
+    x, t = sg.nodes[None, :], tg.nodes[:, None]
+    w = SolutionField(sg, tg, np.exp(-(x - 2.0) ** 2) * np.exp(3j * t) * (1.0 + t))
+    full = duhamel_field(w).values
+    carry = np.fft.fft(full[k - 1])
+    part = duhamel_field(w, start=k, carry=carry).values
+    scale = np.max(np.abs(full))
+    assert np.max(np.abs(part[k:] - full[k:])) / scale <= 1e-13
+    assert not np.any(part[:k])
+    with pytest.raises(ValueError):
+        duhamel_field(w, start=k)
+
+
+@pytest.mark.parametrize("k", [1, 17, 48])
+def test_boundary_forcing_from_a_start_slice_is_bit_equal(k):
+    # the t-FFT stays whole; only the slices k.. are transposed and gathered
+    sg = SpatialGrid(-10.0, 10.0, 64)
+    tg = TimeGrid(1.0, 48)
+    f = TimeSignal(tg, np.sin(3.0 * tg.nodes) * np.exp(2j * tg.nodes))
+    full = boundary_forcing_time(f, sg, tg).values
+    part = boundary_forcing_time(f, sg, tg, start=k).values
+    assert np.array_equal(part[k:], full[k:])
+    assert not np.any(part[:k])
+
+
 def test_operator_plan_keeps_no_field_sized_table():
     # besides the forcing kernels the plan holds O(n): the free group and
     # Duhamel step their spectra by one n-vector, not an (m+1, n) table

@@ -34,6 +34,7 @@ from halfline_nls import (
 import halfline_nls.solver as solver_module
 from halfline_nls.operators import operator_plan
 from halfline_nls.solver import (
+    Workspace,
     _prepare_linear,
     admissible_pair,
     apply_lambda,
@@ -289,23 +290,46 @@ def test_apply_lambda_boundary_trace():
         assert rel < 1e-3, rel  # measured 1.08e-4 for both iterates
 
 
+def _replay(spec, cfg, first_active_rows):
+    # the solve's last attempt, replayed through apply_lambda on one
+    # workspace whose window moves as the attempt recorded; returns the
+    # linear part and each iterate, copied out of the workspace
+    pre = _prepare_linear(
+        extend_half_line(spec.phi, cfg.sgrid), spec.f, spec.lam, spec.alpha,
+        cfg.seam_mismatch_cap,
+    )
+    work = Workspace(pre.sgrid, pre.tgrid)
+    iterates = [pre.linear]
+    for k in first_active_rows:
+        work.freeze(k)
+        u = apply_lambda(iterates[-1], pre, out=work)
+        iterates.append(SolutionField(u.sgrid, u.tgrid, u.values.copy()))
+    return iterates
+
+
 def test_residual_history_is_the_norm_of_each_update():
-    # at s = 0 the loop sums the update's modulus in x (Parseval), at s > 0
-    # it differences spectra; recomputed here by transforming each update
+    # at s = 0 the loop sums the update's modulus in x (Parseval) on the
+    # active slices; recomputed here by transforming each whole update of
+    # the replay. A residual is the larger of the update and the last
+    # update of any frozen slice, relative to the norm when it froze
     sg = SpatialGrid(-30.0, 30.0, 256)
     spec = _make_spec(1.0, 3.0, 0.0, _kf_phi, _kf_f, 0.5, sg, 64)
     cfg = SolverConfig(sgrid=sg, tol=1e-6)
     _, rep = solve_ibvp(spec, cfg)
     assert rep.converged and rep.halvings == 0
-    pre = _prepare_linear(
-        extend_half_line(spec.phi, sg), spec.f, spec.lam, spec.alpha,
-        cfg.seam_mismatch_cap,
-    )
-    u, direct = pre.linear, []
-    for _ in range(rep.iterates):
-        u_next = apply_lambda(u, pre)
-        direct.append(np.max(sobolev_norm(u_next.values - u.values, sg, spec.s)))
-        u = u_next
+    rows = rep.attempts[-1]["first_active_rows"]
+    assert rows[-1] > 0  # the window moved
+    iterates = _replay(spec, cfg, rows)
+    direct, frozen_rel = [], 0.0
+    for i, k in enumerate(rows):
+        u, u_next = iterates[i], iterates[i + 1]
+        updates = sobolev_norm(u_next.values - u.values, sg, spec.s)
+        norm_u = np.max(sobolev_norm(u_next.values, sg, spec.s))
+        assert not np.any(updates[:k])  # a frozen slice does not move
+        direct.append(max(np.max(updates), frozen_rel * norm_u))
+        stop = rows[i + 1] if i + 1 < len(rows) else k
+        if stop > k:
+            frozen_rel = max(frozen_rel, np.max(updates[k:stop]) / norm_u)
     rel = np.abs(np.array(rep.residual_history) / np.array(direct) - 1.0)
     assert len(direct) == len(rep.residual_history) >= 3
     assert np.max(rel) < 1e-9, rel
@@ -337,21 +361,63 @@ def test_converged_solve_applies_the_map_once_per_iterate(monkeypatch):
 
 @pytest.mark.parametrize("s", [0.0, 0.3])
 def test_buffered_solve_equals_the_unbuffered_map(s):
-    # the loop writes every iterate into its attempt's workspace; calling
-    # the map without one, which allocates afresh, gives the same bits
+    # the loop writes every iterate into its attempt's workspace, and its
+    # buffers trade places; replaying the map on one workspace, with the
+    # window moved to each iterate's recorded first active slice and every
+    # iterate copied out, gives the same bits
     sg = SpatialGrid(-30.0, 30.0, 256)
     spec = _make_spec(2.0, 3.0, s, _sol_phi, _sol_f, 0.5, sg, 64)
     cfg = SolverConfig(sgrid=sg, tol=1e-10)
     field, rep = solve_ibvp(spec, cfg)
     assert rep.converged and rep.halvings == 0 and rep.iterates >= 10
+    rows = rep.attempts[-1]["first_active_rows"]
+    assert len(rows) == rep.iterates and rows[-1] > 0
+    iterates = _replay(spec, cfg, rows)
+    assert np.array_equal(iterates[-1].values, field.values)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_windowed_solve_is_a_fixed_point_to_within_tol(s):
+    # the frozen slices are not recomputed on the last iterates; one whole
+    # application of the map moves the returned field by at most tol, and
+    # the residual reported is no smaller than that move. Measured: moves
+    # 6.9e-12 (s = 0) and 9.0e-12 (s = 0.3), residuals 1.0e-10 and 9.9e-11
+    sg = SpatialGrid(-30.0, 30.0, 256)
+    spec = _make_spec(2.0, 3.0, s, _sol_phi, _sol_f, 0.5, sg, 64)
+    cfg = SolverConfig(sgrid=sg, tol=1e-10)
+    u, rep = solve_ibvp(spec, cfg)
+    assert rep.converged and rep.attempts[-1]["first_active_rows"][-1] > 0
     pre = _prepare_linear(
         extend_half_line(spec.phi, sg), spec.f, spec.lam, spec.alpha,
         cfg.seam_mismatch_cap,
     )
-    u = pre.linear
-    for _ in range(rep.iterates):
-        u = apply_lambda(u, pre)
-    assert np.array_equal(u.values, field.values)
+    moved = np.max(sobolev_norm(apply_lambda(u, pre).values - u.values, sg, s))
+    move = moved / np.max(sobolev_norm(u.values, sg, s))
+    assert move <= cfg.tol
+    assert rep.fixed_point_residual >= move
+
+
+def test_first_active_rows_start_at_zero_and_never_decrease():
+    sg, spec = _twice_halving_wave()
+    _, report = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
+    assert len(report.attempts) == 3
+    for attempt in report.attempts:
+        rows = attempt["first_active_rows"]
+        assert len(rows) == attempt["iterates"] and rows[0] == 0
+        assert all(a <= b for a, b in zip(rows, rows[1:]))
+    assert report.attempts[-1]["first_active_rows"][-1] > 0
+
+
+def test_boundary_residual_reads_the_trace_against_f():
+    # max_t |u(0,t) - f(t)| over max |u| on x >= 0; on the standing wave the
+    # even reflection's kink at x = 0 sets it
+    sg = SpatialGrid(-30.0, 30.0, 256)
+    spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 64)
+    u, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
+    gap = np.abs(u.values[:, sg.index_nearest_zero()] - spec.f.values)
+    scale = np.max(np.abs(u.values[:, sg.nodes >= 0.0]))
+    assert rep.boundary_residual == np.max(gap) / scale
+    assert rep.boundary_residual == pytest.approx(7.1547e-5, rel=1e-3)
 
 
 def test_consecutive_solves_share_no_memory(monkeypatch):

@@ -47,6 +47,8 @@ from .verification import (
 # by name: run as `python -m halfline_nls.cli`, __name__ is "__main__"
 log = logging.getLogger("halfline_nls.cli")
 
+# the SolverConfig fields a config sets, as solver.<field>, with its defaults
+_SOLVER_KEYS = ("tol", "max_iter", "ratio_cap", "delta_crit", "max_halvings")
 _DEFAULTS = {
     "problem.lambda_re": 0.0,
     "problem.lambda_im": 0.0,
@@ -66,11 +68,8 @@ _DEFAULTS = {
     "grid.x_max": 40.0,
     "grid.nx": 1024,
     "grid.nt": 1024,
-    "solver.tol": 1e-8,
-    "solver.max_iter": 25,
-    "solver.ratio_cap": 0.9,
-    "solver.delta_crit": 0.1,
-    "solver.max_halvings": 8,
+    **{f"solver.{f.name}": f.default for f in dataclasses.fields(SolverConfig)
+       if f.name in _SOLVER_KEYS},
     "output.directory": "out",
 }
 
@@ -172,12 +171,7 @@ def build_problem(cfg):
         sgrid = SpatialGrid(cfg["grid.x_min"], cfg["grid.x_max"], cfg["grid.nx"])
         tgrid = TimeGrid(cfg["problem.T"], cfg["grid.nt"])
         scfg = SolverConfig(
-            sgrid=sgrid,
-            tol=cfg["solver.tol"],
-            max_iter=cfg["solver.max_iter"],
-            ratio_cap=cfg["solver.ratio_cap"],
-            delta_crit=cfg["solver.delta_crit"],
-            max_halvings=cfg["solver.max_halvings"],
+            sgrid=sgrid, **{k: cfg[f"solver.{k}"] for k in _SOLVER_KEYS}
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -59,7 +59,11 @@ and a solve that halves its interval twice works on three time grids):
 A plan owns no buffer: it is shared read-only by every caller on its grids.
 duhamel_field and boundary_forcing_time write into buffers the caller hands
 them (out=, work=), as each attempt of the fixed-point solver does with its
-one workspace, and allocate their own otherwise.
+one workspace, and allocate their own otherwise. Both compute only the time
+slices from a start slice on when asked: duhamel_field restarts its
+recursion from the Duhamel term an earlier call left in out, whose rows
+before the start it does not write, and boundary_forcing_time transposes
+and gathers only the slices from the start on.
 """
 from __future__ import annotations
 
@@ -158,57 +162,60 @@ def free_group_field(phi: GridFunction, tgrid: TimeGrid) -> SolutionField:
     return SolutionField(phi.grid, tgrid, vals)
 
 
-def duhamel_field(w: SolutionField, out: np.ndarray | None = None, start: int = 0,
-                  carry: np.ndarray | None = None) -> SolutionField:
+def duhamel_field(w: np.ndarray, sgrid: SpatialGrid, tgrid: TimeGrid,
+                  out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
     """Dw on all time slices by the trapezoid rule, stepped in Fourier space.
 
-    With E = e^{-i dt xi^2} and w_hat_j the slices' spectra, the spectrum
-    D_i of Dw(., t_i), the trapezoid sum of -i e^{-i (t_i - t_j) xi^2} w_hat_j
-    over t_j <= t_i, obeys the exact recursion
+    w holds the m+1 slices of the inhomogeneity on sgrid x tgrid, one row
+    each. With E = e^{-i dt xi^2} and w_hat_j the slices' spectra, the
+    spectrum D_i of Dw(., t_i), the trapezoid sum of
+    -i e^{-i (t_i - t_j) xi^2} w_hat_j over t_j <= t_i, obeys the exact
+    recursion
         D_i = E D_{i-1} + c (E w_hat_{i-1} + w_hat_i),      c = -i dt/2,
     from D_0 = 0, so the t=0 slice is exactly 0. Every step works in place
     on one (m+2, n) buffer, out when given (w may then be out[1:] itself,
-    transformed in place), whose first m+1 rows become the result; the plan
-    is only read.
+    transformed in place), whose first m+1 rows are returned as an array;
+    the plan is only read.
 
     The recursion is causal: slice i needs only D_{i-1} and the slices of w
-    at t_{i-1} and t_i. With start = k > 0 it restarts from carry, the
-    spectrum D_{k-1} = fft(Dw(., t_{k-1})) of an earlier call, reads only
-    w's slices k-1.. and computes only the slices k..; the slices before k
-    are returned as zeros. The fixed-point solver carries D_{k-1} across its
-    iterates this way, so that it recomputes only the slices that have not
-    converged.
+    at t_{i-1} and t_i. With start = k > 0 it restarts from out, whose rows
+    hold an earlier call's Dw: D_{k-1} is the FFT of out's row k-1, w's
+    slices k-1.. are read and the rows k.. computed; the rows before k are
+    not written and keep the earlier call's values. The fixed-point solver
+    restarts its one buffer this way, so that it recomputes only the slices
+    that have not converged.
     """
-    sgrid, tgrid = w.sgrid, w.tgrid
     if not isinstance(sgrid, SpatialGrid):
-        raise TypeError("duhamel_field needs a whole-line field")
+        raise TypeError("duhamel_field needs a whole-line grid")
     m = tgrid.m
     if not 0 <= start <= m:
         raise ValueError("duhamel_field: 0 <= start <= m required")
-    if start > 0 and carry is None:
-        raise ValueError("duhamel_field: start > 0 needs the carried D_{start-1}")
+    if start > 0 and out is None:
+        raise ValueError("duhamel_field: start > 0 restarts from out, which is missing")
     step = operator_plan(sgrid, tgrid).step
     c = -0.5j * tgrid.dt
     # one spare row: w_hat_j sits on row j+1, so row i, the row of t_i, holds
     # w_hat_{i-1} when D_i/c = E (D_{i-1}/c + w_hat_{i-1}) + w_hat_i is
-    # formed there from the row above and the row below
+    # formed there from D_{i-1}/c (prev) and the row below
     buf = np.empty((m + 2, sgrid.n), dtype=complex) if out is None else out
     first = max(start, 1)
-    np.fft.fft(w.values[first - 1:], axis=1, out=buf[first:])
     if start == 0:
         buf[0] = 0.0
+        prev = buf[0]
     else:
-        np.multiply(carry, 1.0 / c, out=buf[start - 1])
+        prev = np.fft.fft(buf[start - 1])
+        prev *= 1.0 / c
+    np.fft.fft(w[first - 1:], axis=1, out=buf[first:])
     for i in range(first, m + 1):
         row = buf[i]
-        row += buf[i - 1]
+        row += prev
         row *= step
         row += buf[i + 1]
+        prev = row
     rows = buf[first:-1]
     rows *= c
     np.fft.ifft(rows, axis=1, out=rows)
-    buf[:start] = 0.0
-    return SolutionField(sgrid, tgrid, buf[:-1])
+    return buf[:-1]
 
 
 def _bf_kernel_chunk(x, dt, m):

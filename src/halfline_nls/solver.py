@@ -23,8 +23,8 @@ over [0, t] only) and its contraction is local in t, so the iterates settle
 from t = 0 forward. Each attempt therefore iterates on a window: once the
 first time slices move by no more than tol (relative) in an update, they are
 frozen, and the map recomputes only the slices after them, restarting the
-Duhamel recursion and the forcing from what the window keeps of the frozen
-slices (Workspace, apply_lambda, _picard_loop). The fixed point reached is
+Duhamel recursion from the frozen slices' Duhamel term, which its buffer
+keeps (Workspace, apply_lambda, _picard_loop). The fixed point reached is
 the full map's to within tol.
 """
 from __future__ import annotations
@@ -305,52 +305,41 @@ class Workspace:
 
     * result: forcing's out, max((m+1) n, 2 m r) elements; it first holds
       forcing's (r, 2m) spectrum product, then receives the map's value;
-    * duhamel: (m+2, n); w |w|^(alpha-1) is formed in its rows 1.. and
-      transformed there in place, and the Duhamel term stays there until
-      the next application;
+    * duhamel: (m+2, n), zero in a fresh workspace; w |w|^(alpha-1) is
+      formed in its rows 1.. and transformed there in place, and the
+      Duhamel term stays in its first m+1 rows until the next application;
     * half: forcing's work, (m+1) r elements, at least half a field (r >=
       n/2); |w|^(alpha-1) as (m+1, n) floats, then the transposed rows.
 
-    It also carries the attempt's causal window. The map is causal in t:
-    slice i of its value depends on the iterate's slices 0..i only. So once
-    the slices before start have stopped moving, the map recomputes the
-    slices start.. only, from what the window keeps of the frozen ones:
-
-    * start: the first slice the map recomputes, 0 in a fresh workspace
-      (the whole map); only freeze moves it, and only forward;
-    * trace: the Duhamel term's x = 0 trace, m+1 values, the input of the
-      forcing (nonlocal in t); each application rewrites its slices start..;
-    * carry: the spectrum D_{start-1} of the Duhamel term's slice start-1,
-      one n-vector, from which Duhamel's recursion restarts;
-    * frozen_norm: the largest H^s norm among the frozen slices, kept by the
-      Picard loop, which takes its norms on the slices start.. only.
+    It also keeps the attempt's causal window, start: the first slice the
+    map recomputes, 0 in a fresh workspace (the whole map). The map is
+    causal in t: slice i of its value depends on the iterate's slices 0..i
+    only. So once the slices before start have stopped moving, the map
+    recomputes the slices start.. only. The frozen slices' Duhamel term is
+    the one the duhamel buffer keeps: the recursion restarts from its row
+    start-1, and the forcing reads its x = 0 trace from the whole buffer.
     """
 
     def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid):
         result_size, half_size = operator_plan(sgrid, tgrid).forcing_sizes
-        self.shape = (tgrid.m + 1, sgrid.n)
         self.result = np.empty(result_size, dtype=complex)
-        self.duhamel = np.empty((tgrid.m + 2, sgrid.n), dtype=complex)
+        self.duhamel = np.zeros((tgrid.m + 2, sgrid.n), dtype=complex)
         self.half = np.empty(half_size, dtype=complex)
         self.start = 0
-        self.trace = np.zeros(tgrid.m + 1, dtype=complex)
-        self.carry = np.zeros(sgrid.n, dtype=complex)
-        self.frozen_norm = 0.0
 
     def field(self, buf):
         """The leading (m+1, n) field of a flat buffer, result's or half's
         (as floats)."""
-        return buf[: self.shape[0] * self.shape[1]].reshape(self.shape)
+        rows = self.duhamel[1:]
+        return buf[: rows.size].reshape(rows.shape)
 
     def freeze(self, start: int):
-        """Freeze the slices before start, after an application of the map:
-        carry becomes the spectrum of that application's Duhamel slice
-        start-1, which it computed (start only moves forward)."""
-        if not self.start <= start <= self.shape[0] - 1:
+        """Freeze the slices before start, after an application of the map,
+        which left the Duhamel term of slice start-1 in the duhamel buffer
+        (start only moves forward)."""
+        if not self.start <= start <= len(self.duhamel) - 2:
             raise ValueError("the window moves forward and keeps the last slice")
-        if start > self.start:
-            np.fft.fft(self.duhamel[start - 1], out=self.carry)
-            self.start = start
+        self.start = start
 
 
 def apply_lambda(w: SolutionField, pre: LinearData,
@@ -361,30 +350,24 @@ def apply_lambda(w: SolutionField, pre: LinearData,
     buffers; w must not live in out. Without out, a fresh Workspace is
     allocated, whose window starts at 0: the whole map. With out.start = k,
     the slices before k are copied from w, and only the slices k.. are
-    computed, from w's slices k-1.. and the window: w |w|^(alpha-1), the
-    Duhamel term restarted from out.carry, the trace and the forcing (whose
-    t-FFT stays whole). The map is causal, so these are the slices a whole
-    application would give if the frozen slices of w were those the window
-    was taken from; they differ from them by at most the frozen slices' last
-    update, below tol (see _picard_loop). The cutoffs multiplying each term
-    are identically 1 on the working interval [0, T] and are therefore not
-    materialized.
+    computed, from w's slices k-1..: w |w|^(alpha-1), the Duhamel term
+    restarted from the one out.duhamel holds, and the forcing (whose t-FFT
+    stays whole) of that term's whole x = 0 trace. The map is causal, so
+    these are the slices a whole application would give if the frozen
+    slices of w were those out.duhamel was computed from; they differ from
+    them by at most the frozen slices' last update, below tol (see
+    _picard_loop). The cutoffs multiplying each term are identically 1 on
+    the working interval [0, T] and are therefore not materialized.
     """
     if out is None:
         out = Workspace(pre.sgrid, pre.tgrid)
-    if pre.lam == 0.0:
-        vals = out.field(out.result)
-        np.copyto(vals, pre.linear.values)
-        return SolutionField(pre.sgrid, pre.tgrid, vals)
     k = out.start
     lo = max(k - 1, 0)
     power = np.abs(w.values[lo:], out=out.field(out.half.view(float))[lo:])
     power **= pre.alpha - 1.0
     np.multiply(w.values[lo:], power, out=out.duhamel[1 + lo:])
-    DF = duhamel_field(SolutionField(pre.sgrid, pre.tgrid, out.duhamel[1:]),
-                       out=out.duhamel, start=k, carry=out.carry)
-    trace = out.trace
-    trace[k:] = DF.values[k:, pre.zero_index]
+    DF = duhamel_field(out.duhamel[1:], pre.sgrid, pre.tgrid, out=out.duhamel, start=k)
+    trace = DF[:, pre.zero_index].copy()
     if k == 0:
         if abs(trace[0]) > 1e-12 * max(np.max(np.abs(trace)), 1e-300):
             raise AssertionError("duhamel trace must vanish at t=0 by construction")
@@ -393,7 +376,7 @@ def apply_lambda(w: SolutionField, pre: LinearData,
     vals = boundary_forcing_time(TimeSignal(pre.tgrid, trace), pre.sgrid,
                                  out=out.result, work=out.half, start=k).values
     active = vals[k:]
-    active -= DF.values[k:]
+    active -= DF[k:]
     active *= pre.lam
     active += pre.linear.values[k:]
     vals[:k] = w.values[:k]
@@ -443,6 +426,7 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     report.residual_history = residuals = []
     report.contraction_ratios = ratios = []
     frozen_rel = 0.0  # the largest last update of a frozen slice, relative
+    frozen_norm = 0.0  # the largest H^s norm among the frozen slices
     for _ in range(cfg.max_iter):
         k = work.start
         first_active_rows.append(k)
@@ -461,7 +445,7 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
             diff = np.subtract(uhat_next, uhat[k:], out=uhat[k:])
             deltas = _plancherel_norm(diff, pre.sgrid, s, p[k:])
             np.copyto(uhat[k:], uhat_next)
-        norm_u = max(float(np.max(norms)), work.frozen_norm, 1e-300)
+        norm_u = max(float(np.max(norms)), frozen_norm, 1e-300)
         delta = float(np.max(deltas))
         u = u_next
         work.result, spare = spare, work.result
@@ -480,7 +464,7 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
             return u, False
         j = int(np.argmax(deltas > cfg.tol * norm_u))
         if j > 0:
-            work.frozen_norm = max(work.frozen_norm, float(np.max(norms[:j])))
+            frozen_norm = max(frozen_norm, float(np.max(norms[:j])))
             frozen_rel = max(frozen_rel, float(np.max(deltas[:j])) / norm_u)
             work.freeze(k + j)
     return u, False

@@ -213,15 +213,12 @@ def compare_fields(a: SolutionField, b: SolutionField) -> CompareReport:
         other = (ta, xa, va)
 
     to, xo, vo = other
-    interp_re = RegularGridInterpolator(
-        (to, xo), vo.real, method="linear", bounds_error=False, fill_value=None
-    )
-    interp_im = RegularGridInterpolator(
-        (to, xo), vo.imag, method="linear", bounds_error=False, fill_value=None
+    interp = RegularGridInterpolator(
+        (to, xo), vo, method="linear", bounds_error=False, fill_value=None
     )
     TT, XX = np.meshgrid(ts, xs, indexing="ij")
     pts = np.stack([TT.ravel(), XX.ravel()], axis=1)
-    ov = (interp_re(pts) + 1j * interp_im(pts)).reshape(len(ts), len(xs))
+    ov = interp(pts).reshape(len(ts), len(xs))
 
     diff = ref_vals - ov
     denom = math.sqrt(float(np.sum(np.abs(ref_vals) ** 2 + np.abs(ov) ** 2) / 2.0))

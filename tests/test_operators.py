@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from halfline_nls import (
     EdgeDecayWarning,
     GridFunction,
+    HalfLineGrid,
     ProblemSpec,
     SolutionField,
     SolverConfig,
@@ -132,8 +133,16 @@ def test_edge_decay_warning():
 def test_duhamel_of_zero_and_index_checks():
     sg = SpatialGrid(-20.0, 20.0, 64)
     tg = TimeGrid(0.5, 8)
-    w = SolutionField(sg, tg, np.zeros((9, 64)))
-    assert np.all(duhamel_field(w).values == 0.0)
+    w = np.zeros((9, 64), dtype=complex)
+    assert np.all(duhamel_field(w, sg, tg) == 0.0)
+    with pytest.raises(TypeError):
+        duhamel_field(w[:, 32:], HalfLineGrid(20.0, 32), tg)
+    out = np.empty((10, 64), dtype=complex)
+    for start in (-1, 9):
+        with pytest.raises(ValueError):
+            duhamel_field(w, sg, tg, out=out, start=start)
+    with pytest.raises(ValueError):
+        duhamel_field(w, sg, tg, start=1)  # nothing to restart from
 
 
 def test_duhamel_of_free_evolution():
@@ -150,11 +159,11 @@ def test_duhamel_of_free_evolution():
         assert np.max(np.abs(got - expect)) / scale < 1e-6  # ~3e-15
 
     # the field version agrees with the slice version
-    fld = duhamel_field(w)
-    assert np.all(fld.values[0] == 0.0)
+    fld = duhamel_field(w.values, sg, tg)
+    assert np.all(fld[0] == 0.0)
     for i in (64, 256):
         sl = _duhamel_slice(w, i)
-        assert np.max(np.abs(fld.values[i] - sl)) / scale < 1e-10
+        assert np.max(np.abs(fld[i] - sl)) / scale < 1e-10
 
 
 def test_stepped_spectra_do_not_drift_over_many_steps():
@@ -165,7 +174,7 @@ def test_stepped_spectra_do_not_drift_over_many_steps():
     tg = TimeGrid(1.0, 2048)
     x, t = sg.nodes[None, :], tg.nodes[:, None]
     w = SolutionField(sg, tg, np.exp(-(x - 2.0) ** 2) * np.exp(3j * t) * (1.0 + t))
-    last = duhamel_field(w).values[-1]
+    last = duhamel_field(w.values, sg, tg)[-1]
     ref = _duhamel_slice(w, tg.m)
     assert np.max(np.abs(last - ref)) / np.max(np.abs(ref)) <= 1e-12
     phi = GridFunction(sg, np.exp(-(sg.nodes - 2.0) ** 2) + 0j)
@@ -176,21 +185,20 @@ def test_stepped_spectra_do_not_drift_over_many_steps():
 
 @pytest.mark.parametrize("k", [1, 17, 40])
 def test_duhamel_restarted_from_a_carried_slice_matches_the_full_field(k):
-    # the recursion is causal: restarted at slice k from the spectrum of
-    # slice k-1, it gives the full call's slices k.. up to rounding, and
-    # zeros before k
+    # the recursion is causal: restarted at slice k from the row k-1 its
+    # buffer holds, it gives the full call's slices k.. up to rounding, and
+    # leaves the rows before k as the full call wrote them
     sg = SpatialGrid(-20.0, 20.0, 128)
     tg = TimeGrid(0.5, 40)
     x, t = sg.nodes[None, :], tg.nodes[:, None]
-    w = SolutionField(sg, tg, np.exp(-(x - 2.0) ** 2) * np.exp(3j * t) * (1.0 + t))
-    full = duhamel_field(w).values
-    carry = np.fft.fft(full[k - 1])
-    part = duhamel_field(w, start=k, carry=carry).values
+    w = np.exp(-(x - 2.0) ** 2) * np.exp(3j * t) * (1.0 + t)
+    buf = np.empty((tg.m + 2, sg.n), dtype=complex)
+    full = duhamel_field(w, sg, tg, out=buf).copy()
+    part = duhamel_field(w, sg, tg, out=buf, start=k)
+    assert np.shares_memory(part, buf)
+    assert np.array_equal(part[:k], full[:k])
     scale = np.max(np.abs(full))
     assert np.max(np.abs(part[k:] - full[k:])) / scale <= 1e-13
-    assert not np.any(part[:k])
-    with pytest.raises(ValueError):
-        duhamel_field(w, start=k)
 
 
 @pytest.mark.parametrize("k", [1, 17, 48])
@@ -233,7 +241,7 @@ def test_duhamel_interior_residual():
     # measured: 1.86e-4, 2.61e-4, 1.06e-4
     for name, wv in family.items():
         w = SolutionField(sg, tg, wv)
-        V = duhamel_field(w).values
+        V = duhamel_field(w.values, sg, tg)
         vt = (V[2:] - V[:-2]) / (2.0 * dt)
         res = 1j * vt[:, 1:-1] + _vxx_fd(V, sg.dx)[1:-1] - wv[1:-1, 1:-1]
         rel = np.max(np.abs(res[trim:-trim])) / np.max(np.abs(wv))
@@ -412,10 +420,10 @@ def test_duhamel_and_map_leave_inputs_and_plan_unchanged():
     kept = [a.copy() for a in (pre.linear.values, other.values, plan.step, plan.kspec)]
     for w in (pre.linear, other):
         out = apply_lambda(w, pre)
-        dw = duhamel_field(w)
-        for res in (out, dw):
-            assert not np.shares_memory(res.values, w.values)
-            assert not np.shares_memory(res.values, pre.linear.values)
+        dw = duhamel_field(w.values, sg, tg)
+        for res in (out.values, dw):
+            assert not np.shares_memory(res, w.values)
+            assert not np.shares_memory(res, pre.linear.values)
     now = (pre.linear.values, other.values, plan.step, plan.kspec)
     assert all(np.array_equal(a, b) for a, b in zip(kept, now))
 
@@ -427,11 +435,11 @@ def test_duhamel_field_peak_memory_is_two_fields():
     tg = TimeGrid(0.5, 32)
     x, t = sg.nodes[None, :], tg.nodes[:, None]
     w = SolutionField(sg, tg, np.exp(-x * x) * np.exp(1j * t))
-    duhamel_field(w)  # builds the plan outside the measurement
+    duhamel_field(w.values, sg, tg)  # builds the plan outside the measurement
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        duhamel_field(w)
+        duhamel_field(w.values, sg, tg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -466,6 +466,27 @@ def test_warm_solve_peak_memory_is_under_five_fields():
     assert peak - base <= 5.0 * u.values.nbytes, (peak - base) / u.values.nbytes
 
 
+def test_warm_solve_builds_two_fields_per_iterate(monkeypatch):
+    # each validated SolutionField is a finiteness pass over a whole field:
+    # the linear part's free and forcing fields, then per map application
+    # the forcing's and the map's value; Duhamel's buffer stays an array
+    sg = SpatialGrid(-30.0, 30.0, 128)
+    spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 64)
+    cfg = SolverConfig(sgrid=sg, tol=1e-10)
+    solve_ibvp(spec, cfg)  # builds the plan outside the count
+    built = []
+    real = SolutionField.__post_init__
+
+    def counted(self):
+        built.append(1)
+        real(self)
+
+    monkeypatch.setattr(SolutionField, "__post_init__", counted)
+    _, rep = solve_ibvp(spec, cfg)
+    assert rep.converged and rep.halvings == 0 and rep.iterates == 16
+    assert len(built) <= 2 * rep.iterates + 2, len(built)
+
+
 def test_solve_zero_data_converges_in_one_iterate():
     # zero data take the general path: the map returns the exact zero field
     sg = SpatialGrid(-20.0, 20.0, 64)

@@ -31,14 +31,7 @@ from .operators import (
     derivative_jump,
     free_group,
 )
-from .solver import (
-    BlowupSuspected,
-    CompatibilityError,
-    ProblemSpec,
-    SolverConfig,
-    SupercriticalError,
-    solve_ibvp,
-)
+from .solver import BlowupSuspected, ProblemSpec, SolverConfig, solve_ibvp
 from .spectral import smooth_ramp, sobolev_norm
 from .verification import (
     FDConfig, compare_fields, convergence_study, crank_nicolson, refined_problem,
@@ -499,7 +492,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (SupercriticalError, CompatibilityError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -42,9 +42,7 @@ from .grids import (
 from .operators import (
     boundary_forcing_time, duhamel_field, free_group_field, operator_plan,
 )
-from .spectral import (
-    _plancherel_norm, boundary_value, extend_half_line, smooth_ramp, sobolev_norm,
-)
+from .spectral import boundary_value, extend_half_line, smooth_ramp, sobolev_norm
 
 log = logging.getLogger(__name__)
 
@@ -307,17 +305,10 @@ class Workspace:
       forcing's (r, 2m) spectrum product, then receives the map's value;
     * duhamel: (m+2, n), zero in a fresh workspace; w |w|^(alpha-1) is
       formed in its rows 1.. and transformed there in place, and the
-      Duhamel term stays in its first m+1 rows until the next application;
+      Duhamel term stays in its first m+1 rows until the next application,
+      which may restart from it (apply_lambda's start);
     * half: forcing's work, (m+1) r elements, at least half a field (r >=
       n/2); |w|^(alpha-1) as (m+1, n) floats, then the transposed rows.
-
-    It also keeps the attempt's causal window, start: the first slice the
-    map recomputes, 0 in a fresh workspace (the whole map). The map is
-    causal in t: slice i of its value depends on the iterate's slices 0..i
-    only. So once the slices before start have stopped moving, the map
-    recomputes the slices start.. only. The frozen slices' Duhamel term is
-    the one the duhamel buffer keeps: the recursion restarts from its row
-    start-1, and the forcing reads its x = 0 trace from the whole buffer.
     """
 
     def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid):
@@ -325,7 +316,6 @@ class Workspace:
         self.result = np.empty(result_size, dtype=complex)
         self.duhamel = np.zeros((tgrid.m + 2, sgrid.n), dtype=complex)
         self.half = np.empty(half_size, dtype=complex)
-        self.start = 0
 
     def field(self, buf):
         """The leading (m+1, n) field of a flat buffer, result's or half's
@@ -333,53 +323,46 @@ class Workspace:
         rows = self.duhamel[1:]
         return buf[: rows.size].reshape(rows.shape)
 
-    def freeze(self, start: int):
-        """Freeze the slices before start, after an application of the map,
-        which left the Duhamel term of slice start-1 in the duhamel buffer
-        (start only moves forward)."""
-        if not self.start <= start <= len(self.duhamel) - 2:
-            raise ValueError("the window moves forward and keeps the last slice")
-        self.start = start
-
 
 def apply_lambda(w: SolutionField, pre: LinearData,
-                 out: Workspace | None = None) -> SolutionField:
+                 out: Workspace | None = None, start: int = 0) -> SolutionField:
     """One application of the fixed-point map to the iterate w.
 
     The value is built in out.result, and every temporary in out's other
     buffers; w must not live in out. Without out, a fresh Workspace is
-    allocated, whose window starts at 0: the whole map. With out.start = k,
-    the slices before k are copied from w, and only the slices k.. are
-    computed, from w's slices k-1..: w |w|^(alpha-1), the Duhamel term
-    restarted from the one out.duhamel holds, and the forcing (whose t-FFT
-    stays whole) of that term's whole x = 0 trace. The map is causal, so
-    these are the slices a whole application would give if the frozen
-    slices of w were those out.duhamel was computed from; they differ from
-    them by at most the frozen slices' last update, below tol (see
-    _picard_loop). The cutoffs multiplying each term are identically 1 on
-    the working interval [0, T] and are therefore not materialized.
+    allocated and the whole map applied (start = 0). The map is causal in
+    t: slice i of its value depends on w's slices 0..i only. With
+    start = k > 0, out.duhamel must hold the Duhamel term of an earlier
+    application; the slices before k are copied from w, and only the slices
+    k.. are computed, from w's slices k-1..: w |w|^(alpha-1), the Duhamel
+    term restarted from the one out.duhamel holds, and the forcing (whose
+    t-FFT stays whole) of that term's whole x = 0 trace. These are the
+    slices a whole application would give if the slices of w before k were
+    those out.duhamel was computed from; the solver freezes them once they
+    have stopped moving (see _picard_loop). The cutoffs multiplying each
+    term are identically 1 on the working interval [0, T] and are therefore
+    not materialized.
     """
     if out is None:
+        if start > 0:
+            raise ValueError("apply_lambda: start > 0 needs out to restart from")
         out = Workspace(pre.sgrid, pre.tgrid)
-    k = out.start
-    lo = max(k - 1, 0)
+    lo = max(start - 1, 0)
     power = np.abs(w.values[lo:], out=out.field(out.half.view(float))[lo:])
     power **= pre.alpha - 1.0
     np.multiply(w.values[lo:], power, out=out.duhamel[1 + lo:])
-    DF = duhamel_field(out.duhamel[1:], pre.sgrid, pre.tgrid, out=out.duhamel, start=k)
+    DF = duhamel_field(out.duhamel[1:], pre.sgrid, pre.tgrid, out=out.duhamel,
+                       start=start)
+    # row 0 of the Duhamel term is an exact 0.0: the trace vanishes at t=0
     trace = DF[:, pre.zero_index].copy()
-    if k == 0:
-        if abs(trace[0]) > 1e-12 * max(np.max(np.abs(trace)), 1e-300):
-            raise AssertionError("duhamel trace must vanish at t=0 by construction")
-        trace[0] = 0.0
     # linear + lam * (corr - DF), built in the forcing result's own buffer
     vals = boundary_forcing_time(TimeSignal(pre.tgrid, trace), pre.sgrid,
-                                 out=out.result, work=out.half, start=k).values
-    active = vals[k:]
-    active -= DF[k:]
+                                 out=out.result, work=out.half, start=start).values
+    active = vals[start:]
+    active -= DF[start:]
     active *= pre.lam
-    active += pre.linear.values[k:]
-    vals[:k] = w.values[:k]
+    active += pre.linear.values[start:]
+    vals[:start] = w.values[:start]
     return SolutionField(pre.sgrid, pre.tgrid, vals)
 
 
@@ -410,41 +393,29 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     The attempt owns one Workspace and a spare result buffer, freed when it
     returns but for the field returned: the map writes each iterate into
     the workspace's result, reading the last from the spare, and the two
-    trade places. For s = 0 the norms are sums in x (Parseval), the update
-    formed in the last iterate's buffer. For s > 0 they come from spectra:
-    fft(u_next - u) is fft(u_next) - fft(u), so each iteration transforms
-    only u_next, into the last iterate's buffer, and keeps it in the
-    spectrum buffer; the Duhamel buffer is left to the window.
+    trade places. The update is formed in the last iterate's buffer, and
+    sobolev_norm measures it and the new iterate; the Duhamel buffer is
+    left to the window.
     """
     work = Workspace(pre.sgrid, pre.tgrid)
     spare = np.empty_like(work.result)
     u = pre.linear
-    if s > 0.0:
-        uhat = np.fft.fft(u.values, axis=1)
-        p = work.field(work.half.view(float))
     report.iterates = 0
     report.residual_history = residuals = []
     report.contraction_ratios = ratios = []
+    k = 0  # the window's start: the first slice the map recomputes
     frozen_rel = 0.0  # the largest last update of a frozen slice, relative
     frozen_norm = 0.0  # the largest H^s norm among the frozen slices
     for _ in range(cfg.max_iter):
-        k = work.start
         first_active_rows.append(k)
-        u_next = apply_lambda(u, pre, out=work)
+        u_next = apply_lambda(u, pre, out=work, start=k)
         report.iterates += 1
         # C_t H^s_x norms: the max over time slices of the H^s norm in x,
         # taken per active slice; the frozen ones have stopped moving
         new = u_next.values[k:]
-        if s == 0.0:
-            norms = sobolev_norm(new, pre.sgrid, 0.0)
-            update = np.subtract(new, u.values[k:], out=work.field(spare)[k:])
-            deltas = sobolev_norm(update, pre.sgrid, 0.0)
-        else:
-            uhat_next = np.fft.fft(new, axis=1, out=work.field(spare)[k:])
-            norms = _plancherel_norm(uhat_next, pre.sgrid, s, p[k:])
-            diff = np.subtract(uhat_next, uhat[k:], out=uhat[k:])
-            deltas = _plancherel_norm(diff, pre.sgrid, s, p[k:])
-            np.copyto(uhat[k:], uhat_next)
+        norms = sobolev_norm(new, pre.sgrid, s)
+        update = np.subtract(new, u.values[k:], out=work.field(spare)[k:])
+        deltas = sobolev_norm(update, pre.sgrid, s)
         norm_u = max(float(np.max(norms)), frozen_norm, 1e-300)
         delta = float(np.max(deltas))
         u = u_next
@@ -466,7 +437,7 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
         if j > 0:
             frozen_norm = max(frozen_norm, float(np.max(norms[:j])))
             frozen_rel = max(frozen_rel, float(np.max(deltas[:j])) / norm_u)
-            work.freeze(k + j)
+            k += j
     return u, False
 
 

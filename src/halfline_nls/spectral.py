@@ -37,21 +37,13 @@ def sobolev_norm(values, grid: SpatialGrid, s: float):
         norm = np.sqrt(grid.dx * np.einsum("ij,ij->i", rows, rows))
         norm = norm.reshape(v.shape[:-1])
     else:
-        norm = _plancherel_norm(np.fft.fft(values, axis=-1), grid, s)
+        xi = grid.frequencies
+        # (1+xi^2)^s |spectrum|^2 in place: **2 is x*x, so this is bit-equal
+        p = np.abs(np.fft.fft(values, axis=-1))
+        p *= p
+        p *= (1.0 + xi * xi) ** s
+        norm = np.sqrt(grid.dx / grid.n * np.sum(p, axis=-1))
     return float(norm) if norm.ndim == 0 else norm
-
-
-def _plancherel_norm(spectrum, grid: SpatialGrid, s: float, work=None):
-    """sobolev_norm from the slices' fft along the last axis: a caller that
-    already holds the spectrum (the Picard loop) skips the transform. work,
-    a real array of the spectrum's shape, takes the one temporary."""
-    xi = grid.frequencies
-    w2 = (1.0 + xi * xi) ** s
-    # w2 * |spectrum|^2 with one temporary: **2 is x*x, so this is bit-equal
-    p = np.abs(spectrum, out=work)
-    p *= p
-    p *= w2
-    return np.sqrt(grid.dx / grid.n * np.sum(p, axis=-1))
 
 
 _PAD = 4

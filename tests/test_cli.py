@@ -252,6 +252,24 @@ def test_solve_supercritical_exits_one(tmp_path, capsys):
     assert "admissible range" in err
 
 
+def test_solve_incompatible_corner_exits_one(tmp_path, capsys):
+    # sech(x - 6) against f = 0: the boundary correction g(0) is above
+    # solver.seam_mismatch_cap, so the solver refuses the data
+    cfg = _write_cfg(tmp_path / "c.cfg", [
+        "problem.lambda_re = 2.0",
+        "problem.T = 0.25",
+        "phi.preset = sech",
+        "phi.center = 6.0",
+        "grid.x_min = -30.0",
+        "grid.x_max = 30.0",
+        "grid.nx = 128",
+        "grid.nt = 32",
+    ])
+    assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "error: boundary correction does not vanish at t=0" in err
+
+
 def test_solve_blowup_exits_two(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "b.cfg", [
         "problem.lambda_re = 2.0",

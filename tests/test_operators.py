@@ -211,6 +211,9 @@ def test_boundary_forcing_from_a_start_slice_is_bit_equal(k):
     part = boundary_forcing_time(f, sg, tg, start=k).values
     assert np.array_equal(part[k:], full[k:])
     assert not np.any(part[:k])
+    for bad in (-1, tg.m + 1):
+        with pytest.raises(ValueError):
+            boundary_forcing_time(f, sg, tg, start=bad)
 
 
 def test_operator_plan_keeps_no_field_sized_table():

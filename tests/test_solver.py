@@ -271,6 +271,8 @@ def test_apply_lambda_defocusing_free_is_w_independent():
     assert np.array_equal(out2.values, pre.linear.values)
     out1.values[0, 0] = 9.0
     assert pre.linear.values[0, 0] != 9.0
+    with pytest.raises(ValueError):
+        apply_lambda(w1, pre, start=1)  # no workspace to restart from
 
 
 def test_apply_lambda_boundary_trace():
@@ -292,8 +294,9 @@ def test_apply_lambda_boundary_trace():
 
 def _replay(spec, cfg, first_active_rows):
     # the solve's last attempt, replayed through apply_lambda on one
-    # workspace whose window moves as the attempt recorded; returns the
-    # linear part and each iterate, copied out of the workspace
+    # workspace, each application starting at the slice the attempt
+    # recorded; returns the linear part and each iterate, copied out of the
+    # workspace
     pre = _prepare_linear(
         extend_half_line(spec.phi, cfg.sgrid), spec.f, spec.lam, spec.alpha,
         cfg.seam_mismatch_cap,
@@ -301,19 +304,19 @@ def _replay(spec, cfg, first_active_rows):
     work = Workspace(pre.sgrid, pre.tgrid)
     iterates = [pre.linear]
     for k in first_active_rows:
-        work.freeze(k)
-        u = apply_lambda(iterates[-1], pre, out=work)
+        u = apply_lambda(iterates[-1], pre, out=work, start=k)
         iterates.append(SolutionField(u.sgrid, u.tgrid, u.values.copy()))
     return iterates
 
 
-def test_residual_history_is_the_norm_of_each_update():
-    # at s = 0 the loop sums the update's modulus in x (Parseval) on the
-    # active slices; recomputed here by transforming each whole update of
-    # the replay. A residual is the larger of the update and the last
-    # update of any frozen slice, relative to the norm when it froze
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_residual_history_is_the_norm_of_each_update(s):
+    # the loop measures the update of the active slices with sobolev_norm;
+    # recomputed here from each whole update of the replay. A residual is
+    # the larger of the update and the last update of any frozen slice,
+    # relative to the norm when it froze
     sg = SpatialGrid(-30.0, 30.0, 256)
-    spec = _make_spec(1.0, 3.0, 0.0, _kf_phi, _kf_f, 0.5, sg, 64)
+    spec = _make_spec(1.0, 3.0, s, _kf_phi, _kf_f, 0.5, sg, 64)
     cfg = SolverConfig(sgrid=sg, tol=1e-6)
     _, rep = solve_ibvp(spec, cfg)
     assert rep.converged and rep.halvings == 0
@@ -591,6 +594,7 @@ def test_solve_rejects_supercritical():
 
 
 def test_solve_rejects_incompatible_data():
+    # s = 1: phi(0) != f(0) where the regularity demands it
     sg = SpatialGrid(-20.0, 20.0, 64)
     spec = _make_spec(
         1.0, 3.0, 1.0, _gauss_phi,
@@ -598,6 +602,16 @@ def test_solve_rejects_incompatible_data():
         0.5, sg, 32,
     )
     with pytest.raises(CompatibilityError):
+        solve_ibvp(spec, SolverConfig(sgrid=sg))
+    # s = 0 accepts any corner, but sech(x - 6) against f = 0 leaves a
+    # boundary correction g(0) above seam_mismatch_cap
+    sg = SpatialGrid(-30.0, 30.0, 128)
+    spec = _make_spec(
+        2.0, 3.0, 0.0, _sol_phi,
+        lambda tt: np.zeros_like(np.asarray(tt), dtype=complex),
+        0.25, sg, 32,
+    )
+    with pytest.raises(CompatibilityError, match=r"\|g\(0\)\|/scale = 4\.98e-03"):
         solve_ibvp(spec, SolverConfig(sgrid=sg))
 
 

@@ -23,6 +23,7 @@ from halfline_nls import (
     mass_flux_balance,
     solve_ibvp,
 )
+from halfline_nls.verification import refined_problem
 
 
 def _soliton(x, t):
@@ -60,6 +61,21 @@ def test_fd_config_validation():
         FDConfig(nx=32, nt=128, x_max=30.0)
     with pytest.raises(ValueError):
         FDConfig(nx=128, nt=32, x_max=30.0)
+
+
+def test_refined_problem_resamples_phi_from_its_samples():
+    # without phi_fn, phi is interpolated from its samples at phi_x: exact
+    # on the x >= 0 nodes the coarse grid shares with the fine one
+    coarse = SpatialGrid(-30.0, 30.0, 128)
+    fine = SpatialGrid(-30.0, 30.0, 256)
+    spec = _make_spec(2.0, 3.0, _sol_phi, _sol_f, 0.5, coarse.nodes, 32)
+    spec.phi_fn = None
+    cfg = SolverConfig(sgrid=coarse)
+    spec_r, _ = refined_problem(spec, cfg, fine, 64)
+    assert np.array_equal(spec_r.phi[::2], spec.phi)
+    spec.phi_x = None
+    with pytest.raises(ValueError, match="cannot resample"):
+        refined_problem(spec, cfg, fine, 64)
 
 
 def test_crank_nicolson_zero_data():

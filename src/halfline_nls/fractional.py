@@ -25,7 +25,7 @@ from math import ceil, gamma
 import numpy as np
 
 from .grids import TimeSignal
-from .spectral import padded_spectrum
+from .spectral import damped_inverse, padded_spectrum
 
 MAX_ORDER = 4.0
 _VANISH_TOL = 1e-8
@@ -35,37 +35,46 @@ class EndpointWarning(UserWarning):
     """Data does not vanish at t=0 as the operator assumes."""
 
 
+def vanishes_at_start(values):
+    """|f(0)| <= _VANISH_TOL max |f|: samples that vanish at t=0 relative to
+    their own scale (an identically zero f does)."""
+    return abs(values[0]) <= _VANISH_TOL * np.max(np.abs(values))
+
+
 def _check_order(alpha):
     if abs(alpha) > MAX_ORDER:
         raise ValueError(f"order |alpha| <= {MAX_ORDER} supported, got {alpha}")
 
 
-def _pl_weights(alpha, dt, m):
-    """Product-integration weights for piecewise-linear data.
+def panel_weights(M0, Q1_dt, norm):
+    """Product-integration weights for piecewise-linear data from the panel
+    moments of a kernel K at lags 1..m (last axis),
 
-    Writing t_i - s = (k - theta) dt on the k-th lag interval, the exact
-    moments over one interval are
+        M0_k = int K(t_i - s) ds,   Q1_k = int K(t_i - s) (t_i - s) ds,
 
-        M0_k = int (t_i - s)^(a-1) ds       over s in [t_{i-k}, t_{i-k+1}]
-        Q1_k = int (t_i - s)^(a-1) (s - t_{i-k}) ds
-
-    and the linear interpolant f(s) = f_{i-k} + (s - t_{i-k}) df/dt
-    contributes f_{i-k} (M0_k - M1_k) + f_{i-k+1} M1_k with M1_k = Q1_k/dt,
-    which evaluates to M1_k = k*M0_k - dt^a (k^(a+1)-(k-1)^(a+1))/(a+1).
-    Returns (a_k, b_k): the weights of f_{i-k} and f_{i-k+1}.
+    over the k-th lag interval s in [t_{i-k}, t_{i-k+1}]. There s - t_{i-k}
+    = k dt - (t_i - s), so the linear interpolant of f contributes
+    f_{i-k} (M0_k - M1_k) + f_{i-k+1} M1_k with M1_k = k M0_k - Q1_k/dt.
+    Returns (a_k, b_k) of lags 0..m, the weights of f_{i-k} and f_{i-k+1},
+    divided by norm; lag 0 has none.
     """
+    k = np.arange(1, M0.shape[-1] + 1, dtype=float)
+    M1 = k * M0 - Q1_dt
+    a = np.zeros(M0.shape[:-1] + (M0.shape[-1] + 1,), dtype=M0.dtype)
+    b = np.zeros_like(a)
+    a[..., 1:] = M0 - M1
+    b[..., 1:] = M1
+    return a / norm, b / norm
+
+
+def _pl_weights(alpha, dt, m):
+    """panel_weights of the kernel (t_i - s)^(a-1), norm Gamma(a), whose
+    moments are M0_k = dt^a (k^a - (k-1)^a)/a and
+    Q1_k/dt = dt^a (k^(a+1) - (k-1)^(a+1))/(a+1)."""
     k = np.arange(m + 1, dtype=float)
-    pk = k**alpha
-    pk1 = k ** (alpha + 1.0)
-    M0 = np.zeros(m + 1)
-    M1 = np.zeros(m + 1)
-    M0[1:] = dt**alpha * (pk[1:] - pk[:-1]) / alpha
-    M1[1:] = k[1:] * M0[1:] - dt**alpha * (pk1[1:] - pk1[:-1]) / (alpha + 1.0)
-    a = np.zeros(m + 1)
-    b = np.zeros(m + 1)
-    a[1:] = M0[1:] - M1[1:]
-    b[1:] = M1[1:]
-    return a / gamma(alpha), b / gamma(alpha)
+    M0 = dt**alpha * np.diff(k**alpha) / alpha
+    Q1_dt = dt**alpha * np.diff(k ** (alpha + 1.0)) / (alpha + 1.0)
+    return panel_weights(M0, Q1_dt, gamma(alpha))
 
 
 def frac_integral(f: TimeSignal, alpha: float) -> TimeSignal:
@@ -92,8 +101,7 @@ def frac_derivative(f: TimeSignal, alpha: float) -> TimeSignal:
     _check_order(alpha)
     if alpha <= 0.0:
         raise ValueError("frac_derivative: alpha > 0 required")
-    scale = np.max(np.abs(f.values)) or 1.0
-    if abs(f.values[0]) > _VANISH_TOL * scale:
+    if not vanishes_at_start(f.values):
         warnings.warn(
             "frac_derivative: f(0) != 0; result is inaccurate near t=0",
             EndpointWarning,
@@ -114,8 +122,8 @@ def frac_fourier_path(f: TimeSignal, alpha: float) -> TimeSignal:
 
     The kernel transform is e^{-i pi a/2} (tau - i0)^(-a), the boundary value
     of (tau - i z)^(-a) from z > 0. It is evaluated at the small finite shift
-    z = gamma = _DAMP/(M dt) on a _PAD-fold zero-extended grid (padded_spectrum),
-    conjugated by the exponential weight:
+    z = gamma = _DAMP/(M dt) on a _PAD-fold zero-extended grid, conjugated by
+    the exponential weight (padded_spectrum, damped_inverse):
 
         I_a f = e^{gamma t} F^{-1}[ e^{-i pi a/2} (tau_k - i gamma)^(-a)
                                      F[e^{-gamma t} f] ]
@@ -130,5 +138,4 @@ def frac_fourier_path(f: TimeSignal, alpha: float) -> TimeSignal:
         return f.copy()
     fhat, tau, gam = padded_spectrum(f)
     mult = np.exp(-0.5j * np.pi * alpha) * (tau - 1j * gam) ** (-alpha)
-    out = np.fft.ifft(mult * fhat)[: f.grid.m + 1]
-    return TimeSignal(f.grid, out * np.exp(gam * f.grid.nodes))
+    return TimeSignal(f.grid, damped_inverse(mult * fhat, gam, f.grid))

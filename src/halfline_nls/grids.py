@@ -100,10 +100,10 @@ class HalfLineGrid:
         return 0
 
 
-def _as_complex(values, length, what):
+def _as_complex(values, shape, what):
     v = np.asarray(values, dtype=complex)
-    if v.shape != (length,):
-        raise ValueError(f"{what}: expected shape ({length},), got {v.shape}")
+    if v.shape != shape:
+        raise ValueError(f"{what}: expected shape {shape}, got {v.shape}")
     if not np.all(np.isfinite(v.view(float))):
         raise ValueError(f"{what}: non-finite entries")
     return v
@@ -117,7 +117,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _as_complex(self.values, self.grid.n, "GridFunction")
+        self.values = _as_complex(self.values, (self.grid.n,), "GridFunction")
 
     def copy(self):
         return GridFunction(self.grid, self.values.copy())
@@ -131,7 +131,7 @@ class TimeSignal:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _as_complex(self.values, self.grid.m + 1, "TimeSignal")
+        self.values = _as_complex(self.values, (self.grid.m + 1,), "TimeSignal")
 
     def copy(self):
         return TimeSignal(self.grid, self.values.copy())
@@ -151,14 +151,8 @@ class SolutionField:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        nx = len(self.sgrid.nodes)
-        expect = (self.tgrid.m + 1, nx)
-        if v.shape != expect:
-            raise ValueError(f"SolutionField: expected {expect}, got {v.shape}")
-        if not np.all(np.isfinite(v.view(float))):
-            raise ValueError("SolutionField: non-finite entries")
-        self.values = v
+        shape = (self.tgrid.m + 1, len(self.sgrid.nodes))
+        self.values = _as_complex(self.values, shape, "SolutionField")
 
     def slice_at(self, t_index):
         if not isinstance(self.sgrid, SpatialGrid):

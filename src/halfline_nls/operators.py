@@ -36,8 +36,8 @@ enter the weights, so the kernels take G less G(0) = -2 i sqrt(A) F(inf),
 G's two terms share one phase, and the constant G(0), far from x=0 much
 larger than the differences, is never added and subtracted.
 The frequency representation evaluates its multiplier on the damped,
-zero-padded contour of spectral.padded_spectrum, which the fractional Fourier
-path shares.
+zero-padded contour of spectral.padded_spectrum and damped_inverse, which the
+fractional Fourier path shares.
 
 Everything that depends only on the grid pair lives in one OperatorPlan,
 returned by operator_plan(sgrid, tgrid) from a three-slot LRU cache (the
@@ -62,8 +62,8 @@ them (out=, work=), as each attempt of the fixed-point solver does with its
 one workspace, and allocate their own otherwise. Both compute only the time
 slices from a start slice on when asked: duhamel_field restarts its
 recursion from the Duhamel term an earlier call left in out, whose rows
-before the start it does not write, and boundary_forcing_time transposes
-and gathers only the slices from the start on.
+1..start-1 it does not write, and boundary_forcing_time transposes and
+gathers only the slices from the start on.
 """
 from __future__ import annotations
 
@@ -72,9 +72,9 @@ import warnings
 
 import numpy as np
 
-from .fractional import frac_derivative
+from .fractional import frac_derivative, panel_weights, vanishes_at_start
 from .grids import GridFunction, SolutionField, SpatialGrid, TimeGrid, TimeSignal
-from .spectral import padded_spectrum
+from .spectral import damped_inverse, padded_spectrum
 
 ROOT_PI = np.sqrt(np.pi)
 _E_PLUS4 = np.exp(0.25j * np.pi)
@@ -172,18 +172,19 @@ def duhamel_field(w: np.ndarray, sgrid: SpatialGrid, tgrid: TimeGrid,
     -i e^{-i (t_i - t_j) xi^2} w_hat_j over t_j <= t_i, obeys the exact
     recursion
         D_i = E D_{i-1} + c (E w_hat_{i-1} + w_hat_i),      c = -i dt/2,
-    from D_0 = 0, so the t=0 slice is exactly 0. Every step works in place
+    from D_0 = 0: row 0 is set to exactly 0. Every step works in place
     on one (m+2, n) buffer, out when given (w may then be out[1:] itself,
     transformed in place), whose first m+1 rows are returned as an array;
     the plan is only read.
 
     The recursion is causal: slice i needs only D_{i-1} and the slices of w
-    at t_{i-1} and t_i. With start = k > 0 it restarts from out, whose rows
-    hold an earlier call's Dw: D_{k-1} is the FFT of out's row k-1, w's
-    slices k-1.. are read and the rows k.. computed; the rows before k are
-    not written and keep the earlier call's values. The fixed-point solver
-    restarts its one buffer this way, so that it recomputes only the slices
-    that have not converged.
+    at t_{i-1} and t_i. Every call restarts it from row k-1 of the buffer,
+    k = max(start, 1): D_{k-1} is that row's FFT, w's slices k-1.. are read
+    and the rows k.. computed. With start = 0 that row is row 0; with
+    start = k > 0, out's rows hold an earlier call's Dw, and the rows 1..k-1
+    are not written and keep its values. The fixed-point solver restarts
+    its one buffer this way, so that it recomputes only the slices that
+    have not converged.
     """
     if not isinstance(sgrid, SpatialGrid):
         raise TypeError("duhamel_field needs a whole-line grid")
@@ -198,13 +199,10 @@ def duhamel_field(w: np.ndarray, sgrid: SpatialGrid, tgrid: TimeGrid,
     # w_hat_{i-1} when D_i/c = E (D_{i-1}/c + w_hat_{i-1}) + w_hat_i is
     # formed there from D_{i-1}/c (prev) and the row below
     buf = np.empty((m + 2, sgrid.n), dtype=complex) if out is None else out
+    buf[0] = 0.0
     first = max(start, 1)
-    if start == 0:
-        buf[0] = 0.0
-        prev = buf[0]
-    else:
-        prev = np.fft.fft(buf[start - 1])
-        prev *= 1.0 / c
+    prev = np.fft.fft(buf[first - 1])
+    prev *= 1.0 / c
     np.fft.fft(w[first - 1:], axis=1, out=buf[first:])
     for i in range(first, m + 1):
         row = buf[i]
@@ -221,8 +219,7 @@ def duhamel_field(w: np.ndarray, sgrid: SpatialGrid, tgrid: TimeGrid,
 def _bf_kernel_chunk(x, dt, m):
     """Piecewise-linear product-integration kernels (a_k, b_k) for |x| rows.
 
-    Same M0/M1 weight algebra as the fractional integral, with the plain
-    power moments replaced by the oscillatory panel moments: on panel k,
+    fractional.panel_weights of the oscillatory panel moments: on panel k,
     M0 = 2[G]_{sigma_{k-1}}^{sigma_k} and the first moment comes from the
     antiderivative of sigma^2 e^{i A/sigma^2},
     W(sigma) = (sigma^3 e^{i A/sigma^2} + 2 i A G(sigma)) * 2/3.
@@ -243,13 +240,7 @@ def _bf_kernel_chunk(x, dt, m):
     W *= 2.0 / 3.0
     M0 = 2.0 * (G[:, 1:] - G[:, :-1])
     Q1 = W[:, 1:] - W[:, :-1]
-    k = np.arange(1, m + 1, dtype=float)[None, :]
-    M1 = k * M0 - Q1 / dt
-    a = np.zeros((len(x), m + 1), dtype=complex)
-    b = np.zeros((len(x), m + 1), dtype=complex)
-    a[:, 1:] = M0 - M1
-    b[:, 1:] = M1
-    return a / ROOT_PI, b / ROOT_PI
+    return panel_weights(M0, Q1 / dt, ROOT_PI)
 
 
 class OperatorPlan:
@@ -300,8 +291,7 @@ operator_plan = functools.lru_cache(maxsize=_PLAN_SLOTS)(OperatorPlan)
 
 
 def _check_vanishing_start(f: TimeSignal, what):
-    scale = np.max(np.abs(f.values))
-    if scale > 0.0 and abs(f.values[0]) > _EDGE_TOL * scale:
+    if not vanishes_at_start(f.values):
         raise ValueError(f"{what}: boundary data must vanish at t=0")
 
 
@@ -361,7 +351,8 @@ def boundary_forcing_freq(
 
     The multiplier e^{-|x| sqrt(tau - i0)} is evaluated on the contour
     shifted by gamma = _DAMP/(M dt) into the lower half plane, conjugated by
-    e^{±gamma t} exactly as in the fractional Fourier path (padded_spectrum);
+    e^{±gamma t} exactly as in the fractional Fourier path (padded_spectrum,
+    damped_inverse);
     the principal square root on that contour tends, as gamma -> 0, to the
     lower-edge branch: sqrt(tau) for tau > 0 and -i sqrt(|tau|) for tau < 0.
     f is zero-padded _PAD-fold (4) in t.
@@ -375,13 +366,11 @@ def boundary_forcing_freq(
     fhat, tau, gam = padded_spectrum(f)
     root = np.sqrt(tau - 1j * gam)
     absx = np.abs(sgrid.nodes)
-    grow = np.exp(gam * tgrid.nodes)
     vals = np.empty((m + 1, sgrid.n), dtype=complex)
     for lo in range(0, sgrid.n, _X_CHUNK):
         hi = min(lo + _X_CHUNK, sgrid.n)
         mult = np.exp(-absx[lo:hi, None] * root[None, :])
-        rows = np.fft.ifft(mult * fhat[None, :], axis=1)[:, : m + 1]
-        vals[:, lo:hi] = (rows * grow[None, :]).T
+        vals[:, lo:hi] = damped_inverse(mult * fhat[None, :], gam, tgrid).T
     return SolutionField(sgrid, tgrid, vals)
 
 

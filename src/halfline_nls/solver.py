@@ -18,8 +18,8 @@ interval is halved (the construction is a contraction only for T small
 enough depending on the data), and repeated failure is reported as suspected
 blow-up rather than an answer.
 
-Every term of the map is causal in t (u on [0, t] depends on phi and on f
-over [0, t] only) and its contraction is local in t, so the iterates settle
+The map is causal in t up to one step (slice i reads w(0, t_{i+1}), see
+apply_lambda) and its contraction is local in t, so the iterates settle
 from t = 0 forward. Each attempt therefore iterates on a window: once the
 first time slices move by no more than tol (relative) in an update, they are
 frozen, and the map recomputes only the slices after them, restarting the
@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
+from .fractional import vanishes_at_start
 from .grids import (
     GridFunction, SolutionField, SpatialGrid, TimeGrid, TimeSignal, interp_complex,
 )
@@ -66,6 +67,11 @@ class BlowupSuspected(RuntimeError):
         self.report = report
 
 
+def _covers(f: TimeSignal, t_end: float) -> bool:
+    """f's grid reaches t_end, short of it by at most 1e-12 relative."""
+    return f.grid.t_max >= t_end * (1.0 - 1e-12)
+
+
 @dataclass
 class ProblemSpec:
     lam: complex
@@ -91,7 +97,7 @@ class ProblemSpec:
             raise ValueError("0 < T < inf required")
         if not cmath.isfinite(self.lam):
             raise ValueError("lam must be finite")
-        if self.f.grid.t_max < self.T * (1.0 - 1e-12):
+        if not _covers(self.f, self.T):
             raise ValueError("boundary data does not cover [0, T]")
         self.phi = np.asarray(self.phi, dtype=complex)
         self.lam = complex(self.lam)
@@ -271,14 +277,13 @@ def _prepare_linear(phi_ext: GridFunction, f: TimeSignal, lam, alpha,
     # incompatibility is judged against the data scale: a correction that is
     # negligible relative to the solution must never be rejected however
     # lopsided its own profile is. The subtraction itself keys off g's own
-    # scale, which is what the forcing operator's vanishing check sees.
+    # scale, through the forcing operator's own vanishing test.
     scale = max(
         np.max(np.abs(g)),
         np.max(np.abs(phi_ext.values)),
         np.max(np.abs(f.values)),
         1e-300,
     )
-    own = max(np.max(np.abs(g)), 1e-300)
     mism = g[0]
     if abs(mism) > seam_mismatch_cap * scale:
         raise CompatibilityError(
@@ -286,7 +291,7 @@ def _prepare_linear(phi_ext: GridFunction, f: TimeSignal, lam, alpha,
             f"(|g(0)|/scale = {abs(mism) / scale:.2e}); "
             "data incompatible at the corner"
         )
-    if abs(mism) > 1e-9 * own:
+    if not vanishes_at_start(g):
         profile = 1.0 - smooth_ramp(4.0 * tgrid.nodes / tgrid.t_max)
         g = g - mism * profile
         log.debug("seam mismatch %.2e removed", abs(mism) / scale)
@@ -330,8 +335,10 @@ def apply_lambda(w: SolutionField, pre: LinearData,
 
     The value is built in out.result, and every temporary in out's other
     buffers; w must not live in out. Without out, a fresh Workspace is
-    allocated and the whole map applied (start = 0). The map is causal in
-    t: slice i of its value depends on w's slices 0..i only. With
+    allocated and the whole map applied (start = 0). Slice i of its value
+    depends on w's slices 0..i and on w(0, t_{i+1}), which enters the
+    Duhamel trace at t_{i+1} with weight -i dt/2: the forcing's
+    half-derivative (np.gradient) reads that trace. With
     start = k > 0, out.duhamel must hold the Duhamel term of an earlier
     application; the slices before k are copied from w, and only the slices
     k.. are computed, from w's slices k-1..: w |w|^(alpha-1), the Duhamel
@@ -375,20 +382,22 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     iterate's first active slice to first_active_rows. One map application
     per iterate: the last update is the fixed-point residual.
 
-    The iterates converge from t = 0 forward, the map being causal and its
-    contraction local in t. After each update, the window's start moves to
-    the first slice whose update exceeds tol times the C_t H^s_x norm of
-    the iterate; the slices before it are frozen, and the next applications
-    compute and measure only the slices from start on. A frozen slice moved
-    by at most tol (relative) on its last update. Its inputs, the slices up
-    to it, have moved since by no more than that update, so a whole
-    application would move it by at most the map's contraction factor
-    times that: the windowed iteration converges to the full map's fixed
-    point to within tol. The convergence test and ratio_cap read the update
-    of the active slices, the only ones that move. The residual reported,
-    per iterate and in fixed_point_residual, is the larger of that update
-    and the last update of any frozen slice (relative to the norm when it
-    froze, so at most tol), so it does not understate what freezing hid.
+    The iterates converge from t = 0 forward, the map being causal up to one
+    step and its contraction local in t. After each update, the window's
+    start moves to the first slice whose update exceeds tol times the C_t
+    H^s_x norm of the iterate; the slices before it are frozen, and the next
+    applications compute and measure only the slices from start on. A frozen
+    slice moved by at most tol (relative) on its last update. Its inputs,
+    the slices up to it, have moved since by no more than that update, and
+    its one input ahead, w(0) on the first active slice, enters with weight
+    of order dt (apply_lambda), so a whole application would move it by
+    about the map's contraction factor times tol: the windowed iteration
+    converges to the full map's fixed point to within tol. The convergence
+    test and ratio_cap read the update of the active slices, the only ones
+    that move. The residual reported, per iterate and in
+    fixed_point_residual, is the larger of that update and the last update
+    of any frozen slice (relative to the norm when it froze, so at most
+    tol), so it does not understate what freezing hid.
 
     The attempt owns one Workspace and a spare result buffer, freed when it
     returns but for the field returned: the map writes each iterate into
@@ -542,7 +551,7 @@ def continue_solution(
     delta_eff = m2 * dt
     if abs(delta_eff - delta) > 1e-12 * max(delta, 1.0):
         log.info("continuation interval rounded to %d steps (%.6g)", m2, delta_eff)
-    if spec.f.grid.t_max < T + delta_eff - 1e-12:
+    if not _covers(spec.f, T + delta_eff):
         raise ValueError("boundary data does not cover [T, T + delta]")
     floor = replace(cfg, max_halvings=min(cfg.max_halvings, m2.bit_length() - 1))
     tail, tail_report = _solve_from_slice(u.slice_at(u.tgrid.m), spec, T,

@@ -1,6 +1,6 @@
 """Spectral substrate: the Sobolev norm in x, the damped padded transform in
-t, the smooth ramp, the half-line -> whole-line extension and the boundary
-value at x=0. Each is the one implementation its callers share.
+t and its inverse, the smooth ramp, the half-line -> whole-line extension
+and the boundary value at x=0, each the one implementation its callers share.
 
 Conventions. The forward transform approximates g_hat(xi) = int e^{-i x xi} g dx
 and is realized as dx * fft(g) on the periodic grid; the discrete frequencies
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import GridFunction, SpatialGrid, TimeSignal, interp_complex
+from .grids import GridFunction, SpatialGrid, TimeGrid, TimeSignal, interp_complex
 
 
 def sobolev_norm(values, grid: SpatialGrid, s: float):
@@ -64,6 +64,13 @@ def padded_spectrum(f: TimeSignal):
     fhat = np.fft.fft(f.values * np.exp(-gamma * f.grid.nodes), M)
     tau = 2.0 * np.pi * np.fft.fftfreq(M, d=dt)
     return fhat, tau, gamma
+
+
+def damped_inverse(spectrum, gamma, tgrid: TimeGrid):
+    """The inverse of padded_spectrum on tgrid: the first m+1 samples of the
+    inverse FFT along the last axis, times e^{gamma t}."""
+    rows = np.fft.ifft(spectrum, axis=-1)[..., : tgrid.m + 1]
+    return rows * np.exp(gamma * tgrid.nodes)
 
 
 def _psi(sigma):

@@ -177,7 +177,7 @@ def compare_fields(a: SolutionField, b: SolutionField) -> CompareReport:
     Both fields are evaluated on a canonical common grid: the x>0 and
     [0, min t_max] window of whichever input has fewer samples there
     (deterministic tie-break), with linear interpolation for the other.
-    The scalar metrics are symmetric under argument swap, bit-exact.
+    The scalar metrics are symmetric under argument swap, bit for bit.
     """
     from scipy.interpolate import RegularGridInterpolator
 
@@ -261,18 +261,13 @@ def mass_flux_balance(field: SolutionField) -> dict:
     }
 
 
-def convergence_study(
-    spec: ProblemSpec,
-    cfg: SolverConfig,
-    levels: int = 3,
-    exact=None,
-) -> dict:
+def convergence_study(spec: ProblemSpec, cfg: SolverConfig, levels: int = 3) -> dict:
     """Dyadic refinement study of the integral-equation solve.
 
     Level 0 is solve_ibvp(spec, cfg) itself; each finer level doubles its nx
-    and nt on the interval level 0 achieved, with halving off. Errors are
-    measured against `exact(x, t)` when given, else against the finest
-    level; observed orders are log2 ratios. Non-monotone error sequences are
+    and nt on the interval level 0 achieved, with halving off. Each level
+    but the finest is measured against the finest (compare_fields' rel_l2);
+    observed orders are log2 ratios. Non-monotone error sequences are
     flagged and no orders are reported; an identically zero finest field is
     flagged likewise.
     """
@@ -292,22 +287,7 @@ def convergence_study(
         rows.append({"nx": u_k.sgrid.n, "nt": u_k.tgrid.m})
         log.info("convergence level %d: %dx%d", k, u_k.sgrid.n, u_k.tgrid.m)
 
-    errors = []
-    if exact is not None:
-        for u_k in fields:
-            x = np.asarray(u_k.sgrid.nodes)
-            keep = x > 0.0
-            TT, XX = np.meshgrid(u_k.tgrid.nodes, x[keep], indexing="ij")
-            ref = exact(XX, TT)
-            diff = u_k.values[:, keep] - ref
-            den = np.sqrt(np.sum(np.abs(ref) ** 2))
-            errors.append(
-                float(np.sqrt(np.sum(np.abs(diff) ** 2)) / den) if den > 0 else 0.0
-            )
-    else:
-        finest = fields[-1]
-        for u_k in fields[:-1]:
-            errors.append(compare_fields(u_k, finest).rel_l2)
+    errors = [compare_fields(u_k, fields[-1]).rel_l2 for u_k in fields[:-1]]
 
     table = []
     flagged = False

@@ -147,6 +147,8 @@ def test_main_bad_config_exits_one(tmp_path, capsys):
         (["problem.alpha = nan"], "2 <= alpha"),
         (["problem.lambda_re = nan"], "lam must be finite"),
         (["problem.s = 0.5"], "s = 1/2 is excluded"),
+        (["phi.preset = cosine"], "unknown phi.preset 'cosine'"),
+        (["f.preset = cosine"], "unknown f.preset 'cosine'"),
     ]
     for lines, message in cases:
         cfg = _write_cfg(tmp_path / "a.cfg", [
@@ -291,6 +293,12 @@ def test_solve_blowup_exits_two(tmp_path, capsys):
     assert "blow-up suspected" in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is False
+    # verify reports the oracle comparison it could not make as a failure,
+    # and converge stops as solve does
+    assert main(["verify", cfg, "--out", str(out)]) == 3
+    assert "FAIL fd_oracle_agreement: inf" in capsys.readouterr().out
+    assert main(["converge", cfg, "--out", str(out)]) == 2
+    assert "blow-up suspected during study" in capsys.readouterr().err
 
 
 def test_solve_says_when_halving_shortened_the_interval(tmp_path, capsys):
@@ -524,6 +532,9 @@ def test_field_roundtrip_is_exact(tmp_path):
     assert np.array_equal(back, vals)
     assert np.array_equal(x, sg.nodes)
     assert np.array_equal(t, tg.nodes)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+    with pytest.raises(ValueError, match="missing field header"):
+        read_field(path)
 
 
 def test_field_csv_bytes_are_the_per_cell_format(tmp_path):

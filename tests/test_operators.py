@@ -274,6 +274,11 @@ def test_boundary_forcing_rejects_nonvanishing_start():
         boundary_forcing_time(f, sg, tg)
     with pytest.raises(ValueError):
         boundary_forcing_freq(f, sg, tg)
+    # nor data on another time grid than the field's
+    z = TimeSignal(TimeGrid(2.0, 16), np.zeros(17))
+    for forcing in (boundary_forcing_time, boundary_forcing_freq):
+        with pytest.raises(ValueError, match="f must live on tgrid"):
+            forcing(z, sg, tg)
 
 
 def test_boundary_forcing_initial_slice_is_zero():
@@ -541,3 +546,12 @@ def test_derivative_jump_grid_checks():
     fld = boundary_forcing_time(TimeSignal(tg, b), sg, tg)
     with pytest.raises(ValueError):
         derivative_jump(TimeSignal(other, np.zeros(17)), fld)
+    half = SolutionField(HalfLineGrid(10.0, 16), tg, np.zeros((17, 17)))
+    with pytest.raises(TypeError, match="whole-line"):
+        derivative_jump(TimeSignal(tg, b), half)
+    # the node nearest 0 has one neighbour on its left
+    lopsided = SpatialGrid(-0.2, 20.0, 64)
+    assert lopsided.index_nearest_zero() == 1
+    fld = boundary_forcing_time(TimeSignal(tg, b), lopsided, tg)
+    with pytest.raises(ValueError, match="lopsided"):
+        derivative_jump(TimeSignal(tg, b), fld)

@@ -1,7 +1,8 @@
 """Package hygiene: the names the package root exports, no module-level
-import that its module, or a test module, never uses (no linter is assumed
-to be installed), the names the benchmark's tracer wraps, and the README's
-library example, run as written."""
+import that its module, or a test module, never uses, no private top-level
+name that the package never reads (no linter is assumed to be installed),
+the names the benchmark's tracer wraps, and the README's library example,
+run as written."""
 import ast
 import importlib
 from pathlib import Path
@@ -87,6 +88,33 @@ def test_modules_use_every_name_they_import():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _private_top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            assigned = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in assigned for n in ast.walk(t)
+                       if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (t for t in targets if t.startswith("_") and not t.startswith("__"))
+
+
+def test_every_private_top_level_name_is_read():
+    # a helper or constant that a refactor leaves behind reads as live code
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    private = [(name, n) for name, tree in trees.items()
+               for n in _private_top_level_names(tree)]
+    assert len(private) >= 40
+    assert [entry for entry in private if entry[1] not in read] == []
 
 
 def test_benchmark_trace_targets_resolve():

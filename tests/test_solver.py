@@ -292,6 +292,28 @@ def test_apply_lambda_boundary_trace():
         assert rel < 1e-3, rel  # measured 1.08e-4 for both iterates
 
 
+def test_map_looks_one_slice_ahead():
+    # the forcing's half-derivative takes central differences in t, so the
+    # map's slice k-1 reads w(0, t_k) through the Duhamel trace; a 1% change
+    # of w's slice k moves it that much, and the earlier slices only by
+    # rounding through the whole t-FFT. Measured at k = 30: slice k
+    # 2.4e-4, slice k-1 8.2e-12, earlier slices 1.7e-18 (of max |map|)
+    sg = SpatialGrid(-30.0, 30.0, 256)
+    spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 64)
+    pre = _prepare_linear(extend_half_line(spec.phi, sg), spec.f, spec.lam,
+                          spec.alpha, 1e-3)
+    tt, xx = np.meshgrid(pre.tgrid.nodes, sg.nodes, indexing="ij")
+    w = np.exp(1j * tt) / np.cosh(xx - 6.0)
+    base = apply_lambda(SolutionField(sg, pre.tgrid, w), pre).values.copy()
+    k = 30
+    w[k] *= 1.01
+    moved = apply_lambda(SolutionField(sg, pre.tgrid, w), pre).values - base
+    moved = np.max(np.abs(moved), axis=1) / np.max(np.abs(base))
+    assert moved[k] > 1e-5
+    assert moved[k - 1] <= 1e-9
+    assert np.max(moved[: k - 1]) <= 1e-14
+
+
 def _replay(spec, cfg, first_active_rows):
     # the solve's last attempt, replayed through apply_lambda on one
     # workspace, each application starting at the slice the attempt
@@ -562,6 +584,9 @@ def test_problem_spec_rejects_non_finite_inputs():
                        (1.5, "0 <= s < 3/2"), (2.0, "0 <= s < 3/2")]:
         with pytest.raises(ValueError, match=message):
             ProblemSpec(1.0, 3.0, s, phi, f, 0.5)
+    # and boundary data that ends before T
+    with pytest.raises(ValueError, match="does not cover"):
+        ProblemSpec(1.0, 3.0, 0.0, phi, f, 0.5 * (1.0 + 1e-9))
 
 
 @pytest.mark.parametrize("setting", [
@@ -744,6 +769,19 @@ def test_continuation_argument_validation():
     # boundary data ends at t=0.25, cannot continue past it
     with pytest.raises(ValueError, match="cover"):
         continue_solution(u, spec, 0.25, 0.25, cfg)
+
+
+def test_continuation_accepts_data_short_by_rounding_late_in_time():
+    # f ends 5e-13 (relative) short of T + delta = 2e4, a shortfall of
+    # rounding size: an absolute 1e-12 allowance, below one ulp of 2e4,
+    # refused it; the relative one that ProblemSpec applies accepts it
+    sg = SpatialGrid(-30.0, 30.0, 64)
+    xp = sg.nodes[sg.nodes >= 0.0]
+    f = TimeSignal(TimeGrid(2e4 * (1.0 - 5e-13), 16), np.zeros(17))
+    spec = ProblemSpec(1.0, 3.0, 0.0, np.zeros(len(xp)), f, 1e4)
+    u = SolutionField(sg, TimeGrid(1e4, 8), np.zeros((9, 64)))
+    out = continue_solution(u, spec, 1e4, 1e4, SolverConfig(sgrid=sg))
+    assert out.tgrid.t_max == 2e4 and not np.any(out.values)
 
 
 def test_continuation_rejects_supercritical_spec():

@@ -6,10 +6,13 @@ problem on a half-line grid with the boundary trace imposed strongly, so
 its agreement with closed forms is an end-to-end check that does not share
 code with the integral-equation solver.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from halfline_nls import (
+    CompareReport,
     FDConfig,
     ProblemSpec,
     SolutionField,
@@ -64,15 +67,17 @@ def test_fd_config_validation():
 
 
 def test_refined_problem_resamples_phi_from_its_samples():
-    # without phi_fn, phi is interpolated from its samples at phi_x: exact
-    # on the x >= 0 nodes the coarse grid shares with the fine one
+    # without phi_fn, phi is interpolated from its samples at phi_x, and
+    # without f_fn, f from its own: exact on the nodes the coarse grids
+    # share with the fine ones
     coarse = SpatialGrid(-30.0, 30.0, 128)
     fine = SpatialGrid(-30.0, 30.0, 256)
     spec = _make_spec(2.0, 3.0, _sol_phi, _sol_f, 0.5, coarse.nodes, 32)
-    spec.phi_fn = None
+    spec.phi_fn = spec.f_fn = None
     cfg = SolverConfig(sgrid=coarse)
     spec_r, _ = refined_problem(spec, cfg, fine, 64)
     assert np.array_equal(spec_r.phi[::2], spec.phi)
+    assert np.array_equal(spec_r.f.values[::2], spec.f.values)
     spec.phi_x = None
     with pytest.raises(ValueError, match="cannot resample"):
         refined_problem(spec, cfg, fine, 64)
@@ -168,6 +173,17 @@ def test_compare_is_symmetric_across_grids():
     assert ab.rel_l2 > 0.0
 
 
+def test_compare_rejects_disjoint_windows():
+    # a field sampled on x in [5, 10] shares no x > 0 window with one whose
+    # positive nodes end below 1
+    tg = TimeGrid(0.5, 16)
+    a = SolutionField(SpatialGrid(-1.0, 1.0, 16), tg, np.ones((17, 16)))
+    b = SolutionField(SimpleNamespace(nodes=np.linspace(5.0, 10.0, 16)), tg,
+                      np.ones((17, 16)))
+    with pytest.raises(ValueError, match="do not overlap"):
+        compare_fields(a, b)
+
+
 def test_compare_resolves_one_step_shift():
     # fields offset by one time step should differ by about |exp(i dt) - 1|
     sg = SpatialGrid(-30.0, 30.0, 512)
@@ -205,16 +221,25 @@ def test_convergence_study_linear_self_reference():
 
 
 def test_convergence_study_standing_wave_exact_reference():
+    # the study's three-level ladder, each level measured by its relative
+    # L2 error on x > 0 against the exact standing wave
     sg = SpatialGrid(-40.0, 40.0, 256)
     spec = _make_spec(2.0, 3.0, _sol_phi, _sol_f, 0.5, sg.nodes, 128)
-    st = convergence_study(
-        spec, SolverConfig(sgrid=sg, tol=1e-10, max_iter=60), levels=3, exact=_soliton
-    )
-    assert not st["flagged"]
-    errs = [r["error"] for r in st["table"]]
-    assert all(e is not None for e in errs)
+    cfg = SolverConfig(sgrid=sg, tol=1e-10, max_iter=60)
+    u, rep = solve_ibvp(spec, cfg)
+    assert rep.converged and rep.t_achieved == spec.T
+    fields = [u]
+    for k in (1, 2):
+        fine = SpatialGrid(sg.x_min, sg.x_max, sg.n * 2**k)
+        fields.append(solve_ibvp(*refined_problem(spec, cfg, fine, u.tgrid.m * 2**k))[0])
+    errs = []
+    for u_k in fields:
+        x = u_k.sgrid.nodes
+        TT, XX = np.meshgrid(u_k.tgrid.nodes, x[x > 0.0], indexing="ij")
+        ref = _soliton(XX, TT)
+        errs.append(np.linalg.norm(u_k.values[:, x > 0.0] - ref) / np.linalg.norm(ref))
     assert errs[0] > errs[1] > errs[2]  # measured 8.8e-5, 3.2e-5, 1.1e-5
-    assert st["orders"][-1] > 1.5  # measured 1.59
+    assert np.log2(errs[1] / errs[2]) > 1.5  # measured 1.59
     assert errs[-1] < 1e-3
 
 
@@ -243,31 +268,16 @@ def test_convergence_study_flags_zero_field():
     assert all(r["order"] is None for r in st["table"])
 
 
-def test_convergence_study_flags_non_monotone_errors():
-    # reference crafted to interpolate the middle level exactly: the error
-    # dips to zero there and rises again at the finest level
-    from scipy.interpolate import RegularGridInterpolator
-
+def test_convergence_study_flags_non_monotone_errors(monkeypatch):
+    # errors against the finest level that rise from one level to the next
+    rising = iter([1e-4, 2e-4])
+    monkeypatch.setattr("halfline_nls.verification.compare_fields",
+                        lambda a, b: CompareReport(next(rising), 0.0, None))
     phi_fn = lambda xx: np.exp(-((np.asarray(xx) - 4.0) ** 2)) + 0j
-    sg_mid = SpatialGrid(-40.0, 40.0, 512)
-    spec_mid = _make_spec(0.0, 3.0, phi_fn, _zero_fn, 0.25, sg_mid.nodes, 128)
-    mid, _ = solve_ibvp(spec_mid, SolverConfig(sgrid=sg_mid, tol=1e-10, max_halvings=0))
-    x2 = sg_mid.nodes
-    pos = x2 > 0.0
-    itp = RegularGridInterpolator(
-        (mid.tgrid.nodes, x2[pos]), mid.values[:, pos],
-        bounds_error=False, fill_value=0.0,
-    )
-
-    def crafted(xq, tq):
-        pts = np.stack(
-            [np.asarray(tq, float).ravel(), np.asarray(xq, float).ravel()], axis=-1
-        )
-        return itp(pts).reshape(np.asarray(xq).shape)
-
     sg = SpatialGrid(-40.0, 40.0, 256)
     spec = _make_spec(0.0, 3.0, phi_fn, _zero_fn, 0.25, sg.nodes, 64)
-    st = convergence_study(spec, SolverConfig(sgrid=sg, tol=1e-10), levels=3, exact=crafted)
+    st = convergence_study(spec, SolverConfig(sgrid=sg, tol=1e-10), levels=3)
+    assert [r["error"] for r in st["table"]] == [1e-4, 2e-4, None]
     assert st["flagged"]
     assert st["reason"] == "non-monotone errors; no order reported"
     assert st["orders"] == []

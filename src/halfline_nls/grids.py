@@ -100,12 +100,16 @@ class HalfLineGrid:
         return 0
 
 
-def _as_complex(values, shape, what):
+class NonFiniteError(ValueError):
+    """Samples hold a NaN or an infinite entry."""
+
+
+def _as_complex(values, shape, what, finite=True):
     v = np.asarray(values, dtype=complex)
     if v.shape != shape:
         raise ValueError(f"{what}: expected shape {shape}, got {v.shape}")
-    if not np.all(np.isfinite(v.view(float))):
-        raise ValueError(f"{what}: non-finite entries")
+    if finite and not np.all(np.isfinite(v.view(float))):
+        raise NonFiniteError(f"{what}: non-finite entries")
     return v
 
 
@@ -153,6 +157,14 @@ class SolutionField:
     def __post_init__(self):
         shape = (self.tgrid.m + 1, len(self.sgrid.nodes))
         self.values = _as_complex(self.values, shape, "SolutionField")
+
+    @classmethod
+    def _of_finite(cls, sgrid, tgrid, values):
+        """A field of complex entries its caller has checked finite: shape only."""
+        u = cls.__new__(cls)
+        u.sgrid, u.tgrid, u.values, u.meta = sgrid, tgrid, values, {}
+        _as_complex(values, (tgrid.m + 1, len(sgrid.nodes)), "SolutionField", False)
+        return u
 
     def slice_at(self, t_index):
         if not isinstance(self.sgrid, SpatialGrid):

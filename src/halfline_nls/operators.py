@@ -63,7 +63,8 @@ one workspace, and allocate their own otherwise. Both compute only the time
 slices from a start slice on when asked: duhamel_field restarts its
 recursion from the Duhamel term an earlier call left in out, whose rows
 1..start-1 it does not write, and boundary_forcing_time transposes and
-gathers only the slices from the start on.
+gathers only the slices from the start on. Neither checks its whole output
+for finiteness: the forcing checks the rows it gathers, the solver its norms.
 """
 from __future__ import annotations
 
@@ -73,7 +74,8 @@ import warnings
 import numpy as np
 
 from .fractional import frac_derivative, panel_weights, vanishes_at_start
-from .grids import GridFunction, SolutionField, SpatialGrid, TimeGrid, TimeSignal
+from .grids import (GridFunction, SolutionField, SpatialGrid, TimeGrid, TimeSignal,
+                    _as_complex)
 from .spectral import damped_inverse, padded_spectrum
 
 ROOT_PI = np.sqrt(np.pi)
@@ -306,7 +308,8 @@ def boundary_forcing_time(
     spectrum product (r distinct |x|), then receives the field; work holds
     the product's transposed rows. With start = k the t-FFT stays whole,
     but only the slices k.. are transposed and gathered, bit-equal to the
-    full call's; the slices before k are returned as zeros.
+    full call's; the slices before k are returned as zeros. A non-finite
+    field raises ValueError, checked on the (m+1-start, r) rows it copies.
     """
     if tgrid is None:
         tgrid = f.grid
@@ -334,14 +337,13 @@ def boundary_forcing_time(
     np.subtract(buf[:, start: m + 1].T, rows, out=rows)
     if start == 0:
         rows[0] = 0.0  # every kernel weight at lag 0 is zero by construction
-    # the gather overwrites the product it no longer needs. np.take, not
-    # rows[:, inv]: SolutionField needs a C-contiguous array; mode "clip"
-    # (inv is in range by construction) writes straight into out, where
-    # "raise" would buffer a whole output
+    _as_complex(rows, rows.shape, "boundary_forcing_time")
+    # the gather overwrites the product it no longer needs: np.take in mode
+    # "clip" (inv is in range by construction) writes straight into out
     vals = out[: (m + 1) * n].reshape(m + 1, n)
     np.take(rows, plan.inv, axis=1, out=vals[start:], mode="clip")
     vals[:start] = 0.0
-    return SolutionField(sgrid, tgrid, vals)
+    return SolutionField._of_finite(sgrid, tgrid, vals)
 
 
 def boundary_forcing_freq(

@@ -37,12 +37,10 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 import numpy as np
 
 from .fractional import vanishes_at_start
-from .grids import (
-    GridFunction, SolutionField, SpatialGrid, TimeGrid, TimeSignal, interp_complex,
-)
-from .operators import (
-    boundary_forcing_time, duhamel_field, free_group_field, operator_plan,
-)
+from .grids import (GridFunction, NonFiniteError, SolutionField, SpatialGrid,
+                    TimeGrid, TimeSignal, interp_complex)
+from .operators import (boundary_forcing_time, duhamel_field, free_group_field,
+                        operator_plan)
 from .spectral import boundary_value, extend_half_line, smooth_ramp, sobolev_norm
 
 log = logging.getLogger(__name__)
@@ -240,8 +238,8 @@ def boundary_residual(u: SolutionField, f: TimeSignal) -> float:
     It sees the error floor that the even extension of phi (only C^0 at
     x = 0) sets, though not the time discretization's error.
     """
-    x = u.sgrid.nodes
-    scale = max(float(np.max(np.abs(u.values[:, x >= 0.0]))), 1e-300)
+    right = u.values[:, np.searchsorted(u.sgrid.nodes, 0.0):]  # x >= 0, a view
+    scale = max(float(np.max(np.abs(right))), 1e-300)
     gap = np.abs(u.values[:, u.sgrid.index_nearest_zero()] - f.values)
     return float(np.max(gap)) / scale
 
@@ -304,16 +302,15 @@ def _prepare_linear(phi_ext: GridFunction, f: TimeSignal, lam, alpha,
 class Workspace:
     """The buffers of one Picard attempt's applications of the fixed-point
     map on one grid pair, as plain arrays (m+1 time slices, n nodes, r
-    distinct |x|):
+    distinct |x|) that no whole-field finiteness pass reads:
 
-    * result: forcing's out, max((m+1) n, 2 m r) elements; it first holds
-      forcing's (r, 2m) spectrum product, then receives the map's value;
-    * duhamel: (m+2, n), zero in a fresh workspace; w |w|^(alpha-1) is
-      formed in its rows 1.. and transformed there in place, and the
-      Duhamel term stays in its first m+1 rows until the next application,
-      which may restart from it (apply_lambda's start);
-    * half: forcing's work, (m+1) r elements, at least half a field (r >=
-      n/2); |w|^(alpha-1) as (m+1, n) floats, then the transposed rows.
+    * result: forcing's out, max((m+1) n, 2 m r) elements; forcing's (r, 2m)
+      spectrum product, then the map's value, which _picard_loop checks;
+    * duhamel: (m+2, n), zero when fresh; w |w|^(alpha-1) is formed and
+      transformed in place in its rows 1.., and the Duhamel term stays in
+      its first m+1 rows for the next application to restart from;
+    * half: forcing's work, (m+1) r elements (r >= n/2); |w|^(alpha-1) as
+      (m+1, n) floats, then the transposed rows, checked before the gather.
     """
 
     def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid):
@@ -333,22 +330,19 @@ def apply_lambda(w: SolutionField, pre: LinearData,
                  out: Workspace | None = None, start: int = 0) -> SolutionField:
     """One application of the fixed-point map to the iterate w.
 
-    The value is built in out.result, and every temporary in out's other
-    buffers; w must not live in out. Without out, a fresh Workspace is
-    allocated and the whole map applied (start = 0). Slice i of its value
-    depends on w's slices 0..i and on w(0, t_{i+1}), which enters the
-    Duhamel trace at t_{i+1} with weight -i dt/2: the forcing's
-    half-derivative (np.gradient) reads that trace. With
-    start = k > 0, out.duhamel must hold the Duhamel term of an earlier
-    application; the slices before k are copied from w, and only the slices
-    k.. are computed, from w's slices k-1..: w |w|^(alpha-1), the Duhamel
-    term restarted from the one out.duhamel holds, and the forcing (whose
-    t-FFT stays whole) of that term's whole x = 0 trace. These are the
-    slices a whole application would give if the slices of w before k were
-    those out.duhamel was computed from; the solver freezes them once they
-    have stopped moving (see _picard_loop). The cutoffs multiplying each
-    term are identically 1 on the working interval [0, T] and are therefore
-    not materialized.
+    The value is built in out.result, every temporary in out's other
+    buffers (w must not live in out); without out, a fresh Workspace is
+    allocated and the whole map applied. Slice i of the value depends on
+    w's slices 0..i and on w(0, t_{i+1}), which enters the Duhamel trace at
+    t_{i+1} with weight -i dt/2: the forcing's half-derivative (np.gradient)
+    reads that trace. With start = k > 0, out.duhamel must hold an earlier
+    application's Duhamel term: w's slices before k are copied, and the
+    slices k.. computed from w's slices k-1.. and out.duhamel are those a
+    whole application would give if w's slices before k were the ones
+    out.duhamel came from (see _picard_loop). The value's entries are not
+    checked finite, the caller's norms do that; an overflow met on the way
+    raises NonFiniteError. The cutoffs multiplying each term are 1 on the
+    working interval [0, T] and are not materialized.
     """
     if out is None:
         if start > 0:
@@ -370,12 +364,13 @@ def apply_lambda(w: SolutionField, pre: LinearData,
     active *= pre.lam
     active += pre.linear.values[start:]
     vals[:start] = w.values[:start]
-    return SolutionField(pre.sgrid, pre.tgrid, vals)
+    return SolutionField._of_finite(pre.sgrid, pre.tgrid, vals)
 
 
 def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
                  report: IterationReport, first_active_rows: list):
-    """Iterate from the linear part; returns (field, converged).
+    """Iterate from the linear part; returns (field, None if converged, else
+    the reason the attempt is refused).
 
     Writes this attempt's iterates, residual_history, contraction_ratios and
     fixed_point_residual into report (see IterationReport), and appends each
@@ -387,24 +382,21 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     start moves to the first slice whose update exceeds tol times the C_t
     H^s_x norm of the iterate; the slices before it are frozen, and the next
     applications compute and measure only the slices from start on. A frozen
-    slice moved by at most tol (relative) on its last update. Its inputs,
-    the slices up to it, have moved since by no more than that update, and
-    its one input ahead, w(0) on the first active slice, enters with weight
-    of order dt (apply_lambda), so a whole application would move it by
-    about the map's contraction factor times tol: the windowed iteration
-    converges to the full map's fixed point to within tol. The convergence
-    test and ratio_cap read the update of the active slices, the only ones
-    that move. The residual reported, per iterate and in
-    fixed_point_residual, is the larger of that update and the last update
-    of any frozen slice (relative to the norm when it froze, so at most
-    tol), so it does not understate what freezing hid.
+    slice moved by at most tol (relative) on its last update; its inputs
+    have moved since by no more, and its one input ahead, w(0) on the first
+    active slice, enters with weight of order dt (apply_lambda), so a whole
+    application would move it by about the contraction factor times tol:
+    the windowed iteration reaches the full map's fixed point to within tol.
+    The convergence test and ratio_cap read the active slices' update. The
+    residual reported is the larger of that update and the last update of
+    any frozen slice (relative to the norm when it froze, so at most tol).
 
-    The attempt owns one Workspace and a spare result buffer, freed when it
-    returns but for the field returned: the map writes each iterate into
-    the workspace's result, reading the last from the spare, and the two
-    trade places. The update is formed in the last iterate's buffer, and
-    sobolev_norm measures it and the new iterate; the Duhamel buffer is
-    left to the window.
+    Each iterate is checked once, in these norms: a non-finite norm or
+    update of its active slices (also a finite one whose norm overflows),
+    or NonFiniteError from the map, refuses the attempt as "non-finite
+    iterate" before any residual; frozen slices are copies of checked ones.
+    Iterates alternate between the workspace's result and a spare buffer,
+    in which the update is formed.
     """
     work = Workspace(pre.sgrid, pre.tgrid)
     spare = np.empty_like(work.result)
@@ -417,16 +409,21 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     frozen_norm = 0.0  # the largest H^s norm among the frozen slices
     for _ in range(cfg.max_iter):
         first_active_rows.append(k)
-        u_next = apply_lambda(u, pre, out=work, start=k)
         report.iterates += 1
+        try:
+            u_next = apply_lambda(u, pre, out=work, start=k)
+        except NonFiniteError:  # w |w|^(alpha-1), its trace or the forcing overflowed
+            return u, "non-finite iterate"
         # C_t H^s_x norms: the max over time slices of the H^s norm in x,
         # taken per active slice; the frozen ones have stopped moving
         new = u_next.values[k:]
         norms = sobolev_norm(new, pre.sgrid, s)
         update = np.subtract(new, u.values[k:], out=work.field(spare)[k:])
         deltas = sobolev_norm(update, pre.sgrid, s)
-        norm_u = max(float(np.max(norms)), frozen_norm, 1e-300)
-        delta = float(np.max(deltas))
+        top, delta = float(np.max(norms)), float(np.max(deltas))
+        if not (math.isfinite(top) and math.isfinite(delta)):
+            return u_next, "non-finite iterate"
+        norm_u = max(top, frozen_norm, 1e-300)
         u = u_next
         work.result, spare = spare, work.result
         # until the update falls to tol it is the larger, since frozen_rel
@@ -438,16 +435,16 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
             residuals.append(residual)
         report.fixed_point_residual = residual / norm_u
         if delta <= cfg.tol * norm_u:
-            return u, True
+            return u, None
         if ratios and ratios[-1] > cfg.ratio_cap:
             log.debug("contraction ratio %.3f exceeds cap", ratios[-1])
-            return u, False
+            return u, "no contraction"
         j = int(np.argmax(deltas > cfg.tol * norm_u))
         if j > 0:
             frozen_norm = max(frozen_norm, float(np.max(norms[:j])))
             frozen_rel = max(frozen_rel, float(np.max(deltas[:j])) / norm_u)
             k += j
-    return u, False
+    return u, "no contraction"
 
 
 def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
@@ -457,11 +454,11 @@ def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
     Rejects a supercritical (s, alpha) with SupercriticalError. Each attempt
     reads its boundary data f(t0 + .) from spec.f on its own m-step grid
     (exact on shared nodes) and halves the interval when the critical gate
-    refuses its linear part or the map stops contracting; report.halvings
+    refuses its linear part or _picard_loop the iterates; report.halvings
     counts the halvings made before the last attempt. Its times are
     absolute: t_requested is t0 + T, t_achieved the end of the last interval
-    iterated on (t0 if none was). Raises BlowupSuspected, naming the last refusal's reason,
-    when no attempt converges.
+    iterated on (t0 if none was). Raises BlowupSuspected, naming the last
+    refusal's reason, when no attempt converges.
     """
     crit = criticality(spec.s, spec.alpha)
     if crit == "supercritical":
@@ -489,16 +486,15 @@ def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
             reason = (f"linear mixed norm {report.linear_mixed_norm:.3e} "
                       f">= delta_crit {cfg.delta_crit:g}")
         else:
-            u, converged = _picard_loop(pre, spec.s, cfg, report,
-                                        attempt["first_active_rows"])
+            u, reason = _picard_loop(pre, spec.s, cfg, report,
+                                     attempt["first_active_rows"])
             report.t_achieved = t0 + T
             attempt["iterates"] = report.iterates
             attempt["contraction_ratios"] = report.contraction_ratios
-            if converged:
+            if reason is None:
                 report.converged = True
                 report.boundary_residual = boundary_residual(u, f)
                 return u, report
-            reason = "no contraction"
         attempt["reason"] = reason
         # exact ends: a short interval late in time must not print as [a, a]
         log.info("%s on [%.17g, %.17g]; halving", reason, t0, t0 + T)

@@ -272,33 +272,47 @@ def test_solve_incompatible_corner_exits_one(tmp_path, capsys):
     assert "error: boundary correction does not vanish at t=0" in err
 
 
+def _refuse_non_finite(token):
+    raise AssertionError(f"report.json holds {token}")
+
+
 def test_solve_blowup_exits_two(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path / "b.cfg", [
-        "problem.lambda_re = 2.0",
-        "problem.T = 0.25",
-        "phi.preset = gaussian",
-        "phi.center = 8.0",
-        "phi.amplitude = 3.0",
-        "grid.x_min = -30.0",
-        "grid.x_max = 30.0",
-        "grid.nx = 256",
-        "grid.nt = 64",
-        "solver.tol = 1e-14",
-        "solver.max_iter = 2",
-        "solver.ratio_cap = 1e-6",
-        "solver.max_halvings = 1",
-    ])
-    out = tmp_path / "out"
-    assert main(["solve", cfg, "--out", str(out)]) == 2
-    assert "blow-up suspected" in capsys.readouterr().err
-    report = json.loads((out / "report.json").read_text())
-    assert report["converged"] is False
-    # verify reports the oracle comparison it could not make as a failure,
-    # and converge stops as solve does
-    assert main(["verify", cfg, "--out", str(out)]) == 3
-    assert "FAIL fd_oracle_agreement: inf" in capsys.readouterr().out
-    assert main(["converge", cfg, "--out", str(out)]) == 2
-    assert "blow-up suspected during study" in capsys.readouterr().err
+    cases = [
+        (["problem.lambda_re = 2.0", "phi.amplitude = 3.0", "grid.nx = 256",
+          "grid.nt = 64", "solver.tol = 1e-14", "solver.max_iter = 2",
+          "solver.ratio_cap = 1e-6", "solver.max_halvings = 1"], "no contraction"),
+        # the second map value overflows: a refusal, not a bare ValueError
+        (["problem.lambda_re = 1e100", "grid.nx = 128", "grid.nt = 32"],
+         "non-finite iterate"),
+        # the first iterate is finite but its norm overflows: inf <= tol * inf
+        # must not read as converged, nor NaN and Infinity reach report.json
+        (["problem.lambda_re = 1e160", "grid.nx = 128", "grid.nt = 32"],
+         "non-finite iterate"),
+    ]
+    for k, (lines, reason) in enumerate(cases):
+        cfg = _write_cfg(tmp_path / f"b{k}.cfg", [
+            "problem.T = 0.25",
+            "phi.preset = gaussian",
+            "phi.center = 8.0",
+            "grid.x_min = -30.0",
+            "grid.x_max = 30.0",
+            *lines,
+        ])
+        out = tmp_path / f"out{k}"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["solve", cfg, "--out", str(out)]) == 2
+            assert f"blow-up suspected: {reason} after" in capsys.readouterr().err
+            # every attempt is reported, with finite residuals only
+            report = json.loads((out / "report.json").read_text(),
+                                parse_constant=_refuse_non_finite)
+            assert report["converged"] is False
+            assert {a["reason"] for a in report["attempts"]} == {reason}
+            # verify reports the oracle comparison it could not make as a
+            # failure, and converge stops as solve does
+            assert main(["verify", cfg, "--out", str(out)]) == 3
+            assert "FAIL fd_oracle_agreement: inf" in capsys.readouterr().out
+            assert main(["converge", cfg, "--out", str(out)]) == 2
+            assert "blow-up suspected during study" in capsys.readouterr().err
 
 
 def test_solve_says_when_halving_shortened_the_interval(tmp_path, capsys):

@@ -281,6 +281,20 @@ def test_boundary_forcing_rejects_nonvanishing_start():
             forcing(z, sg, tg)
 
 
+def test_boundary_forcing_rejects_overflowing_output():
+    # f and its half-derivative are finite (h peaks at 4.9e305) but the
+    # forcing's transform overflows: the forcing's own check on its
+    # distinct-|x| rows must refuse the field, whatever the start slice
+    sg = SpatialGrid(-10.0, 10.0, 64)
+    tg = TimeGrid(1.0, 512)
+    f = TimeSignal(tg, 3e305 * _bump_family(tg.nodes, 1.0)[0])
+    assert np.max(np.abs(frac_derivative(f, 0.5).values)) < np.inf
+    for start in (0, 256):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                boundary_forcing_time(f, sg, tg, start=start)
+
+
 def test_boundary_forcing_initial_slice_is_zero():
     sg = SpatialGrid(-20.0, 20.0, 256)
     tg = TimeGrid(1.0, 64)

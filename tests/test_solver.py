@@ -491,10 +491,11 @@ def test_warm_solve_peak_memory_is_under_five_fields():
     assert peak - base <= 5.0 * u.values.nbytes, (peak - base) / u.values.nbytes
 
 
-def test_warm_solve_builds_two_fields_per_iterate(monkeypatch):
-    # each validated SolutionField is a finiteness pass over a whole field:
-    # the linear part's free and forcing fields, then per map application
-    # the forcing's and the map's value; Duhamel's buffer stays an array
+def test_warm_solve_validates_only_the_free_field(monkeypatch):
+    # each validated SolutionField is a finiteness pass over a whole field.
+    # The forcing checks its distinct-|x| rows before the gather, and the
+    # Picard loop each iterate in its own norms, so only the free field is
+    # validated whole, whatever the number of iterates
     sg = SpatialGrid(-30.0, 30.0, 128)
     spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 64)
     cfg = SolverConfig(sgrid=sg, tol=1e-10)
@@ -509,7 +510,27 @@ def test_warm_solve_builds_two_fields_per_iterate(monkeypatch):
     monkeypatch.setattr(SolutionField, "__post_init__", counted)
     _, rep = solve_ibvp(spec, cfg)
     assert rep.converged and rep.halvings == 0 and rep.iterates == 16
-    assert len(built) <= 2 * rep.iterates + 2, len(built)
+    assert len(built) == 1, len(built)
+
+
+@pytest.mark.parametrize("lam", [1e120, 1e160])
+def test_overflowing_iterate_is_refused_not_converged(lam):
+    # 1e160: the first iterate is finite (max|u| 3.2e159) but its norm
+    # overflows, and inf <= tol * inf must not read as converged. 1e120:
+    # w |w|^2 overflows inside the second map application, and the
+    # non-finite Duhamel trace must refuse the attempt, not escape the solve
+    sg = SpatialGrid(-30.0, 30.0, 128)
+    spec = _make_spec(lam, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowupSuspected) as exc:
+            solve_ibvp(spec, SolverConfig(sgrid=sg))
+    assert str(exc.value).startswith("non-finite iterate after 8 halvings")
+    rep = exc.value.report
+    assert not rep.converged
+    assert [a["reason"] for a in rep.attempts] == ["non-finite iterate"] * 9
+    # the refused iterate enters no residual
+    assert all(math.isfinite(r) for r in rep.residual_history)
+    assert math.isfinite(rep.fixed_point_residual)
 
 
 def test_solve_zero_data_converges_in_one_iterate():

@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -200,8 +201,9 @@ def _write_csv(path, header, width, rows):
 
 
 def _write_json(path, obj):
+    # NaN and Infinity are not JSON: a non-finite number raises ValueError
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -417,7 +419,9 @@ def cmd_verify(config_path, out_dir=None):
         value = float(value)
         tol = float(tol)
         ok = bool(value <= tol)
-        report.append({"check": name, "value": value, "tolerance": tol, "pass": ok})
+        # a check that could not be made (an infinite value) is written as null
+        report.append({"check": name, "value": value if math.isfinite(value) else None,
+                       "tolerance": tol, "pass": ok})
         line = "PASS" if ok else "FAIL"
         print(f"{line} {name}: {value:.3e} (tol {tol:.3e})")
         if not ok:

@@ -82,21 +82,31 @@ def frac_integral(f: TimeSignal, alpha: float) -> TimeSignal:
     _check_order(alpha)
     if alpha <= 0.0:
         raise ValueError("frac_integral: alpha > 0 required (use frac_derivative)")
-    m = f.grid.m
-    a, b = _pl_weights(alpha, f.grid.dt, m)
-    v = f.values
+    return TimeSignal(f.grid, _integral_values(f.values, alpha, f.grid.dt))
+
+
+def _integral_values(v, alpha, dt):
+    """frac_integral of the samples v at spacing dt; each output reads only
+    the samples up to its own."""
+    m = len(v) - 1
+    a, b = _pl_weights(alpha, dt, m)
     out = np.convolve(v, a)[: m + 1]
     out[1:] += np.convolve(v[1:], b)[1 : m + 1]
-    return TimeSignal(f.grid, out)
+    return out
 
 
-def frac_derivative(f: TimeSignal, alpha: float) -> TimeSignal:
+def frac_derivative(f: TimeSignal, alpha: float, stop: int | None = None) -> TimeSignal:
     """Fractional derivative of order alpha > 0 (the -alpha integral).
 
     Computed as d^k/dt^k of the (k - alpha)-integral, k = ceil(alpha), with
     second-order differencing (one-sided at the endpoints). Data should
     vanish at t=0; otherwise the continuum derivative is singular there and
     an EndpointWarning is issued.
+
+    With stop, only the samples before stop are computed, from f's samples
+    before max(stop, 2) + k (each of the k differences reads one sample
+    ahead, two at t = 0); they are the whole call's to rounding, and the
+    samples from stop on are zero.
     """
     _check_order(alpha)
     if alpha <= 0.0:
@@ -108,13 +118,18 @@ def frac_derivative(f: TimeSignal, alpha: float) -> TimeSignal:
             stacklevel=2,
         )
     k = ceil(alpha)
-    if k - alpha > 0.0:
-        g = frac_integral(f, k - alpha).values
-    else:
-        g = f.values.astype(complex)
+    m = f.grid.m
+    # each difference reads one sample ahead, and at t = 0 two
+    used = m + 1 if stop is None else min(m + 1, max(stop, 2) + k)
+    v = f.values[:used]
+    g = _integral_values(v, k - alpha, f.grid.dt) if k - alpha > 0.0 else v.copy()
     for _ in range(k):
         g = np.gradient(g, f.grid.dt, edge_order=2)
-    return TimeSignal(f.grid, g)
+    if stop is None:
+        return TimeSignal(f.grid, g)
+    out = np.zeros(m + 1, dtype=complex)
+    out[:stop] = g[:stop]
+    return TimeSignal(f.grid, out)
 
 
 def frac_fourier_path(f: TimeSignal, alpha: float) -> TimeSignal:

@@ -59,11 +59,16 @@ and a solve that halves its interval twice works on three time grids):
 A plan owns no buffer: it is shared read-only by every caller on its grids.
 duhamel_field and boundary_forcing_time write into buffers the caller hands
 them (out=, work=), as each attempt of the fixed-point solver does with its
-one workspace, and allocate their own otherwise. Both compute only the time
-slices from a start slice on when asked: duhamel_field restarts its
-recursion from the Duhamel term an earlier call left in out, whose rows
-1..start-1 it does not write, and boundary_forcing_time transposes and
-gathers only the slices from the start on. Neither checks its whole output
+one workspace, and allocate their own otherwise. Both compute only a block
+of time slices [start, stop) when asked: duhamel_field restarts its
+recursion from the Duhamel term an earlier call left in out and ends it at
+stop. boundary_forcing_time, without stop, takes its whole t-FFT and
+transposes and gathers the slices from start on; with stop it takes no
+FFT: the block's own samples of h meet the kernel's first lags in t in one
+small product, and the earlier samples' part, computed once per block, is
+kept in a ForcingHistory with the kernel's lags (Hairer, Lubich & Schlichte,
+SIAM J. Sci. Stat. Comput. 6 (1985), split a convolution the same way). It
+then writes only the block's rows of out. Neither checks its whole output
 for finiteness: the forcing checks the rows it gathers, the solver its norms.
 """
 from __future__ import annotations
@@ -72,6 +77,7 @@ import functools
 import warnings
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fractional import frac_derivative, panel_weights, vanishes_at_start
 from .grids import (GridFunction, SolutionField, SpatialGrid, TimeGrid, TimeSignal,
@@ -165,7 +171,8 @@ def free_group_field(phi: GridFunction, tgrid: TimeGrid) -> SolutionField:
 
 
 def duhamel_field(w: np.ndarray, sgrid: SpatialGrid, tgrid: TimeGrid,
-                  out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
+                  out: np.ndarray | None = None, start: int = 0,
+                  stop: int | None = None) -> np.ndarray:
     """Dw on all time slices by the trapezoid rule, stepped in Fourier space.
 
     w holds the m+1 slices of the inhomogeneity on sgrid x tgrid, one row
@@ -184,15 +191,19 @@ def duhamel_field(w: np.ndarray, sgrid: SpatialGrid, tgrid: TimeGrid,
     k = max(start, 1): D_{k-1} is that row's FFT, w's slices k-1.. are read
     and the rows k.. computed. With start = 0 that row is row 0; with
     start = k > 0, out's rows hold an earlier call's Dw, and the rows 1..k-1
-    are not written and keep its values. The fixed-point solver restarts
-    its one buffer this way, so that it recomputes only the slices that
-    have not converged.
+    are not written and keep its values. With stop (m+1 by default) the
+    recursion ends there: the rows [start, stop) are computed, w's slices
+    from stop on are not read, row stop holds w's spectrum at t_{stop-1} and
+    the rows after it are not written. The fixed-point solver restarts its
+    one buffer this way, so that it recomputes only the block of slices it
+    is iterating.
     """
     if not isinstance(sgrid, SpatialGrid):
         raise TypeError("duhamel_field needs a whole-line grid")
     m = tgrid.m
-    if not 0 <= start <= m:
-        raise ValueError("duhamel_field: 0 <= start <= m required")
+    stop = m + 1 if stop is None else stop
+    if not 0 <= start < stop <= m + 1:
+        raise ValueError("duhamel_field: 0 <= start < stop <= m+1 required")
     if start > 0 and out is None:
         raise ValueError("duhamel_field: start > 0 restarts from out, which is missing")
     step = operator_plan(sgrid, tgrid).step
@@ -205,14 +216,14 @@ def duhamel_field(w: np.ndarray, sgrid: SpatialGrid, tgrid: TimeGrid,
     first = max(start, 1)
     prev = np.fft.fft(buf[first - 1])
     prev *= 1.0 / c
-    np.fft.fft(w[first - 1:], axis=1, out=buf[first:])
-    for i in range(first, m + 1):
+    np.fft.fft(w[first - 1: stop], axis=1, out=buf[first: stop + 1])
+    for i in range(first, stop):
         row = buf[i]
         row += prev
         row *= step
         row += buf[i + 1]
         prev = row
-    rows = buf[first:-1]
+    rows = buf[first:stop]
     rows *= c
     np.fft.ifft(rows, axis=1, out=rows)
     return buf[:-1]
@@ -297,9 +308,51 @@ def _check_vanishing_start(f: TimeSignal, what):
         raise ValueError(f"{what}: boundary data must vanish at t=0")
 
 
+class ForcingHistory:
+    """The state of boundary_forcing_time on consecutive blocks of slices
+    of one grid pair (its stop argument):
+
+    * lags: the folded kernel K_l in t, lags 0..m in its first m+1 columns,
+      one row per distinct |x|: the inverse t-FFT of the plan's kspec, once,
+      into buf (at least 2 m r elements) or a buffer of its own;
+    * rows: on the block's slices i in [start, stop), the part
+      sum_{j < start-1} K_{i-j} h_j of the forcing, shape (stop-start, r),
+      and span, the (start, stop) it was formed for. The samples h_j,
+      j < start-1, read only f's samples before start, which a caller
+      iterating one block holds fixed: rows is formed by the first call on
+      a block and reused while (start, stop) stays the same.
+    """
+
+    def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid, buf=None):
+        kspec = operator_plan(sgrid, tgrid).kspec
+        if buf is None:
+            buf = np.empty(kspec.size, dtype=complex)
+        self.lags = np.fft.ifft(kspec, axis=1,
+                                out=buf[: kspec.size].reshape(kspec.shape))
+        self.span = None
+        self.rows = None
+
+
+def _lag_product(lags, h, j_lo, j_hi, start, stop):
+    """sum_{j_lo <= j < j_hi} K_{i-j} h_j on the slices i in [start, stop)
+    (K_l = 0 for l < 0), shape (stop-start, r): one matrix product of the
+    Toeplitz rows of h with the lags max(start-j_hi+1, 0) .. stop-1-j_lo."""
+    lo, hi = max(start - j_hi + 1, 0), stop - j_lo
+    width = hi - lo
+    # hz[t] = h_{t + off}, zero outside [j_lo, j_hi); row p of the Toeplitz
+    # matrix is hz[p + width - 1 - c] at column c, the lag lo + c
+    off = start - hi + 1
+    hz = np.zeros(stop - start + width - 1, dtype=complex)
+    a, b = max(j_lo, off), min(j_hi, off + len(hz))
+    hz[a - off: b - off] = h[a:b]
+    toeplitz = sliding_window_view(hz, width)[: stop - start, ::-1]
+    return toeplitz @ lags[:, lo:hi].T
+
+
 def boundary_forcing_time(
     f: TimeSignal, sgrid: SpatialGrid, tgrid: TimeGrid | None = None,
     out: np.ndarray | None = None, work: np.ndarray | None = None, start: int = 0,
+    stop: int | None = None, history: ForcingHistory | None = None,
 ) -> SolutionField:
     """Time-representation boundary forcing field on sgrid x f's grid.
 
@@ -309,7 +362,16 @@ def boundary_forcing_time(
     the product's transposed rows. With start = k the t-FFT stays whole,
     but only the slices k.. are transposed and gathered, bit-equal to the
     full call's; the slices before k are returned as zeros. A non-finite
-    field raises ValueError, checked on the (m+1-start, r) rows it copies.
+    field raises ValueError, checked on the distinct-|x| rows it copies.
+
+    With stop, only the slices [start, stop) are computed, from f's samples
+    up to stop, and only those rows of out are written (out is zeros
+    elsewhere when allocated here); no t-FFT is taken. The field is the
+    convolution of h with K in t, less K's h_0 b_{l+1} term: the part of
+    h's samples from start-1 on is one product with the lags 0..stop-start,
+    and the part of the earlier samples is history's rows, formed once per
+    block (a ForcingHistory is built when none is given). They match the
+    whole call's rows to rounding.
     """
     if tgrid is None:
         tgrid = f.grid
@@ -317,11 +379,13 @@ def boundary_forcing_time(
         raise ValueError("boundary_forcing_time: f must live on tgrid")
     _check_vanishing_start(f, "boundary_forcing_time")
     m, n = tgrid.m, sgrid.n
+    plan = operator_plan(sgrid, tgrid)
+    r = len(plan.kspec)
+    if stop is not None:
+        return _forcing_block(f, sgrid, plan, out, work, start, stop, history)
     if not 0 <= start <= m:
         raise ValueError("boundary_forcing_time: 0 <= start <= m required")
     h = frac_derivative(f, 0.5).values
-    plan = operator_plan(sgrid, tgrid)
-    r = len(plan.kspec)
     if out is None:
         out = np.empty(plan.forcing_sizes[0], dtype=complex)
     if work is None:
@@ -343,6 +407,38 @@ def boundary_forcing_time(
     vals = out[: (m + 1) * n].reshape(m + 1, n)
     np.take(rows, plan.inv, axis=1, out=vals[start:], mode="clip")
     vals[:start] = 0.0
+    return SolutionField._of_finite(sgrid, tgrid, vals)
+
+
+def _forcing_block(f, sgrid, plan, out, work, start, stop, history):
+    """boundary_forcing_time's slices [start, stop) alone."""
+    tgrid = f.grid
+    m, n, r = tgrid.m, sgrid.n, len(plan.kspec)
+    if not 0 <= start < stop <= m + 1:
+        raise ValueError("boundary_forcing_time: 0 <= start < stop <= m+1 required")
+    if history is None:
+        history = ForcingHistory(sgrid, tgrid)
+    if out is None:
+        out = np.zeros((m + 1) * n, dtype=complex)
+    if work is None:
+        work = np.empty((stop - start) * r, dtype=complex)
+    h = frac_derivative(f, 0.5, stop=stop).values
+    j0 = max(start - 1, 0)
+    if history.span != (start, stop):
+        history.span = (start, stop)
+        history.rows = (_lag_product(history.lags, h, 0, j0, start, stop) if j0
+                        else np.zeros((stop - start, r), dtype=complex))
+    rows = work[: (stop - start) * r].reshape(stop - start, r)
+    rows[:] = _lag_product(history.lags, h, j0, stop, start, stop)
+    rows += history.rows
+    # K's h_0 b_{l+1} term, as the whole call subtracts it (lag m takes none)
+    top = min(stop, m)
+    rows[: top - start] -= h[0] * plan.b[start:top]
+    if start == 0:
+        rows[0] = 0.0  # every kernel weight at lag 0 is zero by construction
+    _as_complex(rows, rows.shape, "boundary_forcing_time")
+    vals = out[: (m + 1) * n].reshape(m + 1, n)
+    np.take(rows, plan.inv, axis=1, out=vals[start:stop], mode="clip")
     return SolutionField._of_finite(sgrid, tgrid, vals)
 
 

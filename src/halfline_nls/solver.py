@@ -20,12 +20,13 @@ blow-up rather than an answer.
 
 The map is causal in t up to one step (slice i reads w(0, t_{i+1}), see
 apply_lambda) and its contraction is local in t, so the iterates settle
-from t = 0 forward. Each attempt therefore iterates on a window: once the
-first time slices move by no more than tol (relative) in an update, they are
-frozen, and the map recomputes only the slices after them, restarting the
-Duhamel recursion from the frozen slices' Duhamel term, which its buffer
-keeps (Workspace, apply_lambda, _picard_loop). The fixed point reached is
-the full map's to within tol.
+from t = 0 forward. Each attempt therefore applies the map a few times on
+the whole interval, which tests the contraction, and then sweeps forward in
+blocks of slices: each block is iterated to tol and frozen, the Duhamel
+recursion restarting from the frozen slices' Duhamel term, which its buffer
+keeps, and the boundary forcing adding the frozen slices' part once per
+block (Workspace, apply_lambda, _picard_loop, operators.ForcingHistory).
+The fixed point reached is the whole map's to within tol.
 """
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ import numpy as np
 from .fractional import vanishes_at_start
 from .grids import (GridFunction, NonFiniteError, SolutionField, SpatialGrid,
                     TimeGrid, TimeSignal, interp_complex)
-from .operators import (boundary_forcing_time, duhamel_field, free_group_field,
-                        operator_plan)
+from .operators import (ForcingHistory, boundary_forcing_time, duhamel_field,
+                        free_group_field, operator_plan)
 from .spectral import boundary_value, extend_half_line, smooth_ramp, sobolev_norm
 
 log = logging.getLogger(__name__)
@@ -131,21 +132,21 @@ class AdmissiblePair:
 class IterationReport:
     """Record of a solve, as report.json holds it.
 
-    iterates counts the last Picard attempt's map applications, one per
-    iterate. Each iterate recomputes only the time slices from its first
-    active one on; the slices before it have converged and are frozen (see
-    _picard_loop). An iterate's residual is the larger of its update's
-    C_t H^s_x norm and the last update of any frozen slice, so that it does
-    not understate what freezing hid. residual_history holds each nonzero
-    residual, contraction_ratios the ratios of successive ones.
-    fixed_point_residual is the last residual over the last iterate's norm:
+    iterates counts the last Picard attempt's map applications, on the
+    whole interval and on the blocks of its sweep (see _picard_loop).
+    residual_history holds the C_t H^s_x norm of each nonzero update on the
+    whole interval, contraction_ratios the ratios of successive ones: the
+    attempt's contraction test. fixed_point_residual is the largest last
+    update of a block, relative to the field's norm (see _sweep), or the
+    last whole update's when the attempt converged on the whole interval:
     <= tol when converged, 0 when the map returns its input (lam=0).
-    boundary_residual is boundary_residual's, of the field returned (None
-    without one).
+    linear_mixed_norm is the last attempt's linear part's mixed norm (None
+    when it is not finite). boundary_residual is boundary_residual's, of
+    the field returned (None without one).
     attempts holds one entry per attempt, in order: its absolute interval
     [start, end], the reason it was refused (None for the one that
-    converged), its iterates, its contraction_ratios and its
-    first_active_rows, each iterate's first active slice.
+    converged), its iterates, its contraction_ratios and its blocks, one
+    record per block of the sweep (see _sweep).
     """
 
     iterates: int = 0
@@ -225,10 +226,16 @@ def mixed_norm(field: SolutionField, s: float, q: float, r: float) -> float:
         bessel = (1.0 + xi * xi) ** (s / 2.0)
         smoothed = np.fft.ifft(bessel * np.fft.fft(smoothed, axis=1), axis=1)
     a = np.abs(smoothed)
+    # the powers are taken of |J^s u| / max |J^s u|: a finite field whose
+    # |u|^r would overflow still has a finite norm
+    top = float(np.max(a))
+    if top == 0.0 or not math.isfinite(top):
+        return top
+    a /= top
     slice_norms = (sgrid.dx * np.sum(a**r, axis=1)) ** (1.0 / r)
     if math.isinf(q):
-        return float(np.max(slice_norms))
-    return float((tgrid.dt * np.sum(slice_norms**q)) ** (1.0 / q))
+        return top * float(np.max(slice_norms))
+    return top * float((tgrid.dt * np.sum(slice_norms**q)) ** (1.0 / q))
 
 
 def boundary_residual(u: SolutionField, f: TimeSignal) -> float:
@@ -310,7 +317,9 @@ class Workspace:
       transformed in place in its rows 1.., and the Duhamel term stays in
       its first m+1 rows for the next application to restart from;
     * half: forcing's work, (m+1) r elements (r >= n/2); |w|^(alpha-1) as
-      (m+1, n) floats, then the transposed rows, checked before the gather.
+      (m+1, n) floats, then the transposed rows, checked before the gather;
+    * history: the block forcing's ForcingHistory, None until a caller
+      applies the map to blocks of slices (apply_lambda with stop).
     """
 
     def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid):
@@ -318,6 +327,7 @@ class Workspace:
         self.result = np.empty(result_size, dtype=complex)
         self.duhamel = np.zeros((tgrid.m + 2, sgrid.n), dtype=complex)
         self.half = np.empty(half_size, dtype=complex)
+        self.history = None
 
     def field(self, buf):
         """The leading (m+1, n) field of a flat buffer, result's or half's
@@ -326,77 +336,97 @@ class Workspace:
         return buf[: rows.size].reshape(rows.shape)
 
 
-def apply_lambda(w: SolutionField, pre: LinearData,
-                 out: Workspace | None = None, start: int = 0) -> SolutionField:
-    """One application of the fixed-point map to the iterate w.
+def apply_lambda(w: SolutionField, pre: LinearData, out: Workspace | None = None,
+                 start: int = 0, stop: int | None = None) -> SolutionField:
+    """One application of the fixed-point map to the iterate w, on its
+    slices [start, stop) (stop = m+1 by default).
 
     The value is built in out.result, every temporary in out's other
-    buffers (w must not live in out); without out, a fresh Workspace is
-    allocated and the whole map applied. Slice i of the value depends on
-    w's slices 0..i and on w(0, t_{i+1}), which enters the Duhamel trace at
-    t_{i+1} with weight -i dt/2: the forcing's half-derivative (np.gradient)
-    reads that trace. With start = k > 0, out.duhamel must hold an earlier
-    application's Duhamel term: w's slices before k are copied, and the
-    slices k.. computed from w's slices k-1.. and out.duhamel are those a
-    whole application would give if w's slices before k were the ones
-    out.duhamel came from (see _picard_loop). The value's entries are not
-    checked finite, the caller's norms do that; an overflow met on the way
-    raises NonFiniteError. The cutoffs multiplying each term are 1 on the
-    working interval [0, T] and are not materialized.
+    buffers; without out, a fresh Workspace is allocated and the whole map
+    applied. Slice i of the value depends on w's slices 0..i and on
+    w(0, t_{i+1}), which enters the Duhamel trace at t_{i+1} with weight
+    -i dt/2: the forcing's half-derivative (np.gradient) reads that trace.
+    On the whole interval w must not live in out, and the forcing takes its
+    whole t-FFT. On a block, out.duhamel must hold an earlier application's
+    Duhamel term: the slices computed from w's slices start-1..stop and
+    out.duhamel are those a whole application would give if w's slices
+    before start were the ones out.duhamel came from (see _picard_loop).
+    The block forcing keeps its state in out.history, and only the block's
+    rows of out.result are written: out.result may hold w itself, whose
+    slices [start, stop) the value then replaces in place.
+    At lam = 0 the map does not depend on w: the value is the linear part,
+    and w |w|^(alpha-1) is not formed.
+
+    The value's entries are not checked finite, the caller's norms do
+    that; an overflow met on the way raises NonFiniteError. The cutoffs
+    multiplying each term are 1 on the working interval [0, T] and are not
+    materialized.
     """
+    m = pre.tgrid.m
+    block = (start, stop) not in ((0, None), (0, m + 1))
     if out is None:
-        if start > 0:
-            raise ValueError("apply_lambda: start > 0 needs out to restart from")
+        if block:
+            raise ValueError("apply_lambda: a block needs out to restart from")
         out = Workspace(pre.sgrid, pre.tgrid)
+    stop = m + 1 if stop is None else stop
+    if pre.lam == 0.0:
+        vals = out.field(out.result)
+        vals[start:stop] = pre.linear.values[start:stop]
+        return SolutionField._of_finite(pre.sgrid, pre.tgrid, vals)
+    ahead = min(stop + 1, m + 1)  # the slices whose Duhamel term is read
     lo = max(start - 1, 0)
-    power = np.abs(w.values[lo:], out=out.field(out.half.view(float))[lo:])
+    power = np.abs(w.values[lo:ahead], out=out.field(out.half.view(float))[lo:ahead])
     power **= pre.alpha - 1.0
-    np.multiply(w.values[lo:], power, out=out.duhamel[1 + lo:])
+    np.multiply(w.values[lo:ahead], power, out=out.duhamel[1 + lo: 1 + ahead])
     DF = duhamel_field(out.duhamel[1:], pre.sgrid, pre.tgrid, out=out.duhamel,
-                       start=start)
-    # row 0 of the Duhamel term is an exact 0.0: the trace vanishes at t=0
+                       start=start, stop=ahead)
+    # row 0 of the Duhamel term is an exact 0.0: the trace vanishes at t=0;
+    # the rows after the block's hold no Duhamel term
     trace = DF[:, pre.zero_index].copy()
+    trace[ahead:] = 0.0
     # linear + lam * (corr - DF), built in the forcing result's own buffer
     vals = boundary_forcing_time(TimeSignal(pre.tgrid, trace), pre.sgrid,
-                                 out=out.result, work=out.half, start=start).values
-    active = vals[start:]
-    active -= DF[start:]
+                                 out=out.result, work=out.half, start=start,
+                                 stop=stop if block else None,
+                                 history=out.history).values
+    active = vals[start:stop]
+    active -= DF[start:stop]
     active *= pre.lam
-    active += pre.linear.values[start:]
-    vals[:start] = w.values[:start]
+    active += pre.linear.values[start:stop]
     return SolutionField._of_finite(pre.sgrid, pre.tgrid, vals)
 
 
+_WHOLE = 3  # whole-interval applications that open each attempt
+_BLOCK = 32  # the slices a block of the sweep freezes, at most
+
+
 def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
-                 report: IterationReport, first_active_rows: list):
+                 report: IterationReport, blocks: list):
     """Iterate from the linear part; returns (field, None if converged, else
     the reason the attempt is refused).
 
-    Writes this attempt's iterates, residual_history, contraction_ratios and
-    fixed_point_residual into report (see IterationReport), and appends each
-    iterate's first active slice to first_active_rows. One map application
-    per iterate: the last update is the fixed-point residual.
+    Writes this attempt's iterates (every map application),
+    residual_history, contraction_ratios and fixed_point_residual into
+    report (see IterationReport), and appends a record per block to blocks.
+    Norms are C_t H^s_x: the max over time slices of the H^s norm in x.
 
-    The iterates converge from t = 0 forward, the map being causal up to one
-    step and its contraction local in t. After each update, the window's
-    start moves to the first slice whose update exceeds tol times the C_t
-    H^s_x norm of the iterate; the slices before it are frozen, and the next
-    applications compute and measure only the slices from start on. A frozen
-    slice moved by at most tol (relative) on its last update; its inputs
-    have moved since by no more, and its one input ahead, w(0) on the first
-    active slice, enters with weight of order dt (apply_lambda), so a whole
-    application would move it by about the contraction factor times tol:
-    the windowed iteration reaches the full map's fixed point to within tol.
-    The convergence test and ratio_cap read the active slices' update. The
-    residual reported is the larger of that update and the last update of
-    any frozen slice (relative to the norm when it froze, so at most tol).
+    An attempt first applies the map up to _WHOLE times on the whole
+    interval. Those updates are residual_history, their ratios the
+    contraction_ratios, and a ratio above ratio_cap refuses the attempt:
+    the map does not contract on this interval. The attempt converges there
+    if an update falls to tol times the iterate's norm (at once when the map
+    returns its input, as at lam = 0).
+
+    The map is causal up to one step and its contraction local in t, so the
+    iterates settle from t = 0 forward. The attempt then sweeps forward in
+    blocks (_sweep), from the first slice whose last whole update exceeds
+    tol (relative): the slices before it are frozen.
 
     Each iterate is checked once, in these norms: a non-finite norm or
-    update of its active slices (also a finite one whose norm overflows),
-    or NonFiniteError from the map, refuses the attempt as "non-finite
-    iterate" before any residual; frozen slices are copies of checked ones.
-    Iterates alternate between the workspace's result and a spare buffer,
-    in which the update is formed.
+    update, or NonFiniteError from the map, refuses the attempt as
+    "non-finite iterate" before any residual; frozen slices are copies of
+    checked ones. Whole iterates alternate between the workspace's result
+    and a spare buffer, in which the update is formed.
     """
     work = Workspace(pre.sgrid, pre.tgrid)
     spare = np.empty_like(work.result)
@@ -404,47 +434,136 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     report.iterates = 0
     report.residual_history = residuals = []
     report.contraction_ratios = ratios = []
-    k = 0  # the window's start: the first slice the map recomputes
-    frozen_rel = 0.0  # the largest last update of a frozen slice, relative
-    frozen_norm = 0.0  # the largest H^s norm among the frozen slices
-    for _ in range(cfg.max_iter):
-        first_active_rows.append(k)
+    for _ in range(min(_WHOLE, cfg.max_iter)):
         report.iterates += 1
         try:
-            u_next = apply_lambda(u, pre, out=work, start=k)
+            u_next = apply_lambda(u, pre, out=work)
         except NonFiniteError:  # w |w|^(alpha-1), its trace or the forcing overflowed
             return u, "non-finite iterate"
-        # C_t H^s_x norms: the max over time slices of the H^s norm in x,
-        # taken per active slice; the frozen ones have stopped moving
-        new = u_next.values[k:]
-        norms = sobolev_norm(new, pre.sgrid, s)
-        update = np.subtract(new, u.values[k:], out=work.field(spare)[k:])
+        norms = sobolev_norm(u_next.values, pre.sgrid, s)
+        update = np.subtract(u_next.values, u.values, out=work.field(spare))
         deltas = sobolev_norm(update, pre.sgrid, s)
         top, delta = float(np.max(norms)), float(np.max(deltas))
-        if not (math.isfinite(top) and math.isfinite(delta)):
-            return u_next, "non-finite iterate"
-        norm_u = max(top, frozen_norm, 1e-300)
         u = u_next
         work.result, spare = spare, work.result
-        # until the update falls to tol it is the larger, since frozen_rel
-        # <= tol: ratio_cap reads update ratios
-        residual = max(delta, frozen_rel * norm_u)
-        if residual > 0.0:
-            if residuals:
-                ratios.append(residual / residuals[-1])
-            residuals.append(residual)
-        report.fixed_point_residual = residual / norm_u
+        if delta == 0.0:  # the map returned its input: its fixed point
+            report.fixed_point_residual = 0.0
+            return u, None
+        if not (math.isfinite(top) and math.isfinite(delta)):
+            return u, "non-finite iterate"
+        norm_u = max(top, 1e-300)
+        if residuals:
+            ratios.append(delta / residuals[-1])
+        residuals.append(delta)
+        report.fixed_point_residual = delta / norm_u
         if delta <= cfg.tol * norm_u:
             return u, None
         if ratios and ratios[-1] > cfg.ratio_cap:
             log.debug("contraction ratio %.3f exceeds cap", ratios[-1])
             return u, "no contraction"
-        j = int(np.argmax(deltas > cfg.tol * norm_u))
-        if j > 0:
-            frozen_norm = max(frozen_norm, float(np.max(norms[:j])))
-            frozen_rel = max(frozen_rel, float(np.max(deltas[:j])) / norm_u)
-            k += j
-    return u, "no contraction"
+    if report.iterates < _WHOLE:
+        return u, "no contraction"
+    # the block values are written over the last whole iterate in place;
+    # the other whole buffer holds the forcing kernel's lags in t
+    work.result, spare = spare, work.result
+    work.history = ForcingHistory(pre.sgrid, pre.tgrid, buf=spare)
+    first = int(np.argmax(deltas > cfg.tol * norm_u))
+    return _sweep(u, pre, s, cfg, report, blocks, work, norms, first)
+
+
+def _extrapolate(vals, k, stop, scratch):
+    """Quadratic extrapolation in t of the slices k-2, k-1, k of vals onto
+    its slices k+1..stop-1, in place; scratch holds stop-k-1 slices."""
+    p = np.arange(1.0, stop - k)[:, None]
+    dst, tmp = vals[k + 1: stop], scratch[: stop - k - 1]
+    np.multiply(0.5 * (p + 1.0) * (p + 2.0), vals[k], out=dst)
+    dst -= np.multiply(p * (p + 2.0), vals[k - 1], out=tmp)
+    dst += np.multiply(0.5 * p * (p + 1.0), vals[k - 2], out=tmp)
+
+
+def _sweep(u: SolutionField, pre: LinearData, s: float, cfg: SolverConfig,
+           report: IterationReport, blocks: list, work: Workspace,
+           norms: np.ndarray, k: int):
+    """_picard_loop's sweep from slice k: iterate the slices [k, stop),
+    stop = k + b + 1, to tol, freeze [k, stop - 1) and go on from
+    k = stop - 1. The map reads one slice ahead, so the block's last slice
+    stays active into the next.
+
+    u is the last whole iterate, updated in place, and norms its slices'
+    H^s norms, kept current. A block converges when its update falls to
+    tol times max(norms). The first block starts from the whole iterate's
+    values, the second from quadratic extrapolation in t of the slices
+    k-2, k-1, k; each later one from the whole iterate's values only if the
+    last block started from them took fewer applications than the last
+    extrapolated one. A block whose
+    update ratio exceeds ratio_cap, or that takes max_iter applications,
+    is retried from its start at half the size b; b < 2 refuses the
+    attempt as "no contraction". After a converged block b doubles again,
+    up to _BLOCK. Each block appends to blocks {"slices": [k, stop],
+    "start": "whole" or "extrapolated", "iterates", "ratios", "residual",
+    "halved"}: ratios are its successive update ratios, residual its last
+    update relative to max(norms) when it converged (else None), halved
+    None or why it was retried smaller. fixed_point_residual is the largest
+    residual.
+    """
+    sg, m = pre.sgrid, pre.tgrid.m
+    vals = u.values
+    size = _BLOCK
+    begin = np.empty((_BLOCK + 1, sg.n), dtype=complex)  # a block's start
+    old = np.empty_like(begin)
+    report.fixed_point_residual = 0.0
+    start = "whole"
+    took = {"whole": 0, "extrapolated": 0}  # the last block of each start
+    while True:
+        stop = min(k + size + 1, m + 1)
+        nb = stop - k
+        if start == "extrapolated":
+            _extrapolate(vals, k, stop, old)
+        record = {"slices": [k, stop], "start": start, "iterates": 0,
+                  "ratios": [], "residual": None, "halved": None}
+        blocks.append(record)
+        begin[:nb] = vals[k:stop]
+        last = None
+        for _ in range(cfg.max_iter):
+            report.iterates += 1
+            record["iterates"] += 1
+            old[:nb] = vals[k:stop]
+            try:
+                apply_lambda(u, pre, out=work, start=k, stop=stop)
+            except NonFiniteError:
+                return u, "non-finite iterate"
+            update = np.subtract(vals[k:stop], old[:nb], out=old[:nb])
+            delta = float(np.max(sobolev_norm(update, sg, s)))
+            block_norms = sobolev_norm(vals[k:stop], sg, s)
+            if not (math.isfinite(delta) and np.all(np.isfinite(block_norms))):
+                return u, "non-finite iterate"
+            norms[k:stop] = block_norms
+            norm_u = max(float(np.max(norms)), 1e-300)
+            if last is not None:
+                record["ratios"].append(delta / last)
+            last = delta
+            if delta <= cfg.tol * norm_u:
+                break
+            if record["ratios"] and record["ratios"][-1] > cfg.ratio_cap:
+                record["halved"] = f"ratio {record['ratios'][-1]:.3g} > ratio_cap"
+                break
+        else:
+            record["halved"] = "max_iter"
+        if record["halved"]:
+            log.debug("block [%d, %d): %s", k, stop, record["halved"])
+            vals[k:stop] = begin[:nb]
+            size //= 2
+            if size < 2:
+                return u, "no contraction"
+            continue
+        record["residual"] = delta / norm_u
+        report.fixed_point_residual = max(report.fixed_point_residual, delta / norm_u)
+        if stop == m + 1:
+            return u, None
+        took[start] = record["iterates"]
+        start = "whole" if took["whole"] < took["extrapolated"] else "extrapolated"
+        k = stop - 1
+        size = min(2 * size, _BLOCK)
 
 
 def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
@@ -478,16 +597,17 @@ def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
         f = TimeSignal(tgrid, interp_complex(t0 + tgrid.nodes, spec.f.grid.nodes,
                                              spec.f.values))
         pre = _prepare_linear(phi_ext, f, spec.lam, spec.alpha, cfg.seam_mismatch_cap)
-        report.linear_mixed_norm = mixed_norm(pre.linear, spec.s, pair.q, pair.r)
+        lin = mixed_norm(pre.linear, spec.s, pair.q, pair.r)
+        report.linear_mixed_norm = lin if math.isfinite(lin) else None
         attempt = {"interval": [t0, t0 + T], "reason": None, "iterates": 0,
-                   "contraction_ratios": [], "first_active_rows": []}
+                   "contraction_ratios": [], "blocks": []}
         report.attempts.append(attempt)
-        if crit == "critical" and report.linear_mixed_norm >= cfg.delta_crit:
-            reason = (f"linear mixed norm {report.linear_mixed_norm:.3e} "
-                      f">= delta_crit {cfg.delta_crit:g}")
+        if report.linear_mixed_norm is None:
+            reason = "non-finite linear part"
+        elif crit == "critical" and lin >= cfg.delta_crit:
+            reason = f"linear mixed norm {lin:.3e} >= delta_crit {cfg.delta_crit:g}"
         else:
-            u, reason = _picard_loop(pre, spec.s, cfg, report,
-                                     attempt["first_active_rows"])
+            u, reason = _picard_loop(pre, spec.s, cfg, report, attempt["blocks"])
             report.t_achieved = t0 + T
             attempt["iterates"] = report.iterates
             attempt["contraction_ratios"] = report.contraction_ratios

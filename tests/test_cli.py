@@ -212,16 +212,16 @@ def test_solve_standing_wave_field(tmp_path):
     assert rel < 1e-3, rel
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is True
-    # the solve's boundary residual and each iterate's first active slice
-    # are written out
+    # the solve's boundary residual and the sweep's blocks are written out
     scale = np.max(np.abs(vals[:, x >= 0.0]))
     j0 = np.argmin(np.abs(x))
     ft = np.exp(1j * t) / np.cosh(6.0)
     assert report["boundary_residual"] == pytest.approx(
         np.max(np.abs(vals[:, j0] - ft)) / scale, rel=1e-9
     )
-    rows = report["attempts"][-1]["first_active_rows"]
-    assert len(rows) == report["iterates"] and rows[0] == 0 < rows[-1]
+    blocks = report["attempts"][-1]["blocks"]
+    assert report["iterates"] == 3 + sum(b["iterates"] for b in blocks)
+    assert 0 < blocks[0]["slices"][0] and blocks[-1]["slices"][1] == len(t)
 
 
 @pytest.mark.parametrize("preset, shape", [
@@ -311,8 +311,44 @@ def test_solve_blowup_exits_two(tmp_path, capsys):
             # failure, and converge stops as solve does
             assert main(["verify", cfg, "--out", str(out)]) == 3
             assert "FAIL fd_oracle_agreement: inf" in capsys.readouterr().out
+            # the comparison it could not make is null in verify_report.json
+            checks = json.loads((out / "verify_report.json").read_text(),
+                                parse_constant=_refuse_non_finite)
+            oracle = [c for c in checks if c["check"] == "fd_oracle_agreement"]
+            assert oracle == [{"check": "fd_oracle_agreement", "value": None,
+                               "tolerance": 1e-3, "pass": False}]
             assert main(["converge", cfg, "--out", str(out)]) == 2
             assert "blow-up suspected during study" in capsys.readouterr().err
+
+
+def test_linear_solve_of_huge_data_converges(tmp_path, capsys):
+    # at lam = 0 the map returns its linear part: no w |w|^2 is formed, and
+    # a 1e160 Gaussian converges in one iterate. Its linear mixed norm is
+    # taken of |u| / max |u|, so report.json holds no Infinity
+    cfg = _write_cfg(tmp_path / "l.cfg", [
+        "problem.lambda_re = 0.0",
+        "problem.T = 0.25",
+        "phi.preset = gaussian",
+        "phi.center = 8.0",
+        "phi.amplitude = 1e160",
+        "f.preset = zero",
+        "grid.x_min = -30.0",
+        "grid.x_max = 30.0",
+        "grid.nx = 128",
+        "grid.nt = 32",
+    ])
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--out", str(out)]) == 0, capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=_refuse_non_finite)
+    assert report["converged"] is True and report["iterates"] == 1
+    assert report["halvings"] == 0 and report["fixed_point_residual"] == 0.0
+    assert 1e159 < report["linear_mixed_norm"] < 1e161
+
+
+def test_json_outputs_refuse_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        halfline_nls.cli._write_json(tmp_path / "r.json", {"value": float("inf")})
 
 
 def test_solve_says_when_halving_shortened_the_interval(tmp_path, capsys):
@@ -456,7 +492,9 @@ def test_solve_boundary_presets_match_their_closed_form(tmp_path, preset):
     out = tmp_path / "out"
     assert main(["solve", path, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["converged"] and report["iterates"] == 7
+    # 3 whole-interval applications, then the blocks of the sweep
+    assert report["converged"] and report["iterates"] == {"bump": 13,
+                                                          "sinusoid_windowed": 14}[preset]
     t, trace = read_signal(out / "trace.csv")
     if preset == "bump":
         f = 16.0 * t**2 * (0.5 - t) ** 2 / 0.5**4

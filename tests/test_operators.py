@@ -31,6 +31,7 @@ from halfline_nls import (
     solve_ibvp,
 )
 from halfline_nls.operators import (
+    ForcingHistory,
     _bf_kernel_chunk,
     _faddeeva,
     duhamel_field,
@@ -214,6 +215,68 @@ def test_boundary_forcing_from_a_start_slice_is_bit_equal(k):
     for bad in (-1, tg.m + 1):
         with pytest.raises(ValueError):
             boundary_forcing_time(f, sg, tg, start=bad)
+
+
+@pytest.mark.parametrize("start", [0, 1, 17])
+def test_duhamel_block_rows_are_the_unbounded_call_rows(start):
+    # stop ends the recursion: the rows [start, stop) are bit-equal to those
+    # of the same call without stop, the rows before start and after stop
+    # are not written, and w's slices from stop on are not read
+    sg = SpatialGrid(-20.0, 20.0, 128)
+    tg = TimeGrid(0.5, 40)
+    x, t = sg.nodes[None, :], tg.nodes[:, None]
+    w = np.exp(-(x - 2.0) ** 2) * np.exp(3j * t) * (1.0 + t)
+    buf = np.empty((tg.m + 2, sg.n), dtype=complex)
+    carried = duhamel_field(w, sg, tg, out=buf).copy()  # the rows restarted from
+    for stop in (start + 1, start + 2, 33, tg.m + 1):
+        buf[:-1] = carried
+        full = duhamel_field(w, sg, tg, out=buf, start=start).copy()
+        buf[:-1] = carried
+        buf[stop + 1:] = 7.0
+        cut = w.copy()
+        cut[stop:] = np.nan
+        part = duhamel_field(cut, sg, tg, out=buf, start=start, stop=stop)
+        assert np.array_equal(part[start:stop], full[start:stop])
+        assert np.array_equal(part[1:start], carried[1:start])
+        assert np.all(buf[stop + 1:] == 7.0)
+    for bad in ((start, start), (start, tg.m + 2)):
+        with pytest.raises(ValueError):
+            duhamel_field(w, sg, tg, out=buf, start=bad[0], stop=bad[1])
+
+
+@pytest.mark.parametrize("tg", [TimeGrid(1.0, 48), TimeGrid(0.5, 100), TimeGrid(2.0, 256)],
+                         ids=lambda tg: f"m{tg.m}")
+def test_boundary_forcing_blocks_match_the_whole_call(tg):
+    # a sweep of blocks [k, k + b + 1), each started on the last slice of
+    # the one before, with one ForcingHistory: every block's rows match the
+    # whole t-FFT call's to 1e-13 of its largest entry, the rows of out
+    # outside the block keep their sentinel, and a second call on the same
+    # block reuses the history and gives the same bits
+    sg = SpatialGrid(-10.0, 10.0, 64)
+    f = TimeSignal(tg, np.sin(3.0 * tg.nodes) * np.exp(2j * tg.nodes))
+    whole = boundary_forcing_time(f, sg, tg).values
+    scale = np.max(np.abs(whole))
+    n = (tg.m + 1) * sg.n
+    for b in (5, 32):
+        history = ForcingHistory(sg, tg)
+        k = 0
+        while True:
+            stop = min(k + b + 1, tg.m + 1)
+            out = np.full(n, 3.0 + 4.0j)
+            part = boundary_forcing_time(f, sg, tg, out=out, start=k, stop=stop,
+                                         history=history).values
+            assert np.shares_memory(part, out) and history.span == (k, stop)
+            assert np.max(np.abs(part[k:stop] - whole[k:stop])) <= 1e-13 * scale
+            assert np.all(part[:k] == 3.0 + 4.0j) and np.all(part[stop:] == 3.0 + 4.0j)
+            again = boundary_forcing_time(f, sg, tg, start=k, stop=stop,
+                                          history=history).values
+            assert np.array_equal(again[k:stop], part[k:stop])
+            assert not np.any(again[:k]) and not np.any(again[stop:])
+            if stop == tg.m + 1:
+                break
+            k = stop - 1
+    with pytest.raises(ValueError):
+        boundary_forcing_time(f, sg, tg, start=4, stop=4)
 
 
 def test_operator_plan_keeps_no_field_sized_table():

@@ -62,14 +62,14 @@ them (out=, work=), as each attempt of the fixed-point solver does with its
 one workspace, and allocate their own otherwise. Both compute only a block
 of time slices [start, stop) when asked: duhamel_field restarts its
 recursion from the Duhamel term an earlier call left in out and ends it at
-stop. boundary_forcing_time, without stop, takes its whole t-FFT and
-transposes and gathers the slices from start on; with stop it takes no
-FFT: the block's own samples of h meet the kernel's first lags in t in one
-small product, and the earlier samples' part, computed once per block, is
-kept in a ForcingHistory with the kernel's lags (Hairer, Lubich & Schlichte,
-SIAM J. Sci. Stat. Comput. 6 (1985), split a convolution the same way). It
-then writes only the block's rows of out. Neither checks its whole output
-for finiteness: the forcing checks the rows it gathers, the solver its norms.
+stop. boundary_forcing_time takes its whole t-FFT on the whole interval
+only; on any other block it takes no FFT: the block's own samples of h meet
+the kernel's first lags in t in one small product, and the earlier samples'
+part, computed once per block, is kept in a ForcingHistory with the
+kernel's lags (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
+(1985), split a convolution the same way). It then writes only the block's
+rows of out. Neither checks its whole output for finiteness: the forcing
+checks the rows it gathers, the solver its norms.
 """
 from __future__ import annotations
 
@@ -310,7 +310,7 @@ def _check_vanishing_start(f: TimeSignal, what):
 
 class ForcingHistory:
     """The state of boundary_forcing_time on consecutive blocks of slices
-    of one grid pair (its stop argument):
+    of one grid pair, other than the whole interval:
 
     * lags: the folded kernel K_l in t, lags 0..m in its first m+1 columns,
       one row per distinct |x|: the inverse t-FFT of the plan's kspec, once,
@@ -354,24 +354,24 @@ def boundary_forcing_time(
     out: np.ndarray | None = None, work: np.ndarray | None = None, start: int = 0,
     stop: int | None = None, history: ForcingHistory | None = None,
 ) -> SolutionField:
-    """Time-representation boundary forcing field on sgrid x f's grid.
+    """Time-representation boundary forcing field on sgrid x f's grid, on
+    its slices [start, stop) (stop = m+1 by default).
 
-    Two flat complex buffers, of at least the plan's forcing_sizes and
-    allocated unless given, hold the work: out first holds the (r, 2m)
-    spectrum product (r distinct |x|), then receives the field; work holds
-    the product's transposed rows. With start = k the t-FFT stays whole,
-    but only the slices k.. are transposed and gathered, bit-equal to the
-    full call's; the slices before k are returned as zeros. A non-finite
-    field raises ValueError, checked on the distinct-|x| rows it copies.
+    Two flat complex buffers, allocated unless given, hold the work. On the
+    whole interval, out (of at least the plan's forcing_sizes) first holds
+    the (r, 2m) spectrum product of the whole t-FFT (r distinct |x|), then
+    receives the field; work holds the product's transposed rows. A
+    non-finite field raises ValueError, checked on the distinct-|x| rows it
+    copies.
 
-    With stop, only the slices [start, stop) are computed, from f's samples
-    up to stop, and only those rows of out are written (out is zeros
-    elsewhere when allocated here); no t-FFT is taken. The field is the
-    convolution of h with K in t, less K's h_0 b_{l+1} term: the part of
-    h's samples from start-1 on is one product with the lags 0..stop-start,
-    and the part of the earlier samples is history's rows, formed once per
-    block (a ForcingHistory is built when none is given). They match the
-    whole call's rows to rounding.
+    On any other [start, stop), only those slices are computed, from f's
+    samples up to stop, and only those rows of out are written (out is
+    zeros elsewhere when allocated here); no t-FFT is taken. The field is
+    the convolution of h with K in t, less K's h_0 b_{l+1} term: the part
+    of h's samples from start-1 on is one product with the lags
+    0..stop-start, and the part of the earlier samples is history's rows,
+    formed once per block (a ForcingHistory is built when none is given).
+    They match the whole call's rows to rounding.
     """
     if tgrid is None:
         tgrid = f.grid
@@ -381,10 +381,9 @@ def boundary_forcing_time(
     m, n = tgrid.m, sgrid.n
     plan = operator_plan(sgrid, tgrid)
     r = len(plan.kspec)
-    if stop is not None:
+    stop = m + 1 if stop is None else stop
+    if (start, stop) != (0, m + 1):
         return _forcing_block(f, sgrid, plan, out, work, start, stop, history)
-    if not 0 <= start <= m:
-        raise ValueError("boundary_forcing_time: 0 <= start <= m required")
     h = frac_derivative(f, 0.5).values
     if out is None:
         out = np.empty(plan.forcing_sizes[0], dtype=complex)
@@ -395,18 +394,16 @@ def boundary_forcing_time(
     np.fft.ifft(buf, axis=1, out=buf)
     # the transposed lags less K's h_0 b_{l+1} term, in one pass over the
     # product (b_{m+1} = 0: lag m takes none)
-    rows = work[: (m + 1 - start) * r].reshape(m + 1 - start, r)
-    np.multiply(h[0], plan.b[start:], out=rows[: m - start])
-    rows[m - start] = 0.0
-    np.subtract(buf[:, start: m + 1].T, rows, out=rows)
-    if start == 0:
-        rows[0] = 0.0  # every kernel weight at lag 0 is zero by construction
+    rows = work[: (m + 1) * r].reshape(m + 1, r)
+    np.multiply(h[0], plan.b, out=rows[:m])
+    rows[m] = 0.0
+    np.subtract(buf[:, : m + 1].T, rows, out=rows)
+    rows[0] = 0.0  # every kernel weight at lag 0 is zero by construction
     _as_complex(rows, rows.shape, "boundary_forcing_time")
     # the gather overwrites the product it no longer needs: np.take in mode
     # "clip" (inv is in range by construction) writes straight into out
     vals = out[: (m + 1) * n].reshape(m + 1, n)
-    np.take(rows, plan.inv, axis=1, out=vals[start:], mode="clip")
-    vals[:start] = 0.0
+    np.take(rows, plan.inv, axis=1, out=vals, mode="clip")
     return SolutionField._of_finite(sgrid, tgrid, vals)
 
 

@@ -26,7 +26,9 @@ blocks of slices: each block is iterated to tol and frozen, the Duhamel
 recursion restarting from the frozen slices' Duhamel term, which its buffer
 keeps, and the boundary forcing adding the frozen slices' part once per
 block (Workspace, apply_lambda, _picard_loop, operators.ForcingHistory).
-The fixed point reached is the whole map's to within tol.
+The whole interval and each block are iterated by one routine (_iterate),
+in place on the slices it is given. The fixed point reached is the whole
+map's to within tol.
 """
 from __future__ import annotations
 
@@ -137,16 +139,17 @@ class IterationReport:
     residual_history holds the C_t H^s_x norm of each nonzero update on the
     whole interval, contraction_ratios the ratios of successive ones: the
     attempt's contraction test. fixed_point_residual is the largest last
-    update of a block, relative to the field's norm (see _sweep), or the
-    last whole update's when the attempt converged on the whole interval:
-    <= tol when converged, 0 when the map returns its input (lam=0).
+    update of a block, relative to the field's norm (see _picard_loop), or
+    the last whole update's when the attempt converged on the whole
+    interval: <= tol when converged, 0 when the map returns its input
+    (lam=0).
     linear_mixed_norm is the last attempt's linear part's mixed norm (None
     when it is not finite). boundary_residual is boundary_residual's, of
     the field returned (None without one).
     attempts holds one entry per attempt, in order: its absolute interval
     [start, end], the reason it was refused (None for the one that
     converged), its iterates, its contraction_ratios and its blocks, one
-    record per block of the sweep (see _sweep).
+    record per block of the sweep (see _picard_loop).
     """
 
     iterates: int = 0
@@ -311,15 +314,17 @@ class Workspace:
     map on one grid pair, as plain arrays (m+1 time slices, n nodes, r
     distinct |x|) that no whole-field finiteness pass reads:
 
-    * result: forcing's out, max((m+1) n, 2 m r) elements; forcing's (r, 2m)
-      spectrum product, then the map's value, which _picard_loop checks;
+    * result: forcing's out, max((m+1) n, 2 m r) elements; the iterate,
+      which each application of the map replaces in place on its slices
+      (on the whole interval through forcing's (r, 2m) spectrum product),
+      and which _picard_loop's norms check;
     * duhamel: (m+2, n), zero when fresh; w |w|^(alpha-1) is formed and
       transformed in place in its rows 1.., and the Duhamel term stays in
       its first m+1 rows for the next application to restart from;
     * half: forcing's work, (m+1) r elements (r >= n/2); |w|^(alpha-1) as
       (m+1, n) floats, then the transposed rows, checked before the gather;
     * history: the block forcing's ForcingHistory, None until a caller
-      applies the map to blocks of slices (apply_lambda with stop).
+      applies the map to blocks of slices other than the whole interval.
     """
 
     def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid):
@@ -346,14 +351,15 @@ def apply_lambda(w: SolutionField, pre: LinearData, out: Workspace | None = None
     applied. Slice i of the value depends on w's slices 0..i and on
     w(0, t_{i+1}), which enters the Duhamel trace at t_{i+1} with weight
     -i dt/2: the forcing's half-derivative (np.gradient) reads that trace.
-    On the whole interval w must not live in out, and the forcing takes its
-    whole t-FFT. On a block, out.duhamel must hold an earlier application's
-    Duhamel term: the slices computed from w's slices start-1..stop and
-    out.duhamel are those a whole application would give if w's slices
-    before start were the ones out.duhamel came from (see _picard_loop).
-    The block forcing keeps its state in out.history, and only the block's
-    rows of out.result are written: out.result may hold w itself, whose
-    slices [start, stop) the value then replaces in place.
+    out.result may hold w itself, whose slices [start, stop) the value then
+    replaces in place: w is read before the forcing writes out.result.
+    On the whole interval the forcing takes its whole t-FFT. On a block,
+    out.duhamel must hold an earlier application's Duhamel term: the
+    slices computed from w's slices start-1..stop and out.duhamel are
+    those a whole application would give if w's slices before start were
+    the ones out.duhamel came from (see _picard_loop). The block forcing
+    keeps its state in out.history, and only the block's rows of
+    out.result are written.
     At lam = 0 the map does not depend on w: the value is the linear part,
     and w |w|^(alpha-1) is not formed.
 
@@ -363,12 +369,11 @@ def apply_lambda(w: SolutionField, pre: LinearData, out: Workspace | None = None
     materialized.
     """
     m = pre.tgrid.m
-    block = (start, stop) not in ((0, None), (0, m + 1))
+    stop = m + 1 if stop is None else stop
     if out is None:
-        if block:
+        if (start, stop) != (0, m + 1):
             raise ValueError("apply_lambda: a block needs out to restart from")
         out = Workspace(pre.sgrid, pre.tgrid)
-    stop = m + 1 if stop is None else stop
     if pre.lam == 0.0:
         vals = out.field(out.result)
         vals[start:stop] = pre.linear.values[start:stop]
@@ -387,8 +392,7 @@ def apply_lambda(w: SolutionField, pre: LinearData, out: Workspace | None = None
     # linear + lam * (corr - DF), built in the forcing result's own buffer
     vals = boundary_forcing_time(TimeSignal(pre.tgrid, trace), pre.sgrid,
                                  out=out.result, work=out.half, start=start,
-                                 stop=stop if block else None,
-                                 history=out.history).values
+                                 stop=stop, history=out.history).values
     active = vals[start:stop]
     active -= DF[start:stop]
     active *= pre.lam
@@ -400,6 +404,49 @@ _WHOLE = 3  # whole-interval applications that open each attempt
 _BLOCK = 32  # the slices a block of the sweep freezes, at most
 
 
+def _iterate(u: SolutionField, pre: LinearData, s: float, cfg: SolverConfig,
+             report: IterationReport, work: Workspace, norms: np.ndarray,
+             old: np.ndarray, k: int, stop: int, limit: int, updates, ratios):
+    """Apply the map in place to u's slices [k, stop), u living in
+    work.result, up to limit times; returns (why it stopped, the last
+    update's H^s norm per slice, the last finite update relative to
+    max(norms), None before one). It stops when an update falls to tol
+    times max(norms) (None), a ratio of updates exceeds ratio_cap ("ratio")
+    or an iterate is not finite ("non-finite iterate"), else after limit
+    ("limit"). Each application counts in report.iterates; its update is
+    formed in old and appended to updates, its ratio to ratios, and norms,
+    each slice's, is kept current. A zero update (the map returned its
+    input, as at lam = 0) is the fixed point: it stops the loop unrecorded.
+    """
+    vals = u.values
+    deltas = residual = None
+    for _ in range(limit):
+        report.iterates += 1
+        old[: stop - k] = vals[k:stop]
+        try:
+            apply_lambda(u, pre, out=work, start=k, stop=stop)
+        except NonFiniteError:  # w |w|^(alpha-1), its trace or the forcing overflowed
+            return "non-finite iterate", deltas, residual
+        norms[k:stop] = sobolev_norm(vals[k:stop], pre.sgrid, s)
+        update = np.subtract(vals[k:stop], old[: stop - k], out=old[: stop - k])
+        deltas = sobolev_norm(update, pre.sgrid, s)
+        top, delta = float(np.max(norms)), float(np.max(deltas))
+        if delta == 0.0:
+            return None, deltas, 0.0
+        if not (math.isfinite(top) and math.isfinite(delta)):
+            return "non-finite iterate", deltas, residual
+        norm_u = max(top, 1e-300)
+        if updates:
+            ratios.append(delta / updates[-1])
+        updates.append(delta)
+        residual = delta / norm_u
+        if delta <= cfg.tol * norm_u:
+            return None, deltas, residual
+        if ratios and ratios[-1] > cfg.ratio_cap:
+            return "ratio", deltas, residual
+    return "limit", deltas, residual
+
+
 def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
                  report: IterationReport, blocks: list):
     """Iterate from the linear part; returns (field, None if converged, else
@@ -408,67 +455,96 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     Writes this attempt's iterates (every map application),
     residual_history, contraction_ratios and fixed_point_residual into
     report (see IterationReport), and appends a record per block to blocks.
-    Norms are C_t H^s_x: the max over time slices of the H^s norm in x.
+    Norms are C_t H^s_x: the max over time slices of the H^s norm in x. The
+    iterate lives in the workspace's result; _iterate applies the map to it
+    on the whole interval and on each block, and checks each iterate once,
+    in these norms: a non-finite one refuses the attempt before it enters
+    any residual, and frozen slices are copies of checked ones.
 
     An attempt first applies the map up to _WHOLE times on the whole
     interval. Those updates are residual_history, their ratios the
     contraction_ratios, and a ratio above ratio_cap refuses the attempt:
     the map does not contract on this interval. The attempt converges there
-    if an update falls to tol times the iterate's norm (at once when the map
-    returns its input, as at lam = 0).
+    if an update falls to tol times the iterate's norm.
 
     The map is causal up to one step and its contraction local in t, so the
-    iterates settle from t = 0 forward. The attempt then sweeps forward in
-    blocks (_sweep), from the first slice whose last whole update exceeds
-    tol (relative): the slices before it are frozen.
-
-    Each iterate is checked once, in these norms: a non-finite norm or
-    update, or NonFiniteError from the map, refuses the attempt as
-    "non-finite iterate" before any residual; frozen slices are copies of
-    checked ones. Whole iterates alternate between the workspace's result
-    and a spare buffer, in which the update is formed.
+    iterates settle from t = 0 forward. The attempt then sweeps forward
+    from the first slice k whose last whole update exceeds tol (relative):
+    it iterates the block [k, stop), stop = k + b + 1, to tol, freezes
+    [k, stop - 1) and goes on from k = stop - 1 (the map reads one slice
+    ahead, so the block's last slice stays active into the next). The
+    spare whole buffer, in which the whole updates were formed, then holds
+    the forcing kernel's lags in t. The first block starts from the whole
+    iterate's values, the second from quadratic extrapolation in t of the
+    slices k-2, k-1, k; each later one from the whole iterate's values only
+    if the last block started from them took fewer applications than the
+    last extrapolated one. A block whose update ratio exceeds ratio_cap, or
+    that takes max_iter applications, is retried from its start at half
+    the size b; b < 2 refuses the attempt as "no contraction". b starts at
+    _BLOCK and does not grow again: where blocks of 2b failed, the next one
+    would too. Each block appends to blocks {"slices": [k, stop], "start":
+    "whole" or "extrapolated", "iterates", "ratios", "residual", "halved"}:
+    ratios are its successive update ratios, residual its last update
+    relative to the iterate's norm when it converged (else None), halved
+    None or why it was retried smaller. fixed_point_residual is then the
+    largest residual.
     """
+    m = pre.tgrid.m
     work = Workspace(pre.sgrid, pre.tgrid)
     spare = np.empty_like(work.result)
-    u = pre.linear
+    vals = work.field(work.result)
+    vals[:] = pre.linear.values
+    u = SolutionField._of_finite(pre.sgrid, pre.tgrid, vals)
+    norms = np.empty(m + 1)
     report.iterates = 0
-    report.residual_history = residuals = []
-    report.contraction_ratios = ratios = []
-    for _ in range(min(_WHOLE, cfg.max_iter)):
-        report.iterates += 1
-        try:
-            u_next = apply_lambda(u, pre, out=work)
-        except NonFiniteError:  # w |w|^(alpha-1), its trace or the forcing overflowed
-            return u, "non-finite iterate"
-        norms = sobolev_norm(u_next.values, pre.sgrid, s)
-        update = np.subtract(u_next.values, u.values, out=work.field(spare))
-        deltas = sobolev_norm(update, pre.sgrid, s)
-        top, delta = float(np.max(norms)), float(np.max(deltas))
-        u = u_next
-        work.result, spare = spare, work.result
-        if delta == 0.0:  # the map returned its input: its fixed point
-            report.fixed_point_residual = 0.0
-            return u, None
-        if not (math.isfinite(top) and math.isfinite(delta)):
-            return u, "non-finite iterate"
-        norm_u = max(top, 1e-300)
-        if residuals:
-            ratios.append(delta / residuals[-1])
-        residuals.append(delta)
-        report.fixed_point_residual = delta / norm_u
-        if delta <= cfg.tol * norm_u:
-            return u, None
-        if ratios and ratios[-1] > cfg.ratio_cap:
-            log.debug("contraction ratio %.3f exceeds cap", ratios[-1])
-            return u, "no contraction"
-    if report.iterates < _WHOLE:
+    report.residual_history, report.contraction_ratios = [], []
+    why, deltas, residual = _iterate(
+        u, pre, s, cfg, report, work, norms, work.field(spare), 0, m + 1,
+        min(_WHOLE, cfg.max_iter), report.residual_history, report.contraction_ratios)
+    if residual is not None:
+        report.fixed_point_residual = residual
+    if why is None or why == "non-finite iterate":
+        return u, why
+    if why == "ratio" or report.iterates < _WHOLE:
         return u, "no contraction"
-    # the block values are written over the last whole iterate in place;
-    # the other whole buffer holds the forcing kernel's lags in t
-    work.result, spare = spare, work.result
     work.history = ForcingHistory(pre.sgrid, pre.tgrid, buf=spare)
-    first = int(np.argmax(deltas > cfg.tol * norm_u))
-    return _sweep(u, pre, s, cfg, report, blocks, work, norms, first)
+    k = int(np.argmax(deltas > cfg.tol * max(float(np.max(norms)), 1e-300)))
+    size = _BLOCK
+    begin = np.empty((_BLOCK + 1, pre.sgrid.n), dtype=complex)  # a block's start
+    old = np.empty_like(begin)
+    report.fixed_point_residual = 0.0
+    start = "whole"
+    took = {"whole": 0, "extrapolated": 0}  # the last block of each start
+    while True:
+        stop = min(k + size + 1, m + 1)
+        if start == "extrapolated":
+            _extrapolate(vals, k, stop, old)
+        record = {"slices": [k, stop], "start": start, "iterates": 0,
+                  "ratios": [], "residual": None, "halved": None}
+        blocks.append(record)
+        begin[: stop - k] = vals[k:stop]
+        before = report.iterates
+        why, _, residual = _iterate(u, pre, s, cfg, report, work, norms, old, k, stop,
+                                    cfg.max_iter, [], record["ratios"])
+        record["iterates"] = report.iterates - before
+        if why == "non-finite iterate":
+            return u, why
+        if why is not None:
+            record["halved"] = ("max_iter" if why == "limit"
+                                else f"ratio {record['ratios'][-1]:.3g} > ratio_cap")
+            log.debug("block [%d, %d): %s", k, stop, record["halved"])
+            vals[k:stop] = begin[: stop - k]
+            size //= 2
+            if size < 2:
+                return u, "no contraction"
+            continue
+        record["residual"] = residual
+        report.fixed_point_residual = max(report.fixed_point_residual, residual)
+        if stop == m + 1:
+            return u, None
+        took[start] = record["iterates"]
+        start = "whole" if took["whole"] < took["extrapolated"] else "extrapolated"
+        k = stop - 1
 
 
 def _extrapolate(vals, k, stop, scratch):
@@ -479,91 +555,6 @@ def _extrapolate(vals, k, stop, scratch):
     np.multiply(0.5 * (p + 1.0) * (p + 2.0), vals[k], out=dst)
     dst -= np.multiply(p * (p + 2.0), vals[k - 1], out=tmp)
     dst += np.multiply(0.5 * p * (p + 1.0), vals[k - 2], out=tmp)
-
-
-def _sweep(u: SolutionField, pre: LinearData, s: float, cfg: SolverConfig,
-           report: IterationReport, blocks: list, work: Workspace,
-           norms: np.ndarray, k: int):
-    """_picard_loop's sweep from slice k: iterate the slices [k, stop),
-    stop = k + b + 1, to tol, freeze [k, stop - 1) and go on from
-    k = stop - 1. The map reads one slice ahead, so the block's last slice
-    stays active into the next.
-
-    u is the last whole iterate, updated in place, and norms its slices'
-    H^s norms, kept current. A block converges when its update falls to
-    tol times max(norms). The first block starts from the whole iterate's
-    values, the second from quadratic extrapolation in t of the slices
-    k-2, k-1, k; each later one from the whole iterate's values only if the
-    last block started from them took fewer applications than the last
-    extrapolated one. A block whose
-    update ratio exceeds ratio_cap, or that takes max_iter applications,
-    is retried from its start at half the size b; b < 2 refuses the
-    attempt as "no contraction". After a converged block b doubles again,
-    up to _BLOCK. Each block appends to blocks {"slices": [k, stop],
-    "start": "whole" or "extrapolated", "iterates", "ratios", "residual",
-    "halved"}: ratios are its successive update ratios, residual its last
-    update relative to max(norms) when it converged (else None), halved
-    None or why it was retried smaller. fixed_point_residual is the largest
-    residual.
-    """
-    sg, m = pre.sgrid, pre.tgrid.m
-    vals = u.values
-    size = _BLOCK
-    begin = np.empty((_BLOCK + 1, sg.n), dtype=complex)  # a block's start
-    old = np.empty_like(begin)
-    report.fixed_point_residual = 0.0
-    start = "whole"
-    took = {"whole": 0, "extrapolated": 0}  # the last block of each start
-    while True:
-        stop = min(k + size + 1, m + 1)
-        nb = stop - k
-        if start == "extrapolated":
-            _extrapolate(vals, k, stop, old)
-        record = {"slices": [k, stop], "start": start, "iterates": 0,
-                  "ratios": [], "residual": None, "halved": None}
-        blocks.append(record)
-        begin[:nb] = vals[k:stop]
-        last = None
-        for _ in range(cfg.max_iter):
-            report.iterates += 1
-            record["iterates"] += 1
-            old[:nb] = vals[k:stop]
-            try:
-                apply_lambda(u, pre, out=work, start=k, stop=stop)
-            except NonFiniteError:
-                return u, "non-finite iterate"
-            update = np.subtract(vals[k:stop], old[:nb], out=old[:nb])
-            delta = float(np.max(sobolev_norm(update, sg, s)))
-            block_norms = sobolev_norm(vals[k:stop], sg, s)
-            if not (math.isfinite(delta) and np.all(np.isfinite(block_norms))):
-                return u, "non-finite iterate"
-            norms[k:stop] = block_norms
-            norm_u = max(float(np.max(norms)), 1e-300)
-            if last is not None:
-                record["ratios"].append(delta / last)
-            last = delta
-            if delta <= cfg.tol * norm_u:
-                break
-            if record["ratios"] and record["ratios"][-1] > cfg.ratio_cap:
-                record["halved"] = f"ratio {record['ratios'][-1]:.3g} > ratio_cap"
-                break
-        else:
-            record["halved"] = "max_iter"
-        if record["halved"]:
-            log.debug("block [%d, %d): %s", k, stop, record["halved"])
-            vals[k:stop] = begin[:nb]
-            size //= 2
-            if size < 2:
-                return u, "no contraction"
-            continue
-        record["residual"] = delta / norm_u
-        report.fixed_point_residual = max(report.fixed_point_residual, delta / norm_u)
-        if stop == m + 1:
-            return u, None
-        took[start] = record["iterates"]
-        start = "whole" if took["whole"] < took["extrapolated"] else "extrapolated"
-        k = stop - 1
-        size = min(2 * size, _BLOCK)
 
 
 def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,

@@ -28,22 +28,33 @@ def sobolev_norm(values, grid: SpatialGrid, s: float):
     The weighted Plancherel sum sqrt(dx/n * sum (1+xi^2)^s |fft(values)|^2);
     the scale is applied after the sum, so the spectrum is never rescaled.
     At s = 0 it is the sum in x, sqrt(dx * sum |values|^2), equal by Parseval
-    up to rounding, with no transform and no temporary.
+    up to rounding, with no transform and no temporary. A slice whose sum
+    overflows (|values| above about 1e154) is summed again over its largest
+    |.|, as mixed_norm does: its norm is finite unless the slice is not.
     Returns a float for one slice and an array for a stack of slices.
     """
+    norm = np.asarray(_plancherel(values, grid, s))
+    redo = ~np.isfinite(norm)
+    if np.any(redo):
+        rows = np.asarray(values)[redo]
+        top = np.max(np.abs(rows), axis=-1, keepdims=True)
+        with np.errstate(invalid="ignore"):  # inf / inf in a non-finite slice
+            norm[redo] = top[:, 0] * _plancherel(rows / top, grid, s)
+    return float(norm) if norm.ndim == 0 else norm
+
+
+def _plancherel(values, grid: SpatialGrid, s: float):
     if s == 0.0:
         v = np.ascontiguousarray(values, dtype=complex).view(float)
         rows = v.reshape(-1, v.shape[-1])
         norm = np.sqrt(grid.dx * np.einsum("ij,ij->i", rows, rows))
-        norm = norm.reshape(v.shape[:-1])
-    else:
-        xi = grid.frequencies
-        # (1+xi^2)^s |spectrum|^2 in place: **2 is x*x, so this is bit-equal
-        p = np.abs(np.fft.fft(values, axis=-1))
-        p *= p
-        p *= (1.0 + xi * xi) ** s
-        norm = np.sqrt(grid.dx / grid.n * np.sum(p, axis=-1))
-    return float(norm) if norm.ndim == 0 else norm
+        return norm.reshape(v.shape[:-1])
+    xi = grid.frequencies
+    # (1+xi^2)^s |spectrum|^2 in place: **2 is x*x, so this is bit-equal
+    p = np.abs(np.fft.fft(values, axis=-1))
+    p *= p
+    p *= (1.0 + xi * xi) ** s
+    return np.sqrt(grid.dx / grid.n * np.sum(p, axis=-1))
 
 
 _PAD = 4

@@ -324,7 +324,9 @@ def test_solve_blowup_exits_two(tmp_path, capsys):
 def test_linear_solve_of_huge_data_converges(tmp_path, capsys):
     # at lam = 0 the map returns its linear part: no w |w|^2 is formed, and
     # a 1e160 Gaussian converges in one iterate. Its linear mixed norm is
-    # taken of |u| / max |u|, so report.json holds no Infinity
+    # taken of |u| / max |u|, so report.json holds no Infinity, and each
+    # slice's H^s norm of |u| / max |u| times max |u|, so norm_history.csv
+    # holds no inf
     cfg = _write_cfg(tmp_path / "l.cfg", [
         "problem.lambda_re = 0.0",
         "problem.T = 0.25",
@@ -344,6 +346,8 @@ def test_linear_solve_of_huge_data_converges(tmp_path, capsys):
     assert report["converged"] is True and report["iterates"] == 1
     assert report["halvings"] == 0 and report["fixed_point_residual"] == 0.0
     assert 1e159 < report["linear_mixed_norm"] < 1e161
+    norms = np.loadtxt(out / "norm_history.csv", delimiter=",", skiprows=1)[:, 1]
+    assert len(norms) == 33 and np.all((1e159 < norms) & (norms < 1e161))
 
 
 def test_json_outputs_refuse_non_finite_numbers(tmp_path):

@@ -1,9 +1,10 @@
 """Package hygiene: the names the package root exports, no module-level
 import that its module, or a test module, never uses, no private top-level
 name that the package never reads (no linter is assumed to be installed),
-the names the benchmark's tracer wraps, and the README's library example,
-run as written."""
+the solver's knobs, the names the benchmark's tracer wraps, and the
+README's library example, run as written."""
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -65,6 +66,16 @@ def test_root_exports_only_entry_points_and_types():
         for alias in node.names
     }
     assert accepted and accepted <= ROOT_NAMES, accepted - ROOT_NAMES
+
+
+# the solver's knobs: a change that adds or removes one edits this set
+SOLVER_KNOBS = ("sgrid", "tol", "max_iter", "ratio_cap", "delta_crit",
+                "max_halvings", "seam_mismatch_cap")
+
+
+def test_solver_config_holds_the_known_knobs():
+    fields = dataclasses.fields(halfline_nls.SolverConfig)
+    assert tuple(f.name for f in fields) == SOLVER_KNOBS
 
 
 def _unused_imports(path):

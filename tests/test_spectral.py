@@ -56,6 +56,25 @@ def test_sobolev_norm_is_batched_over_the_last_axis():
         np.testing.assert_allclose(batched, rows, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_sobolev_norm_of_a_huge_finite_slice_is_finite(s):
+    # |v|^2 overflows above about 1e154: such a slice is summed again over
+    # its largest |.|, and only such a slice; a slice that is not finite
+    # keeps a non-finite norm
+    grid = SpatialGrid(-20.0, 20.0, 256)
+    v = np.exp(-grid.nodes**2) * (1.0 + 0.5j)
+    unit = sobolev_norm(v, grid, s)
+    rows = np.stack([v, 1e160 * v, 1e300 * v, np.full(256, np.inf + 0j)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        one = sobolev_norm(1e160 * v, grid, s)
+        norms = sobolev_norm(rows, grid, s)
+    assert isinstance(one, float) and one == pytest.approx(1e160 * unit, rel=1e-14)
+    assert norms[0] == unit
+    assert norms[1] == pytest.approx(1e160 * unit, rel=1e-14)
+    assert norms[2] == pytest.approx(1e300 * unit, rel=1e-14)
+    assert not np.isfinite(norms[3])
+
+
 @pytest.mark.parametrize("pad, m", [(4, 8), (4, 15), (4, 16)])
 def test_padded_spectrum_length_is_smallest_power_of_two(pad, m):
     # pad*(m+1) = 36, 64, 68: (4, 15) is a power of two

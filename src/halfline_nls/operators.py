@@ -80,8 +80,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fractional import frac_derivative, panel_weights, vanishes_at_start
-from .grids import (GridFunction, SolutionField, SpatialGrid, TimeGrid, TimeSignal,
-                    _as_complex)
+from .grids import (GridFunction, NonFiniteError, SolutionField, SpatialGrid, TimeGrid,
+                    TimeSignal, _as_complex)
 from .spectral import damped_inverse, padded_spectrum
 
 ROOT_PI = np.sqrt(np.pi)
@@ -362,7 +362,9 @@ def boundary_forcing_time(
     the (r, 2m) spectrum product of the whole t-FFT (r distinct |x|), then
     receives the field; work holds the product's transposed rows. A
     non-finite field raises ValueError, checked on the distinct-|x| rows it
-    copies.
+    copies; rows that came out non-finite are first taken again with h
+    scaled by a power of two, as the t-FFT of a finite h near the overflow
+    threshold can overflow where the rows do not.
 
     On any other [start, stop), only those slices are computed, from f's
     samples up to stop, and only those rows of out are written (out is
@@ -390,21 +392,36 @@ def boundary_forcing_time(
     if work is None:
         work = np.empty(plan.forcing_sizes[1], dtype=complex)
     buf = out[: 2 * m * r].reshape(r, 2 * m)
-    np.multiply(plan.kspec, np.fft.fft(h, 2 * m), out=buf)
-    np.fft.ifft(buf, axis=1, out=buf)
-    # the transposed lags less K's h_0 b_{l+1} term, in one pass over the
-    # product (b_{m+1} = 0: lag m takes none)
     rows = work[: (m + 1) * r].reshape(m + 1, r)
-    np.multiply(h[0], plan.b, out=rows[:m])
-    rows[m] = 0.0
-    np.subtract(buf[:, : m + 1].T, rows, out=rows)
-    rows[0] = 0.0  # every kernel weight at lag 0 is zero by construction
-    _as_complex(rows, rows.shape, "boundary_forcing_time")
+    with np.errstate(over="ignore", invalid="ignore"):
+        _whole_rows(h, plan, buf, rows)
+        try:
+            _as_complex(rows, rows.shape, "boundary_forcing_time")
+        except NonFiniteError:
+            # the t-FFT of an h near the overflow threshold overflows where
+            # the rows need not: take it again on h scaled by a power of two
+            e = int(np.frexp(np.max(np.abs(h.view(float))))[1])
+            _whole_rows(np.ldexp(h.view(float), -e).view(complex), plan, buf, rows)
+            np.ldexp(rows.view(float), e, out=rows.view(float))
+            _as_complex(rows, rows.shape, "boundary_forcing_time")
     # the gather overwrites the product it no longer needs: np.take in mode
     # "clip" (inv is in range by construction) writes straight into out
     vals = out[: (m + 1) * n].reshape(m + 1, n)
     np.take(rows, plan.inv, axis=1, out=vals, mode="clip")
     return SolutionField._of_finite(sgrid, tgrid, vals)
+
+
+def _whole_rows(h, plan, buf, rows):
+    """The whole call's distinct-|x| rows from h's t-FFT, buf the (r, 2m)
+    spectrum product: the transposed lags less K's h_0 b_{l+1} term, in one
+    pass over the product (b_{m+1} = 0: lag m takes none)."""
+    m = len(rows) - 1
+    np.multiply(plan.kspec, np.fft.fft(h, 2 * m), out=buf)
+    np.fft.ifft(buf, axis=1, out=buf)
+    np.multiply(h[0], plan.b, out=rows[:m])
+    rows[m] = 0.0
+    np.subtract(buf[:, : m + 1].T, rows, out=rows)
+    rows[0] = 0.0  # every kernel weight at lag 0 is zero by construction
 
 
 def _forcing_block(f, sgrid, plan, out, work, start, stop, history):

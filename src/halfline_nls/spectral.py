@@ -22,6 +22,10 @@ import numpy as np
 from .grids import GridFunction, SpatialGrid, TimeGrid, TimeSignal, interp_complex
 
 
+# a norm below this may hold squares that lost bits as subnormals
+_TINY = 1e-140
+
+
 def sobolev_norm(values, grid: SpatialGrid, s: float):
     """Inhomogeneous H^s norm in x of each slice along the last axis.
 
@@ -29,17 +33,22 @@ def sobolev_norm(values, grid: SpatialGrid, s: float):
     the scale is applied after the sum, so the spectrum is never rescaled.
     At s = 0 it is the sum in x, sqrt(dx * sum |values|^2), equal by Parseval
     up to rounding, with no transform and no temporary. A slice whose sum
-    overflows (|values| above about 1e154) is summed again over its largest
-    |.|, as mixed_norm does: its norm is finite unless the slice is not.
+    overflows (|values| above about 1e154) or whose norm is below _TINY
+    (its squares near the subnormal range) is summed again over its largest
+    |.|, as mixed_norm does: its norm is finite unless the slice is not, and
+    accurate to rounding. A zero slice has norm 0.
     Returns a float for one slice and an array for a stack of slices.
     """
     norm = np.asarray(_plancherel(values, grid, s))
-    redo = ~np.isfinite(norm)
+    redo = ~((norm >= _TINY) & (norm < np.inf))  # tiny, zero, inf or nan
     if np.any(redo):
-        rows = np.asarray(values)[redo]
+        rows = np.asarray(values, dtype=complex)[redo]
         top = np.max(np.abs(rows), axis=-1, keepdims=True)
+        # divided as reals: a complex division takes 1/top, which overflows
+        # for a subnormal top
         with np.errstate(invalid="ignore"):  # inf / inf in a non-finite slice
-            norm[redo] = top[:, 0] * _plancherel(rows / top, grid, s)
+            unit = rows.view(float) / np.where(top > 0, top, 1.0)
+        norm[redo] = top[:, 0] * _plancherel(unit.view(complex), grid, s)
     return float(norm) if norm.ndim == 0 else norm
 
 

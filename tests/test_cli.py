@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import halfline_nls
 import halfline_nls.cli
@@ -24,6 +26,7 @@ from halfline_nls import SolutionField, SpatialGrid, TimeGrid, solve_ibvp
 from halfline_nls.cli import (
     ConfigError,
     _fd_comparison,
+    _write_csv,
     build_problem,
     main,
     parse_config,
@@ -634,6 +637,45 @@ def test_field_csv_bytes_are_the_per_cell_format(tmp_path):
     path = tmp_path / "signal.csv"
     write_signal(path, t[:4], sig)
     assert path.read_bytes() == expected.encode()
+
+
+def _csv_bytes(path, table):
+    """_write_csv's bytes for a 2-D table, and the per-cell f"{v:.17g}" ones."""
+    _write_csv(path, "h\n", np.array(table, dtype=float).reshape(len(table), -1))
+    expected = "h\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in table)
+    return path.read_bytes(), expected.encode()
+
+
+_ANY_BITS = st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 7).flatmap(lambda w: st.lists(
+    st.lists(st.one_of(_ANY_BITS, st.floats()), min_size=w, max_size=w),
+    min_size=1, max_size=12)))
+def test_csv_numbers_are_the_per_cell_format(tmp_path_factory, table):
+    # any float64, from raw bit patterns (nan, inf, subnormals) or from
+    # hypothesis's own edge-seeking floats
+    got, expected = _csv_bytes(tmp_path_factory.mktemp("csv") / "t.csv", table)
+    assert got == expected
+
+
+def test_csv_numbers_at_the_format_edges(tmp_path):
+    # the %g switch to an exponent below 1e-4 and from 1e17, the powers of
+    # ten and their neighbours, the extremes, and exact rounding ties
+    edges = [v for p in (1e-5, 1e-4, 1e16, 1e17)
+             for v in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))]
+    table = np.reshape(edges, (4, 3)).tolist() + [
+        [9.9999999999999995e-08, 0.1, 5e-324],
+        [1.7976931348623157e308, 0.0, -0.0],
+        [np.inf, -np.inf, np.nan],
+        [123456789012345.625, 123456789012345.375, -123456789012345.625],
+    ]
+    got, expected = _csv_bytes(tmp_path / "t.csv", table)
+    assert got == expected
+    assert got.splitlines()[-1] == (
+        b"123456789012345.62,123456789012345.38,-123456789012345.62")
 
 
 def test_signal_roundtrip_is_exact(tmp_path):

@@ -331,20 +331,20 @@ def test_boundary_forcing_rejects_nonvanishing_start():
             forcing(z, sg, tg)
 
 
-def test_boundary_forcing_rejects_overflowing_output():
+def test_boundary_forcing_survives_an_overflowing_t_fft():
     # f and its half-derivative are finite (h peaks at 4.9e305) but the
-    # whole call's t-FFT overflows: the forcing's own check on its
-    # distinct-|x| rows must refuse the field. A block takes no t-FFT, and
-    # its rows are the field's own size (measured: 3.0e305)
+    # whole call's t-FFT of h overflows: the whole call takes it again on h
+    # scaled by a power of two and returns the field finite, with the rows
+    # of a block, which takes no t-FFT (measured: at most 3.0e305)
     sg = SpatialGrid(-10.0, 10.0, 64)
     tg = TimeGrid(1.0, 512)
     f = TimeSignal(tg, 3e305 * _bump_family(tg.nodes, 1.0)[0])
     assert np.max(np.abs(frac_derivative(f, 0.5).values)) < np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="non-finite entries"):
-            boundary_forcing_time(f, sg, tg)
+    whole = boundary_forcing_time(f, sg, tg).values
     block = boundary_forcing_time(f, sg, tg, start=256).values[256:]
+    assert np.all(np.isfinite(whole))
     assert np.max(np.abs(block)) <= 3.1e305
+    assert np.max(np.abs(whole[256:] - block)) <= 1e-13 * np.max(np.abs(block))
 
 
 def test_boundary_forcing_initial_slice_is_zero():

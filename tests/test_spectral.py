@@ -75,6 +75,22 @@ def test_sobolev_norm_of_a_huge_finite_slice_is_finite(s):
     assert not np.isfinite(norms[3])
 
 
+@pytest.mark.parametrize("s", [0.0, 0.3])
+def test_sobolev_norm_of_a_tiny_slice_is_accurate(s):
+    # the squares of a slice scaled by 1e-160 are subnormal: such a slice is
+    # summed again over its largest |.| (measured off by 1.3e-5 at s = 0 and
+    # 3.3e-6 at s = 0.3 without), while a zero slice keeps norm 0
+    grid = SpatialGrid(-10.0, 10.0, 64)
+    v = np.exp(-grid.nodes**2) * (1.0 + 0.5j)
+    unit = sobolev_norm(v, grid, s)
+    tiny = pytest.approx(1e-160 * unit, rel=1e-14, abs=0.0)
+    assert sobolev_norm(1e-160 * v, grid, s) == tiny
+    norms = sobolev_norm(np.stack([v, 1e-160 * v, 0.0 * v]), grid, s)
+    assert norms[0] == unit
+    assert norms[1] == tiny
+    assert norms[2] == 0.0
+
+
 @pytest.mark.parametrize("pad, m", [(4, 8), (4, 15), (4, 16)])
 def test_padded_spectrum_length_is_smallest_power_of_two(pad, m):
     # pad*(m+1) = 36, 64, 68: (4, 15) is a power of two

@@ -16,6 +16,12 @@ Two independent computational paths are provided and cross-validated:
 
 Negative orders (fractional derivatives) are realized in the time domain as
 d^k/dt^k applied to the (k-a)-th integral with k = ceil(a).
+
+The rule is a causal convolution in t, so it splits at any sample: the
+boundary forcing, iterating a block of samples [start, stop) with the
+samples before it fixed, integrates the fixed samples once per block and
+only the block's own samples on each call (frac_derivative's block path,
+its state kept in an operators.ForcingHistory).
 """
 from __future__ import annotations
 
@@ -82,20 +88,22 @@ def frac_integral(f: TimeSignal, alpha: float) -> TimeSignal:
     _check_order(alpha)
     if alpha <= 0.0:
         raise ValueError("frac_integral: alpha > 0 required (use frac_derivative)")
-    return TimeSignal(f.grid, _integral_values(f.values, alpha, f.grid.dt))
+    m = f.grid.m
+    return TimeSignal(f.grid, _integral_values(f.values, _pl_weights(alpha, f.grid.dt, m), m))
 
 
-def _integral_values(v, alpha, dt):
-    """frac_integral of the samples v at spacing dt; each output reads only
-    the samples up to its own."""
-    m = len(v) - 1
-    a, b = _pl_weights(alpha, dt, m)
-    out = np.convolve(v, a)[: m + 1]
-    out[1:] += np.convolve(v[1:], b)[1 : m + 1]
+def _integral_values(v, weights, m):
+    """The integral of the samples v (zero after them, at least two) on the
+    nodes 0..m, from the panel weights (a, b) of its order on lags 0..m or
+    more; each output reads only the samples up to its own."""
+    a, b = weights
+    out = np.convolve(v, a[: m + 1])[: m + 1]
+    out[1:] += np.convolve(v[1:], b[: m + 1])[1 : m + 1]
     return out
 
 
-def frac_derivative(f: TimeSignal, alpha: float, stop: int | None = None) -> TimeSignal:
+def frac_derivative(f: TimeSignal, alpha: float, stop: int | None = None, *,
+                    _block=None) -> TimeSignal:
     """Fractional derivative of order alpha > 0 (the -alpha integral).
 
     Computed as d^k/dt^k of the (k - alpha)-integral, k = ceil(alpha), with
@@ -107,6 +115,12 @@ def frac_derivative(f: TimeSignal, alpha: float, stop: int | None = None) -> Tim
     before max(stop, 2) + k (each of the k differences reads one sample
     ahead, two at t = 0); they are the whole call's to rounding, and the
     samples from stop on are zero.
+
+    _block = (start, history) is the boundary forcing's block path, for
+    alpha = 1/2 and a stop: the same samples from the same reads, on a
+    block [start, stop) whose samples before start stay fixed from call to
+    call; history (an operators.ForcingHistory) keeps what they fix (see
+    _half_derivative_block).
     """
     _check_order(alpha)
     if alpha <= 0.0:
@@ -118,18 +132,55 @@ def frac_derivative(f: TimeSignal, alpha: float, stop: int | None = None) -> Tim
             stacklevel=2,
         )
     k = ceil(alpha)
-    m = f.grid.m
+    m, dt = f.grid.m, f.grid.dt
+    # below start 3, h_0 reads a sample of the block: nothing is fixed
+    if _block is not None and _block[0] >= 3:
+        return TimeSignal(f.grid, _half_derivative_block(f.values, dt, *_block, stop))
     # each difference reads one sample ahead, and at t = 0 two
     used = m + 1 if stop is None else min(m + 1, max(stop, 2) + k)
     v = f.values[:used]
-    g = _integral_values(v, k - alpha, f.grid.dt) if k - alpha > 0.0 else v.copy()
+    g = (_integral_values(v, _pl_weights(k - alpha, dt, used - 1), used - 1)
+         if k - alpha > 0.0 else v.copy())
     for _ in range(k):
-        g = np.gradient(g, f.grid.dt, edge_order=2)
+        g = np.gradient(g, dt, edge_order=2)
     if stop is None:
         return TimeSignal(f.grid, g)
     out = np.zeros(m + 1, dtype=complex)
     out[:stop] = g[:stop]
     return TimeSignal(f.grid, out)
+
+
+def _half_derivative_block(v, dt, start, history, stop):
+    """The half-derivative h of the samples v on [0, stop), zero after,
+    start >= 3 and v's samples before start fixed while history.half's span
+    is (start, stop).
+
+    h_j = (g_{j+1} - g_{j-1}) / 2 dt with g = I_{1/2} v (one-sided at 0 and
+    m), so h_j for j < start - 1, h_0 included (it reads g_2), reads only
+    v's samples before start. g splits into the fixed samples' integral and
+    the block's: the first, I_{1/2} of v[:start] on [0, min(stop, m)], is
+    formed once per span into history.half with the h it fixes, on
+    [0, start - 1); the second is the integral of the block's own samples
+    after one zero sample, on [start - 1, min(stop, m)], O((stop - start)^2)
+    per call, from history.weights, the order-1/2 panel weights on the
+    grid's lags. Their sum on [start - 2, min(stop, m)] gives h on
+    [start - 1, stop).
+    """
+    weights, m = history.weights, len(v) - 1
+    top = min(stop, m)
+    if history.half is None or history.half[0] != (start, stop):
+        fixed = _integral_values(v[:start], weights, top)
+        before = np.gradient(fixed[:start], dt, edge_order=2)[: start - 1]
+        history.half = ((start, stop), before, fixed[start - 2:])
+    _, before, fixed = history.half
+    block = np.zeros(top - start + 2, dtype=complex)
+    block[1:] = v[start: top + 1]
+    g = fixed.copy()
+    g[1:] += _integral_values(block, weights, top - start + 1)
+    out = np.zeros(m + 1, dtype=complex)
+    out[: start - 1] = before
+    out[start - 1: stop] = np.gradient(g, dt, edge_order=2)[1: stop - start + 2]
+    return out
 
 
 def frac_fourier_path(f: TimeSignal, alpha: float) -> TimeSignal:

@@ -54,7 +54,11 @@ and a solve that halves its interval twice works on three time grids):
   stored one row per distinct |x|, shape (r, 2m), so that the transform runs
   along t in place on contiguous rows (along a strided axis it took about
   twice as long); the b kernel's correction, shape (m, r), is stored one row
-  per lag, as the transposed rows it is subtracted from.
+  per lag, as the transposed rows it is subtracted from. The kernels are
+  built in chunks of _PLAN_CHUNK rows, whose Fresnel temporaries stay in
+  cache: each chunk's folded kernel is written into its own rows of the
+  spectrum, zero-padded there and transformed in place, so the build's
+  peak stays near the plan's own size.
 
 A plan owns no buffer: it is shared read-only by every caller on its grids.
 duhamel_field and boundary_forcing_time write into buffers the caller hands
@@ -67,9 +71,12 @@ only; on any other block it takes no FFT: the block's own samples of h meet
 the kernel's first lags in t in one small product, and the earlier samples'
 part, computed once per block, is kept in a ForcingHistory with the
 kernel's lags (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
-(1985), split a convolution the same way). It then writes only the block's
-rows of out. Neither checks its whole output for finiteness: the forcing
-checks the rows it gathers, the solver its norms.
+(1985), split a convolution the same way). h itself is split the same way:
+the half-integral of f's samples before the block, and the h they fix, are
+formed once per block into the ForcingHistory, and each call integrates
+only the block's own samples (frac_derivative's block path). It then
+writes only the block's rows of out. Neither checks its whole output for
+finiteness: the forcing checks the rows it gathers, the solver its norms.
 """
 from __future__ import annotations
 
@@ -79,7 +86,7 @@ import warnings
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fractional import frac_derivative, panel_weights, vanishes_at_start
+from .fractional import _pl_weights, frac_derivative, panel_weights, vanishes_at_start
 from .grids import (GridFunction, NonFiniteError, SolutionField, SpatialGrid, TimeGrid,
                     TimeSignal, _as_complex)
 from .spectral import damped_inverse, padded_spectrum
@@ -89,6 +96,10 @@ _E_PLUS4 = np.exp(0.25j * np.pi)
 _F_INF = 0.5 * ROOT_PI * _E_PLUS4
 _EDGE_TOL = 1e-8
 _X_CHUNK = 256
+# the plan's kernel rows per chunk: its ten or so (32, m+1) temporaries stay
+# in cache. The kernels' last bits depend on the chunk size: at 1024x512,
+# chunks of 32 to 256 rows agree bit for bit, 8, 16 and 1024 do not
+_PLAN_CHUNK = 32
 # a solve that halves twice touches three time grids (T, T/2, T/4); with two
 # slots each one is evicted before the next solve on the same data reaches it
 _PLAN_SLOTS = 3
@@ -257,7 +268,8 @@ def _bf_kernel_chunk(x, dt, m):
 
 
 class OperatorPlan:
-    """The grid-only work of the three operators on one (sgrid, tgrid) pair.
+    """The grid-only work of the three operators on one (sgrid, tgrid) pair,
+    built in chunks of _PLAN_CHUNK distinct |x| (see the module docstring).
 
     * step: the one-step propagator e^{-i dt xi^2}, shape (n,); the free
       group and Duhamel advance their spectra from one time slice to the
@@ -289,12 +301,16 @@ class OperatorPlan:
         self.forcing_sizes = (max((m + 1) * sgrid.n, 2 * m * r), (m + 1) * r)
         self.kspec = np.empty((r, 2 * m), dtype=complex)
         self.b = np.empty((m, r), dtype=complex)
-        # row chunks bound the Fresnel temporaries of the kernel build
-        for lo in range(0, r, _X_CHUNK):
-            hi = min(lo + _X_CHUNK, r)
+        # row chunks bound the Fresnel temporaries of the kernel build; each
+        # chunk's K is written into its rows of kspec and transformed there
+        for lo in range(0, r, _PLAN_CHUNK):
+            hi = min(lo + _PLAN_CHUNK, r)
             a, b = _bf_kernel_chunk(absx[lo:hi], tgrid.dt, m)
-            a[:, :-1] += b[:, 1:]
-            self.kspec[lo:hi] = np.fft.fft(a, 2 * m, axis=1)
+            rows = self.kspec[lo:hi]
+            np.add(a[:, :m], b[:, 1:], out=rows[:, :m])
+            rows[:, m] = a[:, m]
+            rows[:, m + 1:] = 0.0
+            np.fft.fft(rows, axis=1, out=rows)
             self.b[:, lo:hi] = b[:, 1:].T
         for arr in (self.step, self.inv, self.kspec, self.b):
             arr.flags.writeable = False
@@ -316,11 +332,18 @@ class ForcingHistory:
       one row per distinct |x|: the inverse t-FFT of the plan's kspec, once,
       into buf (at least 2 m r elements) or a buffer of its own;
     * rows: on the block's slices i in [start, stop), the part
-      sum_{j < start-1} K_{i-j} h_j of the forcing, shape (stop-start, r),
-      and span, the (start, stop) it was formed for. The samples h_j,
-      j < start-1, read only f's samples before start, which a caller
-      iterating one block holds fixed: rows is formed by the first call on
-      a block and reused while (start, stop) stays the same.
+      sum_{j < start-1} K_{i-j} h_j of the forcing (zero below start = 3,
+      as h_0 reads f_2), shape (stop-start, r), and span, the (start, stop)
+      it was formed for. The samples h_j, j < start-1, then read only f's
+      samples before start, which a caller iterating one block holds fixed:
+      rows is formed by the first call on a block and reused while
+      (start, stop) stays the same;
+    * weights: the order-1/2 product-integration weights on lags 0..m, and
+      half: the block's part of h that f's samples before start fix (the
+      h_j, j < start-1, and those samples' half-integral on the block), with
+      the (start, stop) it was formed for. frac_derivative's block path forms
+      half by the first call on a block and then integrates only the
+      block's own samples, O((stop-start)^2) per call.
     """
 
     def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid, buf=None):
@@ -331,6 +354,8 @@ class ForcingHistory:
                                 out=buf[: kspec.size].reshape(kspec.shape))
         self.span = None
         self.rows = None
+        self.weights = _pl_weights(0.5, tgrid.dt, tgrid.m)
+        self.half = None
 
 
 def _lag_product(lags, h, j_lo, j_hi, start, stop):
@@ -436,8 +461,10 @@ def _forcing_block(f, sgrid, plan, out, work, start, stop, history):
         out = np.zeros((m + 1) * n, dtype=complex)
     if work is None:
         work = np.empty((stop - start) * r, dtype=complex)
-    h = frac_derivative(f, 0.5, stop=stop).values
-    j0 = max(start - 1, 0)
+    h = frac_derivative(f, 0.5, stop=stop, _block=(start, history)).values
+    # from start = 3 on, h_j, j < start - 1, reads only f's samples before
+    # start; below it h_0, which reads f_2, is one of the block's samples
+    j0 = start - 1 if start >= 3 else 0
     if history.span != (start, stop):
         history.span = (start, stop)
         history.rows = (_lag_product(history.lags, h, 0, j0, start, stop) if j0

@@ -148,8 +148,10 @@ class IterationReport:
     the field returned (None without one).
     attempts holds one entry per attempt, in order: its absolute interval
     [start, end], the reason it was refused (None for the one that
-    converged), its iterates, its contraction_ratios and its blocks, one
-    record per block of the sweep (see _picard_loop).
+    converged), its iterates, its contraction_ratios, its blocks, one
+    record per block of the sweep (see _picard_loop), and t_reached: when
+    the sweep stalled (a block below 2 slices refused the attempt as "no
+    contraction"), the absolute time of that block's first slice, else None.
     """
 
     iterates: int = 0
@@ -591,7 +593,7 @@ def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
         lin = mixed_norm(pre.linear, spec.s, pair.q, pair.r)
         report.linear_mixed_norm = lin if math.isfinite(lin) else None
         attempt = {"interval": [t0, t0 + T], "reason": None, "iterates": 0,
-                   "contraction_ratios": [], "blocks": []}
+                   "contraction_ratios": [], "blocks": [], "t_reached": None}
         report.attempts.append(attempt)
         if report.linear_mixed_norm is None:
             reason = "non-finite linear part"
@@ -607,15 +609,19 @@ def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
                 report.boundary_residual = boundary_residual(u, f)
                 return u, report
         attempt["reason"] = reason
+        reached = ""
+        if reason == "no contraction" and attempt["blocks"]:  # the sweep stalled
+            attempt["t_reached"] = t0 + attempt["blocks"][-1]["slices"][0] * tgrid.dt
+            reached = f", sweep reached t = {attempt['t_reached']:.17g}"
         # exact ends: a short interval late in time must not print as [a, a]
-        log.info("%s on [%.17g, %.17g]; halving", reason, t0, t0 + T)
+        log.info("%s on [%.17g, %.17g]%s; halving", reason, t0, t0 + T, reached)
         T *= 0.5
     # the exception's traceback holds this frame: free the last attempt's
     # fields, or whoever keeps the exception keeps them too
     u = pre = None
     raise BlowupSuspected(
         f"{reason} after {cfg.max_halvings} halvings "
-        f"(last interval [{t0:.17g}, {t0 + 2 * T:.17g}])",
+        f"(last interval [{t0:.17g}, {t0 + 2 * T:.17g}]{reached})",
         report,
     )
 

@@ -30,8 +30,10 @@ from halfline_nls import (
     free_group,
     solve_ibvp,
 )
+from halfline_nls import operators
 from halfline_nls.operators import (
     ForcingHistory,
+    OperatorPlan,
     _bf_kernel_chunk,
     _faddeeva,
     duhamel_field,
@@ -266,6 +268,25 @@ def test_boundary_forcing_blocks_match_the_whole_call(tg):
             boundary_forcing_time(f, sg, tg, start=bad[0], stop=bad[1])
 
 
+@pytest.mark.parametrize("start", [1, 2, 3, 9])
+def test_boundary_forcing_block_follows_its_own_samples(start):
+    # a caller iterating one block changes only f's samples from start on:
+    # the second call on the block, with the same history, gives the whole
+    # call's rows for the new samples. At start = 2, h_0 reads f_2, which is
+    # one of them, so nothing of h may be kept from the first call
+    sg, tg = SpatialGrid(-10.0, 10.0, 64), TimeGrid(1.0, 48)
+    v = np.sin(3.0 * tg.nodes) * np.exp(2j * tg.nodes)
+    moved = v.copy()
+    moved[start:] *= 1.5
+    history = ForcingHistory(sg, tg)
+    stop = start + 12
+    boundary_forcing_time(TimeSignal(tg, v), sg, tg, start=start, stop=stop, history=history)
+    part = boundary_forcing_time(TimeSignal(tg, moved), sg, tg, start=start, stop=stop,
+                                 history=history).values
+    whole = boundary_forcing_time(TimeSignal(tg, moved), sg, tg).values
+    assert np.max(np.abs(part[start:stop] - whole[start:stop])) <= 1e-13 * np.max(np.abs(whole))
+
+
 def test_operator_plan_keeps_no_field_sized_table():
     # besides the forcing kernels the plan holds O(n): the free group and
     # Duhamel step their spectra by one n-vector, not an (m+1, n) table
@@ -275,6 +296,66 @@ def test_operator_plan_keeps_no_field_sized_table():
     arrays = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
     assert all(a.size != (tg.m + 1) * sg.n for a in arrays)
     assert sum(a.nbytes for a in arrays) <= plan.kspec.nbytes + plan.b.nbytes + 32 * sg.n
+
+
+def test_operator_plan_build_peaks_near_its_own_arrays():
+    # the kernels are built in row chunks and transformed in place, so the
+    # build's traced peak stays close to the plan it returns. Measured at
+    # 1024x512: 1.27x (3.16x with 256-row chunks and a padded FFT copy)
+    sg, tg = SpatialGrid(-30.0, 30.0, 1024), TimeGrid(0.5, 512)
+    tracemalloc.start()
+    try:
+        plan = OperatorPlan(sg, tg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in vars(plan).values() if isinstance(a, np.ndarray))
+    assert peak <= 1.5 * own
+
+
+def test_operator_plan_chunks_match_a_one_chunk_build(monkeypatch):
+    # the row chunks only bound the build's temporaries: kspec and b match a
+    # build of all rows at once to 1e-15 relative
+    sg, tg = SpatialGrid(-20.0, 20.0, 128), TimeGrid(1.0, 48)
+    chunked = OperatorPlan(sg, tg)
+    monkeypatch.setattr(operators, "_PLAN_CHUNK", sg.n)
+    whole = OperatorPlan(sg, tg)
+    for name in ("kspec", "b"):
+        a, b = getattr(chunked, name), getattr(whole, name)
+        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("tg", [TimeGrid(1.0, 48), TimeGrid(0.5, 100), TimeGrid(2.0, 256)],
+                         ids=lambda tg: f"m{tg.m}")
+def test_block_half_derivative_reads_only_the_block(tg):
+    # the forcing's block half-derivative, on a sweep of blocks [k, k + b + 1)
+    # each started on the last slice of the one before: h on [0, stop) is
+    # the whole call's to 1e-13 of its largest entry, it reads no sample
+    # from max(stop, 2) + 1 on, and the samples from stop on are zero. A
+    # second call on the same block reuses the part that the samples before
+    # the block fix: from start 3 on, changing those samples changes nothing
+    v = np.sin(3.0 * tg.nodes) * np.exp(2j * tg.nodes)
+    whole = frac_derivative(TimeSignal(tg, v), 0.5).values
+    scale = np.max(np.abs(whole))
+    for b in (5, 32):
+        history = ForcingHistory(SpatialGrid(-10.0, 10.0, 16), tg)
+        k = 0
+        while True:
+            stop = min(k + b + 1, tg.m + 1)
+            cut = v.copy()
+            cut[max(stop, 2) + 1:] = 1e3  # must not be read
+            h = frac_derivative(TimeSignal(tg, cut), 0.5, stop=stop,
+                                _block=(k, history)).values
+            assert np.max(np.abs(h[:stop] - whole[:stop])) <= 1e-13 * scale
+            assert not np.any(h[stop:])
+            if k >= 3:
+                cut[1:k] = 1e3  # the block's first call fixed their part
+                again = frac_derivative(TimeSignal(tg, cut), 0.5, stop=stop,
+                                        _block=(k, history)).values
+                assert np.array_equal(again, h)
+            if stop == tg.m + 1:
+                break
+            k = stop - 1
 
 
 def test_duhamel_interior_residual():

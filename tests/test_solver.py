@@ -528,6 +528,28 @@ def test_block_after_a_converged_block_is_no_larger():
             for a in rep.attempts] == [(31, 5), (131, 4)]
 
 
+def test_stalled_sweep_names_the_time_it_reached(caplog):
+    # with max_iter = 4 the sweep on [0, 0.5] stalls at a block of 2 slices
+    # starting at slice 7 (dt = 0.5/64): the refused attempt, its halving
+    # line and, with no halving allowed, the BlowupSuspected message name
+    # t = 7 dt. An attempt refused otherwise, or converged, reached nothing
+    with caplog.at_level("INFO", logger="halfline_nls.solver"):
+        rep = _max_iter_4_wave()
+    assert [a["t_reached"] for a in rep.attempts] == [7 * 0.5 / 64, None]
+    assert rep.attempts[0]["blocks"][-1]["slices"][0] == 7
+    assert [r.getMessage() for r in caplog.records] == [
+        "no contraction on [0, 0.5], sweep reached t = 0.0546875; halving"]
+    sg = SpatialGrid(-30.0, 30.0, 256)
+    spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 64)
+    with pytest.raises(BlowupSuspected) as exc:
+        solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10, max_iter=4, max_halvings=0))
+    assert str(exc.value) == ("no contraction after 0 halvings "
+                              "(last interval [0, 0.5], sweep reached t = 0.0546875)")
+    sg, spec = _twice_halving_wave()  # refused twice on the whole interval
+    _, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
+    assert [a["t_reached"] for a in rep.attempts] == [None, None, None]
+
+
 def _whole_picard(spec, cfg):
     # the reference: the whole map iterated from the linear part until its
     # update falls to tol times the iterate's C_t H^s norm

@@ -20,15 +20,16 @@ blow-up rather than an answer.
 
 The map is causal in t up to one step (slice i reads w(0, t_{i+1}), see
 apply_lambda) and its contraction is local in t, so the iterates settle
-from t = 0 forward. Each attempt therefore applies the map a few times on
-the whole interval, which tests the contraction, and then sweeps forward in
-blocks of slices: each block is iterated to tol and frozen, the Duhamel
-recursion restarting from the frozen slices' Duhamel term, which its buffer
-keeps, and the boundary forcing adding the frozen slices' part once per
-block (Workspace, apply_lambda, _picard_loop, operators.ForcingHistory).
-The whole interval and each block are iterated by one routine (_iterate),
-in place on the slices it is given. The fixed point reached is the whole
-map's to within tol.
+from t = 0 forward. Each attempt therefore applies the map twice on the
+whole interval, which tests the contraction (a third time when it
+contracts fast), and then sweeps forward in blocks of slices: each block
+is iterated to tol and frozen, the Duhamel recursion restarting from the
+frozen slices' Duhamel term, which its buffer keeps, and the boundary
+forcing adding the frozen slices' part once per block (Workspace,
+apply_lambda, _picard_loop, operators.ForcingHistory). The whole
+interval and each block are iterated by one routine (_iterate), in place
+on the slices it is given. The fixed point reached is the whole map's to
+within tol.
 """
 from __future__ import annotations
 
@@ -137,12 +138,14 @@ class IterationReport:
     iterates counts the last Picard attempt's map applications, on the
     whole interval and on the blocks of its sweep (see _picard_loop).
     residual_history holds the C_t H^s_x norm of each nonzero update on the
-    whole interval, contraction_ratios the ratios of successive ones: the
-    attempt's contraction test. fixed_point_residual is the largest last
-    update of a block, relative to the field's norm (see _picard_loop), or
-    the last whole update's when the attempt converged on the whole
-    interval: <= tol when converged, 0 when the map returns its input
-    (lam=0).
+    whole interval (two, or three after a fast first contraction),
+    contraction_ratios the ratios of successive ones: the attempt's
+    contraction test. When every update is finite and nonzero, iterates
+    is len(residual_history) plus the last attempt's blocks' iterates.
+    fixed_point_residual is the largest last update of a block, relative
+    to the field's norm (see _picard_loop), or the last whole update's when
+    the attempt converged on the whole interval: <= tol when converged, 0
+    when the map returns its input (lam=0).
     linear_mixed_norm is the last attempt's linear part's mixed norm (None
     when it is not finite). boundary_residual is boundary_residual's, of
     the field returned (None without one).
@@ -402,7 +405,13 @@ def apply_lambda(w: SolutionField, pre: LinearData, out: Workspace | None = None
     return SolutionField._of_finite(pre.sgrid, pre.tgrid, vals)
 
 
-_WHOLE = 3  # whole-interval applications that open each attempt
+_WHOLE = 2  # whole-interval applications that open each attempt: one ratio
+# a first ratio at most this earns a third whole application. Measured at
+# 256x128 on [0, 0.5]: the CLI bump and sinusoid_windowed presets (ratios
+# 0.094, 0.104) take 13 and 14 iterates with it, 18 and 18 without. At
+# the standing wave's 0.58 it would save one block application for the
+# price of a whole one, about ten times dearer at 512 steps
+_FAST_RATIO = 0.25
 _BLOCK = 32  # the slices a block of the sweep freezes, at most
 
 
@@ -463,11 +472,14 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     in these norms: a non-finite one refuses the attempt before it enters
     any residual, and frozen slices are copies of checked ones.
 
-    An attempt first applies the map up to _WHOLE times on the whole
-    interval. Those updates are residual_history, their ratios the
-    contraction_ratios, and a ratio above ratio_cap refuses the attempt:
-    the map does not contract on this interval. The attempt converges there
-    if an update falls to tol times the iterate's norm.
+    An attempt first applies the map _WHOLE times on the whole interval,
+    and once more when the first ratio is at most _FAST_RATIO and max_iter
+    allows: at a slow contraction a third whole application saves about
+    one block application, at a fast one it shortens the sweep. Those
+    updates are residual_history, their ratios the contraction_ratios, and
+    a ratio above ratio_cap refuses the attempt: the map does not contract
+    on this interval. The attempt converges there if an update falls to
+    tol times the iterate's norm.
 
     The map is causal up to one step and its contraction local in t, so the
     iterates settle from t = 0 forward. The attempt then sweeps forward
@@ -500,9 +512,13 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     norms = np.empty(m + 1)
     report.iterates = 0
     report.residual_history, report.contraction_ratios = [], []
-    why, deltas, residual = _iterate(
-        u, pre, s, cfg, report, work, norms, work.field(spare), 0, m + 1,
-        min(_WHOLE, cfg.max_iter), report.residual_history, report.contraction_ratios)
+    whole = (u, pre, s, cfg, report, work, norms, work.field(spare), 0, m + 1)
+    history = (report.residual_history, report.contraction_ratios)
+    why, deltas, residual = _iterate(*whole, min(_WHOLE, cfg.max_iter), *history)
+    if (why == "limit" and cfg.max_iter > _WHOLE
+            and report.contraction_ratios[0] <= _FAST_RATIO):
+        why, deltas, third = _iterate(*whole, 1, *history)
+        residual = residual if third is None else third
     if residual is not None:
         report.fixed_point_residual = residual
     if why is None or why == "non-finite iterate":

@@ -424,9 +424,32 @@ def test_converged_solve_applies_the_map_once_per_iterate(monkeypatch):
     u, rep = solve_ibvp(spec, cfg)
     assert rep.converged and rep.halvings == 0
     blocks = rep.attempts[-1]["blocks"]
-    assert len(calls) == rep.iterates == 3 + sum(b["iterates"] for b in blocks)
+    assert len(calls) == rep.iterates == len(rep.residual_history) + sum(
+        b["iterates"] for b in blocks)
     assert rep.fixed_point_residual == max(b["residual"] for b in blocks)
     assert rep.fixed_point_residual <= cfg.tol
+
+
+def test_slow_contraction_opens_with_two_whole_applications(monkeypatch):
+    # a third whole application is made only after a first ratio of at most
+    # 1/4; the standing wave on [0, 0.5] contracts by 0.579, so its attempt
+    # applies the map twice on the whole interval and then sweeps from
+    # slice 1. Measured: 22 iterates, blocks of 10 and 10
+    whole = []
+    real = solver_module.apply_lambda
+
+    def counted(w, pre, out=None, start=0, stop=None):
+        whole.append(start == 0 and stop in (None, pre.tgrid.m + 1))
+        return real(w, pre, out=out, start=start, stop=stop)
+
+    monkeypatch.setattr(solver_module, "apply_lambda", counted)
+    sg = SpatialGrid(-30.0, 30.0, 128)
+    spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 64)
+    _, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
+    assert rep.converged and rep.halvings == 0
+    assert sum(whole) == len(rep.residual_history) == 2
+    assert len(rep.contraction_ratios) == 1 and rep.contraction_ratios[0] > 0.25
+    assert rep.attempts[-1]["blocks"][0]["slices"][0] == 1
 
 
 @pytest.mark.parametrize("s", [0.0, 0.3])
@@ -500,8 +523,10 @@ def test_block_that_does_not_converge_is_retried_at_half_size():
     last = refused["blocks"][-1]
     assert last["halved"] == "max_iter" and last["slices"][1] - last["slices"][0] == 3
     for a in (refused, done):
+        # the opening's whole applications are one more than its ratios
         blocks = a["blocks"]
-        assert a["iterates"] == 3 + 4 * sum(b["halved"] is not None for b in blocks) + sum(
+        assert a["iterates"] == len(a["contraction_ratios"]) + 1 + 4 * sum(
+            b["halved"] is not None for b in blocks) + sum(
             b["iterates"] for b in blocks if b["halved"] is None)
         for b, c in zip(blocks, blocks[1:]):
             k, stop = b["slices"]
@@ -516,8 +541,9 @@ def test_block_that_does_not_converge_is_retried_at_half_size():
 def test_block_after_a_converged_block_is_no_larger():
     # the size that converged is kept: where blocks of b slices failed, a
     # block of 2b after each converged one would fail again. Measured:
-    # [0, 0.5] takes 31 applications and halves 5 blocks, [0, 0.25] 131
-    # and 4 (235 and 30 when the size doubled after each converged block)
+    # [0, 0.5] takes 22 applications and halves 5 blocks, [0, 0.25] 134
+    # and 4 (242 and 31 on [0, 0.25] when the size doubled after each
+    # converged block)
     rep = _max_iter_4_wave()
     for a in rep.attempts:
         blocks = a["blocks"]
@@ -525,26 +551,26 @@ def test_block_after_a_converged_block_is_no_larger():
             if b["halved"] is None:
                 assert np.diff(c["slices"]) <= np.diff(b["slices"])
     assert [(a["iterates"], sum(b["halved"] is not None for b in a["blocks"]))
-            for a in rep.attempts] == [(31, 5), (131, 4)]
+            for a in rep.attempts] == [(22, 5), (134, 4)]
 
 
 def test_stalled_sweep_names_the_time_it_reached(caplog):
     # with max_iter = 4 the sweep on [0, 0.5] stalls at a block of 2 slices
-    # starting at slice 7 (dt = 0.5/64): the refused attempt, its halving
+    # starting at slice 1 (dt = 0.5/64): the refused attempt, its halving
     # line and, with no halving allowed, the BlowupSuspected message name
-    # t = 7 dt. An attempt refused otherwise, or converged, reached nothing
+    # t = dt. An attempt refused otherwise, or converged, reached nothing
     with caplog.at_level("INFO", logger="halfline_nls.solver"):
         rep = _max_iter_4_wave()
-    assert [a["t_reached"] for a in rep.attempts] == [7 * 0.5 / 64, None]
-    assert rep.attempts[0]["blocks"][-1]["slices"][0] == 7
+    assert [a["t_reached"] for a in rep.attempts] == [0.5 / 64, None]
+    assert rep.attempts[0]["blocks"][-1]["slices"][0] == 1
     assert [r.getMessage() for r in caplog.records] == [
-        "no contraction on [0, 0.5], sweep reached t = 0.0546875; halving"]
+        "no contraction on [0, 0.5], sweep reached t = 0.0078125; halving"]
     sg = SpatialGrid(-30.0, 30.0, 256)
     spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 64)
     with pytest.raises(BlowupSuspected) as exc:
         solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10, max_iter=4, max_halvings=0))
     assert str(exc.value) == ("no contraction after 0 halvings "
-                              "(last interval [0, 0.5], sweep reached t = 0.0546875)")
+                              "(last interval [0, 0.5], sweep reached t = 0.0078125)")
     sg, spec = _twice_halving_wave()  # refused twice on the whole interval
     _, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
     assert [a["t_reached"] for a in rep.attempts] == [None, None, None]
@@ -1019,10 +1045,11 @@ def _halving_restart_case():
 
 @pytest.mark.filterwarnings("ignore::halfline_nls.EdgeDecayWarning")
 def test_continuation_halved_restart_keeps_parent_step():
-    # ratio_cap 0.26 stops the restart on [0.25, 0.5] (contraction ratios
-    # 0.25, 0.32) and lets it contract on [0.25, 0.375] (at most 0.20)
+    # ratio_cap 0.23 stops the restart on [0.25, 0.5] at its first ratio
+    # (0.253) and lets it contract on [0.25, 0.375] (whole ratios 0.116,
+    # 0.201; block ratios at most 0.066)
     sg, spec, cfg, u = _halving_restart_case()
-    tight = SolverConfig(sgrid=sg, tol=1e-10, ratio_cap=0.26)
+    tight = SolverConfig(sgrid=sg, tol=1e-10, ratio_cap=0.23)
     out = continue_solution(u, spec, 0.25, 0.25, tight)
     assert out.meta["restart_report"]["halvings"] == 1
     # the restart's times are absolute: asked for [0.25, 0.5], got [0.25, 0.375]
@@ -1037,6 +1064,28 @@ def test_continuation_halved_restart_keeps_parent_step():
     err = np.linalg.norm(out.values[:, keep] - ref, axis=1) / np.linalg.norm(ref, axis=1)
     assert np.max(err[: k + 1]) < 1e-4, np.max(err[: k + 1])  # measured 2.3e-5
     assert np.max(err[k:]) < 1e-4, np.max(err[k:])  # measured 3.2e-5
+
+
+@pytest.mark.filterwarnings("ignore::halfline_nls.EdgeDecayWarning")
+def test_continuation_restart_that_contracts_slowly_answers_the_whole_delta():
+    # ratio_cap 0.26 passes the restart's first whole ratio on [0.25, 0.5]
+    # (0.253). A second ratio (0.32) is taken only after a first one at most
+    # 1/4, so the restart sweeps, with block ratios at most 0.11, and no
+    # halving shortens the result below the T + delta asked for
+    sg, spec, cfg, u = _halving_restart_case()
+    out = continue_solution(u, spec, 0.25, 0.25,
+                            SolverConfig(sgrid=sg, tol=1e-10, ratio_cap=0.26))
+    restart = out.meta["restart_report"]
+    assert restart["halvings"] == 0 and restart["converged"]
+    assert len(restart["contraction_ratios"]) == 1 and restart["attempts"][0]["blocks"]
+    assert restart["t_achieved"] == restart["t_requested"] == 0.5
+    assert out.tgrid.t_max == 0.5 and out.tgrid.m == 128
+    k = out.meta["seam_index"]
+    assert np.array_equal(out.values[: k + 1], u.values)
+    keep = sg.nodes > 0.0
+    ref = _soliton(sg.nodes[None, keep], out.tgrid.nodes[:, None])
+    err = np.linalg.norm(out.values[:, keep] - ref, axis=1) / np.linalg.norm(ref, axis=1)
+    assert np.max(err[k:]) < 1e-4, np.max(err[k:])  # measured 3.4e-5
 
 
 @pytest.mark.filterwarnings("ignore::halfline_nls.EdgeDecayWarning")
@@ -1114,10 +1163,11 @@ def test_report_keeps_every_attempt(monkeypatch):
     assert sum(a["iterates"] for a in attempts) == len(calls) > report.iterates
     assert attempts[-1]["iterates"] == report.iterates
     assert attempts[-1]["contraction_ratios"] == report.contraction_ratios
-    # each refusal keeps the ratio that ended it
+    # each refusal keeps the ratio that ended it: its first, after the 2
+    # whole applications that form it (measured 3.05 and 1.34)
     for a in attempts[:2]:
-        assert len(a["contraction_ratios"]) == a["iterates"] - 1
-        assert a["contraction_ratios"][-1] > cfg.ratio_cap
+        assert a["iterates"] == 2 and len(a["contraction_ratios"]) == 1
+        assert a["contraction_ratios"][0] > cfg.ratio_cap
 
 
 def test_blowup_suspected_carries_report():

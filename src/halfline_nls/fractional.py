@@ -18,10 +18,8 @@ Negative orders (fractional derivatives) are realized in the time domain as
 d^k/dt^k applied to the (k-a)-th integral with k = ceil(a).
 
 The rule is a causal convolution in t, so it splits at any sample: the
-boundary forcing, iterating a block of samples [start, stop) with the
-samples before it fixed, integrates the fixed samples once per block and
-only the block's own samples on each call (frac_derivative's block path,
-its state kept in an operators.ForcingHistory).
+boundary forcing's block path (operators._forcing_block) integrates the
+samples before a block once and only the block's own samples on each call.
 """
 from __future__ import annotations
 
@@ -102,25 +100,13 @@ def _integral_values(v, weights, m):
     return out
 
 
-def frac_derivative(f: TimeSignal, alpha: float, stop: int | None = None, *,
-                    _block=None) -> TimeSignal:
+def frac_derivative(f: TimeSignal, alpha: float) -> TimeSignal:
     """Fractional derivative of order alpha > 0 (the -alpha integral).
 
     Computed as d^k/dt^k of the (k - alpha)-integral, k = ceil(alpha), with
     second-order differencing (one-sided at the endpoints). Data should
     vanish at t=0; otherwise the continuum derivative is singular there and
     an EndpointWarning is issued.
-
-    With stop, only the samples before stop are computed, from f's samples
-    before max(stop, 2) + k (each of the k differences reads one sample
-    ahead, two at t = 0); they are the whole call's to rounding, and the
-    samples from stop on are zero.
-
-    _block = (start, history) is the boundary forcing's block path, for
-    alpha = 1/2 and a stop: the same samples from the same reads, on a
-    block [start, stop) whose samples before start stay fixed from call to
-    call; history (an operators.ForcingHistory) keeps what they fix (see
-    _half_derivative_block).
     """
     _check_order(alpha)
     if alpha <= 0.0:
@@ -132,55 +118,10 @@ def frac_derivative(f: TimeSignal, alpha: float, stop: int | None = None, *,
             stacklevel=2,
         )
     k = ceil(alpha)
-    m, dt = f.grid.m, f.grid.dt
-    # below start 3, h_0 reads a sample of the block: nothing is fixed
-    if _block is not None and _block[0] >= 3:
-        return TimeSignal(f.grid, _half_derivative_block(f.values, dt, *_block, stop))
-    # each difference reads one sample ahead, and at t = 0 two
-    used = m + 1 if stop is None else min(m + 1, max(stop, 2) + k)
-    v = f.values[:used]
-    g = (_integral_values(v, _pl_weights(k - alpha, dt, used - 1), used - 1)
-         if k - alpha > 0.0 else v.copy())
+    g = frac_integral(f, k - alpha).values if k - alpha > 0.0 else f.values.copy()
     for _ in range(k):
-        g = np.gradient(g, dt, edge_order=2)
-    if stop is None:
-        return TimeSignal(f.grid, g)
-    out = np.zeros(m + 1, dtype=complex)
-    out[:stop] = g[:stop]
-    return TimeSignal(f.grid, out)
-
-
-def _half_derivative_block(v, dt, start, history, stop):
-    """The half-derivative h of the samples v on [0, stop), zero after,
-    start >= 3 and v's samples before start fixed while history.half's span
-    is (start, stop).
-
-    h_j = (g_{j+1} - g_{j-1}) / 2 dt with g = I_{1/2} v (one-sided at 0 and
-    m), so h_j for j < start - 1, h_0 included (it reads g_2), reads only
-    v's samples before start. g splits into the fixed samples' integral and
-    the block's: the first, I_{1/2} of v[:start] on [0, min(stop, m)], is
-    formed once per span into history.half with the h it fixes, on
-    [0, start - 1); the second is the integral of the block's own samples
-    after one zero sample, on [start - 1, min(stop, m)], O((stop - start)^2)
-    per call, from history.weights, the order-1/2 panel weights on the
-    grid's lags. Their sum on [start - 2, min(stop, m)] gives h on
-    [start - 1, stop).
-    """
-    weights, m = history.weights, len(v) - 1
-    top = min(stop, m)
-    if history.half is None or history.half[0] != (start, stop):
-        fixed = _integral_values(v[:start], weights, top)
-        before = np.gradient(fixed[:start], dt, edge_order=2)[: start - 1]
-        history.half = ((start, stop), before, fixed[start - 2:])
-    _, before, fixed = history.half
-    block = np.zeros(top - start + 2, dtype=complex)
-    block[1:] = v[start: top + 1]
-    g = fixed.copy()
-    g[1:] += _integral_values(block, weights, top - start + 1)
-    out = np.zeros(m + 1, dtype=complex)
-    out[: start - 1] = before
-    out[start - 1: stop] = np.gradient(g, dt, edge_order=2)[1: stop - start + 2]
-    return out
+        g = np.gradient(g, f.grid.dt, edge_order=2)
+    return TimeSignal(f.grid, g)
 
 
 def frac_fourier_path(f: TimeSignal, alpha: float) -> TimeSignal:

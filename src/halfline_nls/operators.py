@@ -74,9 +74,9 @@ kernel's lags (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
 (1985), split a convolution the same way). h itself is split the same way:
 the half-integral of f's samples before the block, and the h they fix, are
 formed once per block into the ForcingHistory, and each call integrates
-only the block's own samples (frac_derivative's block path). It then
-writes only the block's rows of out. Neither checks its whole output for
-finiteness: the forcing checks the rows it gathers, the solver its norms.
+only the block's own samples. It then writes only the block's rows of out.
+Neither checks its whole output for finiteness: the forcing checks the rows
+it gathers, the solver its norms.
 """
 from __future__ import annotations
 
@@ -86,7 +86,8 @@ import warnings
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fractional import _pl_weights, frac_derivative, panel_weights, vanishes_at_start
+from .fractional import (_integral_values, _pl_weights, frac_derivative, panel_weights,
+                         vanishes_at_start)
 from .grids import (GridFunction, NonFiniteError, SolutionField, SpatialGrid, TimeGrid,
                     TimeSignal, _as_complex)
 from .spectral import damped_inverse, padded_spectrum
@@ -331,19 +332,15 @@ class ForcingHistory:
     * lags: the folded kernel K_l in t, lags 0..m in its first m+1 columns,
       one row per distinct |x|: the inverse t-FFT of the plan's kspec, once,
       into buf (at least 2 m r elements) or a buffer of its own;
-    * rows: on the block's slices i in [start, stop), the part
-      sum_{j < start-1} K_{i-j} h_j of the forcing (zero below start = 3,
-      as h_0 reads f_2), shape (stop-start, r), and span, the (start, stop)
-      it was formed for. The samples h_j, j < start-1, then read only f's
-      samples before start, which a caller iterating one block holds fixed:
-      rows is formed by the first call on a block and reused while
-      (start, stop) stays the same;
-    * weights: the order-1/2 product-integration weights on lags 0..m, and
-      half: the block's part of h that f's samples before start fix (the
-      h_j, j < start-1, and those samples' half-integral on the block), with
-      the (start, stop) it was formed for. frac_derivative's block path forms
-      half by the first call on a block and then integrates only the
-      block's own samples, O((stop-start)^2) per call.
+    * weights: the order-1/2 product-integration weights on lags 0..m;
+    * fixed: what f's samples before start, which a caller iterating one
+      block [start, stop) holds fixed, fix on it, and span, the (start,
+      stop) it was formed for. The first call on a block forms it and later
+      ones reuse it while span stays the same (see _forcing_block): those
+      samples' half-integral g on [lo, top]; h of length stop, whose h_j,
+      j < j0, they fix (each call writes the rest); and the part
+      sum_{j < j0} K_{i-j} h_j of the forcing on the slices i in
+      [start, stop), shape (stop-start, r).
     """
 
     def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid, buf=None):
@@ -352,10 +349,9 @@ class ForcingHistory:
             buf = np.empty(kspec.size, dtype=complex)
         self.lags = np.fft.ifft(kspec, axis=1,
                                 out=buf[: kspec.size].reshape(kspec.shape))
-        self.span = None
-        self.rows = None
         self.weights = _pl_weights(0.5, tgrid.dt, tgrid.m)
-        self.half = None
+        self.span = None
+        self.fixed = None
 
 
 def _lag_product(lags, h, j_lo, j_hi, start, stop):
@@ -450,7 +446,18 @@ def _whole_rows(h, plan, buf, rows):
 
 
 def _forcing_block(f, sgrid, plan, out, work, start, stop, history):
-    """boundary_forcing_time's slices [start, stop) alone."""
+    """boundary_forcing_time's slices [start, stop) alone.
+
+    h_j = (g_{j+1} - g_{j-1}) / 2 dt with g = I_{1/2} f (one-sided at 0 and
+    m). From start = 3 on, h_j for j < j0 = start - 1 reads only f's samples
+    before start; below it h_0 reads g_2, and so f_2, one of the block's
+    samples, and j0 = 0. g splits into the integral of the samples before
+    start, formed once per block into history.fixed on [lo, top] (lo =
+    max(j0 - 1, 0), top = min(max(stop, 2), m)), and the integral of the
+    block's own samples after one zero sample (none at start = 0),
+    O((stop - start)^2) per call. Their sum on [lo, top] gives h on
+    [j0, stop).
+    """
     tgrid = f.grid
     m, n, r = tgrid.m, sgrid.n, len(plan.kspec)
     if not 0 <= start < stop <= m + 1:
@@ -461,20 +468,30 @@ def _forcing_block(f, sgrid, plan, out, work, start, stop, history):
         out = np.zeros((m + 1) * n, dtype=complex)
     if work is None:
         work = np.empty((stop - start) * r, dtype=complex)
-    h = frac_derivative(f, 0.5, stop=stop, _block=(start, history)).values
-    # from start = 3 on, h_j, j < start - 1, reads only f's samples before
-    # start; below it h_0, which reads f_2, is one of the block's samples
+    v, weights, dt = f.values, history.weights, tgrid.dt
     j0 = start - 1 if start >= 3 else 0
+    lo, top = max(j0 - 1, 0), min(max(stop, 2), m)
     if history.span != (start, stop):
-        history.span = (start, stop)
-        history.rows = (_lag_product(history.lags, h, 0, j0, start, stop) if j0
-                        else np.zeros((stop - start, r), dtype=complex))
+        before = np.zeros(top + 1, dtype=complex)
+        before[:start] = v[:start]
+        g = _integral_values(before, weights, top)
+        h = np.zeros(stop, dtype=complex)
+        h[:j0] = np.gradient(g, dt, edge_order=2)[:j0]
+        rows = _lag_product(history.lags, h, 0, j0, start, stop)
+        history.span, history.fixed = (start, stop), (g[lo:], h, rows)
+    g, h, fixed = history.fixed
+    s0 = max(start - 1, 0)
+    own = np.zeros(top - s0 + 1, dtype=complex)
+    own[start - s0:] = v[start: top + 1]
+    g = g.copy()
+    g[s0 - lo:] += _integral_values(own, weights, top - s0)
+    h[j0:] = np.gradient(g, dt, edge_order=2)[j0 - lo: stop - lo]
     rows = work[: (stop - start) * r].reshape(stop - start, r)
     rows[:] = _lag_product(history.lags, h, j0, stop, start, stop)
-    rows += history.rows
+    rows += fixed
     # K's h_0 b_{l+1} term, as the whole call subtracts it (lag m takes none)
-    top = min(stop, m)
-    rows[: top - start] -= h[0] * plan.b[start:top]
+    b = plan.b[start:stop]
+    rows[: len(b)] -= h[0] * b
     if start == 0:
         rows[0] = 0.0  # every kernel weight at lag 0 is zero by construction
     _as_complex(rows, rows.shape, "boundary_forcing_time")

@@ -121,8 +121,9 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.0 <= self.seam_mismatch_cap < math.inf:
             raise ValueError("seam_mismatch_cap must be finite and >= 0")
-        if self.max_iter < 1 or self.max_halvings < 0:
-            raise ValueError("max_iter >= 1 and max_halvings >= 0 required")
+        if self.max_iter < 2 or self.max_halvings < 0:
+            raise ValueError("max_iter >= 2 (a contraction ratio needs two map "
+                             "applications) and max_halvings >= 0 required")
 
 
 @dataclass(frozen=True)
@@ -514,7 +515,7 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     report.residual_history, report.contraction_ratios = [], []
     whole = (u, pre, s, cfg, report, work, norms, work.field(spare), 0, m + 1)
     history = (report.residual_history, report.contraction_ratios)
-    why, deltas, residual = _iterate(*whole, min(_WHOLE, cfg.max_iter), *history)
+    why, deltas, residual = _iterate(*whole, _WHOLE, *history)
     if (why == "limit" and cfg.max_iter > _WHOLE
             and report.contraction_ratios[0] <= _FAST_RATIO):
         why, deltas, third = _iterate(*whole, 1, *history)
@@ -523,7 +524,7 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
         report.fixed_point_residual = residual
     if why is None or why == "non-finite iterate":
         return u, why
-    if why == "ratio" or report.iterates < _WHOLE:
+    if why == "ratio":
         return u, "no contraction"
     work.history = ForcingHistory(pre.sgrid, pre.tgrid, buf=spare)
     k = int(np.argmax(deltas > cfg.tol * max(float(np.max(norms)), 1e-300)))

@@ -135,6 +135,9 @@ def test_main_bad_config_exits_one(tmp_path, capsys):
         (["solver.max_halvings = -1"], "max_halvings"),
         (["solver.tol = nan"], "tol"),
         (["grid.x_max = inf"], "finite"),
+        # one application gives no contraction ratio: this halved to the
+        # floor and exited 2 as suspected blow-up
+        (["solver.max_iter = 1"], "max_iter"),
         (["f.preset = file", f"f.file = {tmp_path}/missing.csv"],
          "cannot read f.file"),
         # np.interp does not check that its nodes increase: a time column in

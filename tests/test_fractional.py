@@ -152,22 +152,6 @@ def test_causality_property(alpha, seed):
     assert np.all(out.values[:64] == 0.0)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-def test_derivative_up_to_a_stop_reads_only_the_samples_it_needs(alpha):
-    # with stop, the samples before stop are the whole call's to rounding,
-    # they do not read f past max(stop, 2) + ceil(alpha), and the samples
-    # from stop on are zero
-    tg = _grid(m=48)
-    v = np.sin(3.0 * tg.nodes) * np.exp(2j * tg.nodes)
-    whole = frac_derivative(TimeSignal(tg, v), alpha).values
-    for stop in (1, 2, 7, 47, 48, 49):
-        cut = v.copy()
-        cut[max(stop, 2) + int(np.ceil(alpha)):] = 1e3  # must not be read
-        part = frac_derivative(TimeSignal(tg, cut), alpha, stop=stop).values
-        assert np.max(np.abs(part[:stop] - whole[:stop])) <= 1e-13 * np.max(np.abs(whole))
-        assert not np.any(part[stop:])
-
-
 def test_linearity_is_exact():
     tg = _grid(m=128)
     rng = np.random.default_rng(3)

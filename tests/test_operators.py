@@ -268,11 +268,11 @@ def test_boundary_forcing_blocks_match_the_whole_call(tg):
             boundary_forcing_time(f, sg, tg, start=bad[0], stop=bad[1])
 
 
-@pytest.mark.parametrize("start", [1, 2, 3, 9])
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 9])
 def test_boundary_forcing_block_follows_its_own_samples(start):
     # a caller iterating one block changes only f's samples from start on:
     # the second call on the block, with the same history, gives the whole
-    # call's rows for the new samples. At start = 2, h_0 reads f_2, which is
+    # call's rows for the new samples. Below start 3, h_0 reads f_2, which is
     # one of them, so nothing of h may be kept from the first call
     sg, tg = SpatialGrid(-10.0, 10.0, 64), TimeGrid(1.0, 48)
     v = np.sin(3.0 * tg.nodes) * np.exp(2j * tg.nodes)
@@ -284,6 +284,20 @@ def test_boundary_forcing_block_follows_its_own_samples(start):
     part = boundary_forcing_time(TimeSignal(tg, moved), sg, tg, start=start, stop=stop,
                                  history=history).values
     whole = boundary_forcing_time(TimeSignal(tg, moved), sg, tg).values
+    assert np.max(np.abs(part[start:stop] - whole[start:stop])) <= 1e-13 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("span", [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4),
+                                  (3, 5), (47, 49), (48, 49)], ids=lambda s: "%d-%d" % s)
+def test_boundary_forcing_short_blocks_match_the_whole_call(span):
+    # blocks of one or two slices at either end of the interval: h_0 reads
+    # g_2 and the one-sided differences need three samples of g, so a block
+    # near t = 0 still integrates f up to slice 2
+    sg, tg = SpatialGrid(-10.0, 10.0, 64), TimeGrid(1.0, 48)
+    f = TimeSignal(tg, np.sin(3.0 * tg.nodes) * np.exp(2j * tg.nodes))
+    whole = boundary_forcing_time(f, sg, tg).values
+    start, stop = span
+    part = boundary_forcing_time(f, sg, tg, start=start, stop=stop).values
     assert np.max(np.abs(part[start:stop] - whole[start:stop])) <= 1e-13 * np.max(np.abs(whole))
 
 
@@ -328,31 +342,31 @@ def test_operator_plan_chunks_match_a_one_chunk_build(monkeypatch):
 @pytest.mark.parametrize("tg", [TimeGrid(1.0, 48), TimeGrid(0.5, 100), TimeGrid(2.0, 256)],
                          ids=lambda tg: f"m{tg.m}")
 def test_block_half_derivative_reads_only_the_block(tg):
-    # the forcing's block half-derivative, on a sweep of blocks [k, k + b + 1)
-    # each started on the last slice of the one before: h on [0, stop) is
-    # the whole call's to 1e-13 of its largest entry, it reads no sample
-    # from max(stop, 2) + 1 on, and the samples from stop on are zero. A
-    # second call on the same block reuses the part that the samples before
-    # the block fix: from start 3 on, changing those samples changes nothing
+    # the block forcing's half-derivative, on a sweep of blocks [k, k + b + 1)
+    # each started on the last slice of the one before: the block's rows are
+    # the whole call's to 1e-13 of its largest entry, and they read no
+    # sample of f from max(stop, 2) + 1 on. A second call on the same block
+    # reuses the part that the samples before the block fix: from start 3
+    # on, changing those samples (f_0 aside) changes nothing
+    sg = SpatialGrid(-10.0, 10.0, 16)
     v = np.sin(3.0 * tg.nodes) * np.exp(2j * tg.nodes)
-    whole = frac_derivative(TimeSignal(tg, v), 0.5).values
+    whole = boundary_forcing_time(TimeSignal(tg, v), sg, tg).values
     scale = np.max(np.abs(whole))
     for b in (5, 32):
-        history = ForcingHistory(SpatialGrid(-10.0, 10.0, 16), tg)
+        history = ForcingHistory(sg, tg)
         k = 0
         while True:
             stop = min(k + b + 1, tg.m + 1)
             cut = v.copy()
             cut[max(stop, 2) + 1:] = 1e3  # must not be read
-            h = frac_derivative(TimeSignal(tg, cut), 0.5, stop=stop,
-                                _block=(k, history)).values
-            assert np.max(np.abs(h[:stop] - whole[:stop])) <= 1e-13 * scale
-            assert not np.any(h[stop:])
+            part = boundary_forcing_time(TimeSignal(tg, cut), sg, tg, start=k, stop=stop,
+                                         history=history).values
+            assert np.max(np.abs(part[k:stop] - whole[k:stop])) <= 1e-13 * scale
             if k >= 3:
                 cut[1:k] = 1e3  # the block's first call fixed their part
-                again = frac_derivative(TimeSignal(tg, cut), 0.5, stop=stop,
-                                        _block=(k, history)).values
-                assert np.array_equal(again, h)
+                again = boundary_forcing_time(TimeSignal(tg, cut), sg, tg, start=k,
+                                              stop=stop, history=history).values
+                assert np.array_equal(again, part)
             if stop == tg.m + 1:
                 break
             k = stop - 1

@@ -1,11 +1,13 @@
-"""Package hygiene: the names the package root exports, no module-level
-import that its module, or a test module, never uses, no private top-level
-name that the package never reads (no linter is assumed to be installed),
-the solver's knobs, the names the benchmark's tracer wraps, and the
-README's library example, run as written."""
+"""Package hygiene: the names the package root exports, no private
+parameter on a root function, no module-level import that its module, or a
+test module, never uses, no private top-level name that the package never
+reads (no linter is assumed to be installed), the solver's knobs, the names
+the benchmark's tracer wraps, and the README's library example, run as
+written."""
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +68,16 @@ def test_root_exports_only_entry_points_and_types():
         for alias in node.names
     }
     assert accepted and accepted <= ROOT_NAMES, accepted - ROOT_NAMES
+
+
+def test_root_functions_take_no_private_parameter():
+    # a private keyword on a public function is a second, hidden entry point
+    private = [(name, param)
+               for name in halfline_nls.__all__
+               if inspect.isfunction(obj := getattr(halfline_nls, name))
+               for param in inspect.signature(obj).parameters
+               if param.startswith("_")]
+    assert private == []
 
 
 # the solver's knobs: a change that adds or removes one edits this set

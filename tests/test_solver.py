@@ -799,7 +799,7 @@ def test_problem_spec_rejects_non_finite_inputs():
     {"tol": 0.0}, {"tol": math.nan}, {"tol": math.inf},
     {"ratio_cap": -1.0}, {"delta_crit": math.nan},
     {"seam_mismatch_cap": math.inf},
-    {"max_iter": 0}, {"max_halvings": -1},
+    {"max_iter": 0}, {"max_iter": 1}, {"max_halvings": -1},
 ], ids=lambda d: "%s=%s" % next(iter(d.items())))
 def test_solver_config_validation(setting):
     # none of these was rejected before a solve that could not succeed
@@ -807,7 +807,7 @@ def test_solver_config_validation(setting):
     with pytest.raises(ValueError, match=next(iter(setting))):
         SolverConfig(sgrid=sg, **setting)
     # the boundary values are accepted
-    SolverConfig(sgrid=sg, seam_mismatch_cap=0.0, max_iter=1, max_halvings=0)
+    SolverConfig(sgrid=sg, seam_mismatch_cap=0.0, max_iter=2, max_halvings=0)
 
 
 def test_solve_rejects_supercritical():

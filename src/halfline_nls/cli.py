@@ -267,7 +267,10 @@ def _load(config_path, out_dir):
     cfg = parse_config(config_path)
     spec, scfg = build_problem(cfg)
     out = out_dir or cfg["output.directory"]
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     return cfg, spec, scfg, out
 
 

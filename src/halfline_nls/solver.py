@@ -22,14 +22,15 @@ The map is causal in t up to one step (slice i reads w(0, t_{i+1}), see
 apply_lambda) and its contraction is local in t, so the iterates settle
 from t = 0 forward. Each attempt therefore applies the map twice on the
 whole interval, which tests the contraction (a third time when it
-contracts fast), and then sweeps forward in blocks of slices: each block
-is iterated to tol and frozen, the Duhamel recursion restarting from the
-frozen slices' Duhamel term, which its buffer keeps, and the boundary
-forcing adding the frozen slices' part once per block (Workspace,
-apply_lambda, _picard_loop, operators.ForcingHistory). The whole
-interval and each block are iterated by one routine (_iterate), in place
-on the slices it is given. The fixed point reached is the whole map's to
-within tol.
+contracts fast), and then sweeps forward in blocks of slices, all but
+the first started from the whole iterate after a fast opening and by
+extrapolation in t after a slow one: each is iterated to tol and
+frozen, the Duhamel recursion restarting from the frozen slices' Duhamel
+term, which its buffer keeps, and the boundary forcing adding the frozen
+slices' part once per block (Workspace, apply_lambda, _picard_loop,
+operators.ForcingHistory). The whole interval and each block are
+iterated by one routine (_iterate), in place on the slices it is given.
+The fixed point reached is the whole map's to within tol.
 """
 from __future__ import annotations
 
@@ -407,11 +408,11 @@ def apply_lambda(w: SolutionField, pre: LinearData, out: Workspace | None = None
 
 
 _WHOLE = 2  # whole-interval applications that open each attempt: one ratio
-# a first ratio at most this earns a third whole application. Measured at
-# 256x128 on [0, 0.5]: the CLI bump and sinusoid_windowed presets (ratios
-# 0.094, 0.104) take 13 and 14 iterates with it, 18 and 18 without. At
-# the standing wave's 0.58 it would save one block application for the
-# price of a whole one, about ten times dearer at 512 steps
+# a first ratio at most this is a fast opening: a third whole application,
+# then blocks started from the whole iterate. At 256x128 on [0, 0.5] the
+# CLI bump and sinusoid_windowed presets (ratios 0.094, 0.104) take 11 and
+# 12 iterates with it, 19 and 19 without; the standing wave's 0.58, taken
+# as fast, would take 106 in place of 75 at 1024x512
 _FAST_RATIO = 0.25
 _BLOCK = 32  # the slices a block of the sweep freezes, at most
 
@@ -474,13 +475,12 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     any residual, and frozen slices are copies of checked ones.
 
     An attempt first applies the map _WHOLE times on the whole interval,
-    and once more when the first ratio is at most _FAST_RATIO and max_iter
-    allows: at a slow contraction a third whole application saves about
-    one block application, at a fast one it shortens the sweep. Those
-    updates are residual_history, their ratios the contraction_ratios, and
-    a ratio above ratio_cap refuses the attempt: the map does not contract
-    on this interval. The attempt converges there if an update falls to
-    tol times the iterate's norm.
+    and once more when the opening is fast: the first ratio is at most
+    _FAST_RATIO and max_iter allows. Those updates are residual_history,
+    their ratios the contraction_ratios, and a ratio above ratio_cap
+    refuses the attempt: the map does not contract on this interval. The
+    attempt converges there if an update falls to tol times the iterate's
+    norm.
 
     The map is causal up to one step and its contraction local in t, so the
     iterates settle from t = 0 forward. The attempt then sweeps forward
@@ -490,12 +490,11 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     ahead, so the block's last slice stays active into the next). The
     spare whole buffer, in which the whole updates were formed, then holds
     the forcing kernel's lags in t. The first block starts from the whole
-    iterate's values, the second from quadratic extrapolation in t of the
-    slices k-2, k-1, k; each later one from the whole iterate's values only
-    if the last block started from them took fewer applications than the
-    last extrapolated one. A block whose update ratio exceeds ratio_cap, or
-    that takes max_iter applications, is retried from its start at half
-    the size b; b < 2 refuses the attempt as "no contraction". b starts at
+    iterate's values; each later one does too after a fast opening, and
+    after a slow one starts from quadratic extrapolation in t of the slices
+    k-2, k-1, k. A block whose update ratio exceeds ratio_cap, or that
+    takes max_iter applications, is retried from its start at half the
+    size b; b < 2 refuses the attempt as "no contraction". b starts at
     _BLOCK and does not grow again: where blocks of 2b failed, the next one
     would too. Each block appends to blocks {"slices": [k, stop], "start":
     "whole" or "extrapolated", "iterates", "ratios", "residual", "halved"}:
@@ -516,8 +515,9 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     whole = (u, pre, s, cfg, report, work, norms, work.field(spare), 0, m + 1)
     history = (report.residual_history, report.contraction_ratios)
     why, deltas, residual = _iterate(*whole, _WHOLE, *history)
-    if (why == "limit" and cfg.max_iter > _WHOLE
-            and report.contraction_ratios[0] <= _FAST_RATIO):
+    fast = (why == "limit" and cfg.max_iter > _WHOLE
+            and report.contraction_ratios[0] <= _FAST_RATIO)
+    if fast:
         why, deltas, third = _iterate(*whole, 1, *history)
         residual = residual if third is None else third
     if residual is not None:
@@ -533,7 +533,6 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     old = np.empty_like(begin)
     report.fixed_point_residual = 0.0
     start = "whole"
-    took = {"whole": 0, "extrapolated": 0}  # the last block of each start
     while True:
         stop = min(k + size + 1, m + 1)
         if start == "extrapolated":
@@ -561,8 +560,7 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
         report.fixed_point_residual = max(report.fixed_point_residual, residual)
         if stop == m + 1:
             return u, None
-        took[start] = record["iterates"]
-        start = "whole" if took["whole"] < took["extrapolated"] else "extrapolated"
+        start = "whole" if fast else "extrapolated"
         k = stop - 1
 
 
@@ -660,7 +658,9 @@ def continue_solution(
     Restarts the integral equation from u(., T) (already a whole-line
     function, no re-extension) with boundary data f(T + .), through the same
     driver as solve_ibvp, so it raises what a solve raises. delta is rounded
-    to a whole number m2 of parent time steps.
+    to a whole number m2 of parent time steps, at least 8 (a TimeGrid has 8
+    steps or more), and spec.f must cover [T, T + m2 * dt]: a ValueError
+    names that interval otherwise.
 
     Returns u on [0, T] (the seam slice shared bit-exact) joined to the
     restart on the parent's time step, with meta 'seam_index' and
@@ -682,7 +682,8 @@ def continue_solution(
     if abs(delta_eff - delta) > 1e-12 * max(delta, 1.0):
         log.info("continuation interval rounded to %d steps (%.6g)", m2, delta_eff)
     if not _covers(spec.f, T + delta_eff):
-        raise ValueError("boundary data does not cover [T, T + delta]")
+        raise ValueError(f"boundary data does not cover [{T:.17g}, {T + delta_eff:.17g}]:"
+                         f" delta rounded to {m2} parent steps, at least 8")
     floor = replace(cfg, max_halvings=min(cfg.max_halvings, m2.bit_length() - 1))
     tail, tail_report = _solve_from_slice(u.slice_at(u.tgrid.m), spec, T,
                                           delta_eff, m2, floor)

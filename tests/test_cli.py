@@ -170,6 +170,17 @@ def test_main_bad_config_exits_one(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_output_directory_that_cannot_be_made_is_a_config_error(tmp_path, capsys):
+    # --out naming an existing file once ended in a FileExistsError traceback
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = _zero_cfg(tmp_path)
+    assert main(["solve", cfg, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: cannot create output directory" in err, err
+    assert "Traceback" not in err
+
+
 def test_grid_with_too_few_nonnegative_nodes_is_a_config_error(tmp_path):
     # no node at x >= 0: this once reached the extension and died there with
     # an IndexError traceback
@@ -504,10 +515,11 @@ def test_solve_boundary_presets_match_their_closed_form(tmp_path, preset):
     assert main(["solve", path, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     # a first whole ratio near 0.1 (0.094 bump, 0.104 sinusoid_windowed)
-    # earns a third whole-interval application, then the blocks of the
-    # sweep (18 and 18 iterates after two)
-    assert report["converged"] and report["iterates"] == {"bump": 13,
-                                                          "sinusoid_windowed": 14}[preset]
+    # earns a third whole-interval application, and every block of the
+    # sweep starts from the whole iterate (19 and 19 iterates after two
+    # whole applications and extrapolated starts)
+    assert report["converged"] and report["iterates"] == {"bump": 11,
+                                                          "sinusoid_windowed": 12}[preset]
     t, trace = read_signal(out / "trace.csv")
     if preset == "bump":
         f = 16.0 * t**2 * (0.5 - t) ** 2 / 0.5**4

@@ -452,6 +452,38 @@ def test_slow_contraction_opens_with_two_whole_applications(monkeypatch):
     assert rep.attempts[-1]["blocks"][0]["slices"][0] == 1
 
 
+def _bump(tt):
+    # the CLI's bump preset on [0, 0.5]
+    tt = np.asarray(tt)
+    return 16.0 * tt**2 * np.maximum(0.5 - tt, 0.0) ** 2 / 0.5**4 + 0j
+
+
+@pytest.mark.parametrize("case", ["fast bump", "slow standing wave"])
+def test_block_start_follows_the_opening(case):
+    # the first whole ratio decides every later block's start: the whole
+    # iterate after a fast opening (at most 1/4), extrapolation after a
+    # slow one. When a block tried the other start after the last block of
+    # that start took fewer applications, the bump at max_iter = 3 took 98,
+    # its trial blocks failing at max_iter and halving the size for good,
+    # and the standing wave (ratio 0.579) started slice 65 whole
+    if case == "fast bump":
+        sg = SpatialGrid(-40.0, 40.0, 256)
+        spec = _make_spec(1.0, 3.0, 0.0, lambda xx: np.zeros_like(xx, dtype=complex),
+                          _bump, 0.5, sg, 128)
+        cfg = SolverConfig(sgrid=sg, max_iter=3)
+        later, iterates = "whole", 11
+    else:  # the benchmark's seed-0 standing wave
+        sg = SpatialGrid(-30.0, 30.0, 1024)
+        spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 512)
+        cfg = SolverConfig(sgrid=sg, tol=1e-10)
+        later, iterates = "extrapolated", 75
+    _, rep = solve_ibvp(spec, cfg)
+    assert rep.converged and rep.halvings == 0 and rep.iterates == iterates
+    assert (rep.contraction_ratios[0] <= 0.25) == (later == "whole")
+    starts = [b["start"] for b in rep.attempts[-1]["blocks"]]
+    assert len(starts) > 2 and starts == ["whole"] + [later] * (len(starts) - 1)
+
+
 @pytest.mark.parametrize("s", [0.0, 0.3])
 def test_buffered_solve_equals_the_unbuffered_map(s):
     # the loop's whole iterates trade buffers and its blocks update the
@@ -975,6 +1007,20 @@ def test_continuation_argument_validation():
     # boundary data ends at t=0.25, cannot continue past it
     with pytest.raises(ValueError, match="cover"):
         continue_solution(u, spec, 0.25, 0.25, cfg)
+
+
+def test_continuation_names_the_rounded_interval_it_needs():
+    # f reaches T + 4 dt and delta = 4 dt is rounded up to the 8-step
+    # floor: the message once named [T, T + delta], which f covers
+    sg = SpatialGrid(-30.0, 30.0, 256)
+    spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.25, sg, 64)
+    cfg = SolverConfig(sgrid=sg)
+    u, _ = solve_ibvp(spec, cfg)
+    dt = u.tgrid.dt
+    tg = TimeGrid(0.25 + 4 * dt, 68)
+    longer = dataclasses.replace(spec, f=TimeSignal(tg, _sol_f(tg.nodes)))
+    with pytest.raises(ValueError, match=r"\[0\.25, 0\.28125\]: delta rounded to 8 parent steps"):
+        continue_solution(u, longer, 0.25, 4 * dt, cfg)
 
 
 def test_continuation_accepts_data_short_by_rounding_late_in_time():

@@ -74,7 +74,8 @@ kernel's lags (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
 (1985), split a convolution the same way). h itself is split the same way:
 the half-integral of f's samples before the block, and the h they fix, are
 formed once per block into the ForcingHistory, and each call integrates
-only the block's own samples. It then writes only the block's rows of out.
+only the block's own samples (a call that starts later in the block
+reuses its history). It then writes only the rows it computes.
 Neither checks its whole output for finiteness: the forcing checks the rows
 it gathers, the solver its norms.
 """
@@ -333,14 +334,14 @@ class ForcingHistory:
       one row per distinct |x|: the inverse t-FFT of the plan's kspec, once,
       into buf (at least 2 m r elements) or a buffer of its own;
     * weights: the order-1/2 product-integration weights on lags 0..m;
-    * fixed: what f's samples before start, which a caller iterating one
-      block [start, stop) holds fixed, fix on it, and span, the (start,
-      stop) it was formed for. The first call on a block forms it and later
-      ones reuse it while span stays the same (see _forcing_block): those
-      samples' half-integral g on [lo, top]; h of length stop, whose h_j,
-      j < j0, they fix (each call writes the rest); and the part
-      sum_{j < j0} K_{i-j} h_j of the forcing on the slices i in
-      [start, stop), shape (stop-start, r).
+    * fixed: what f's samples before k, which a caller iterating one
+      block [k, stop) holds fixed, fix on it, and span, the (k, stop) it
+      was formed for. The first call on a block forms it and later ones
+      reuse it while they end at the same stop and start in [k, stop)
+      (see _forcing_block): those samples' half-integral g on [lo, top];
+      h of length stop, whose h_j, j < j0, they fix (each call writes the
+      rest); and the part sum_{j < j0} K_{i-j} h_j of the forcing on the
+      slices i in [k, stop), shape (stop-k, r).
     """
 
     def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid, buf=None):
@@ -391,10 +392,12 @@ def boundary_forcing_time(
     samples up to stop, and only those rows of out are written (out is
     zeros elsewhere when allocated here); no t-FFT is taken. The field is
     the convolution of h with K in t, less K's h_0 b_{l+1} term: the part
-    of h's samples from start-1 on is one product with the lags
-    0..stop-start, and the part of the earlier samples is history's rows,
-    formed once per block (a ForcingHistory is built when none is given).
-    They match the whole call's rows to rounding.
+    of h's samples from k-1 on is one product with the lags 0..stop-k, and
+    the part of the earlier samples is history's rows, formed once per
+    block [k, stop) (a ForcingHistory is built when none is given) and
+    reused by a call with the same stop and a start in [k, stop), f's
+    samples before k held fixed. They match the whole call's rows to
+    rounding.
     """
     if tgrid is None:
         tgrid = f.grid
@@ -446,17 +449,19 @@ def _whole_rows(h, plan, buf, rows):
 
 
 def _forcing_block(f, sgrid, plan, out, work, start, stop, history):
-    """boundary_forcing_time's slices [start, stop) alone.
+    """boundary_forcing_time's slices [start, stop) alone, of the block
+    [k, stop) that history spans: a call with the span's stop and a start
+    in it reuses history, any other forms it anew with k = start.
 
     h_j = (g_{j+1} - g_{j-1}) / 2 dt with g = I_{1/2} f (one-sided at 0 and
-    m). From start = 3 on, h_j for j < j0 = start - 1 reads only f's samples
-    before start; below it h_0 reads g_2, and so f_2, one of the block's
-    samples, and j0 = 0. g splits into the integral of the samples before
-    start, formed once per block into history.fixed on [lo, top] (lo =
-    max(j0 - 1, 0), top = min(max(stop, 2), m)), and the integral of the
-    block's own samples after one zero sample (none at start = 0),
-    O((stop - start)^2) per call. Their sum on [lo, top] gives h on
-    [j0, stop).
+    m). From k = 3 on, h_j for j < j0 = k - 1 reads only f's samples before
+    k; below it h_0 reads g_2, and so f_2, one of the block's samples, and
+    j0 = 0. g splits into the integral of the samples before k, formed once
+    per block into history.fixed on [lo, top] (lo = max(j0 - 1, 0), top =
+    min(max(stop, 2), m)), and the integral of the block's own samples
+    after one zero sample (none at k = 0), O((stop - k)^2) per call. Their
+    sum on [lo, top] gives h on [j0, stop); only the rows [start, stop) are
+    formed and gathered.
     """
     tgrid = f.grid
     m, n, r = tgrid.m, sgrid.n, len(plan.kspec)
@@ -469,26 +474,28 @@ def _forcing_block(f, sgrid, plan, out, work, start, stop, history):
     if work is None:
         work = np.empty((stop - start) * r, dtype=complex)
     v, weights, dt = f.values, history.weights, tgrid.dt
-    j0 = start - 1 if start >= 3 else 0
+    if history.span is None or history.span[1] != stop or history.span[0] > start:
+        history.span, history.fixed = (start, stop), None
+    k = history.span[0]
+    j0 = k - 1 if k >= 3 else 0
     lo, top = max(j0 - 1, 0), min(max(stop, 2), m)
-    if history.span != (start, stop):
+    if history.fixed is None:
         before = np.zeros(top + 1, dtype=complex)
-        before[:start] = v[:start]
+        before[:k] = v[:k]
         g = _integral_values(before, weights, top)
         h = np.zeros(stop, dtype=complex)
         h[:j0] = np.gradient(g, dt, edge_order=2)[:j0]
-        rows = _lag_product(history.lags, h, 0, j0, start, stop)
-        history.span, history.fixed = (start, stop), (g[lo:], h, rows)
+        history.fixed = (g[lo:], h, _lag_product(history.lags, h, 0, j0, k, stop))
     g, h, fixed = history.fixed
-    s0 = max(start - 1, 0)
+    s0 = max(k - 1, 0)
     own = np.zeros(top - s0 + 1, dtype=complex)
-    own[start - s0:] = v[start: top + 1]
+    own[k - s0:] = v[k: top + 1]
     g = g.copy()
     g[s0 - lo:] += _integral_values(own, weights, top - s0)
     h[j0:] = np.gradient(g, dt, edge_order=2)[j0 - lo: stop - lo]
     rows = work[: (stop - start) * r].reshape(stop - start, r)
     rows[:] = _lag_product(history.lags, h, j0, stop, start, stop)
-    rows += fixed
+    rows += fixed[start - k:]
     # K's h_0 b_{l+1} term, as the whole call subtracts it (lag m takes none)
     b = plan.b[start:stop]
     rows[: len(b)] -= h[0] * b

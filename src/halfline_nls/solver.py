@@ -28,9 +28,12 @@ extrapolation in t after a slow one: each is iterated to tol and
 frozen, the Duhamel recursion restarting from the frozen slices' Duhamel
 term, which its buffer keeps, and the boundary forcing adding the frozen
 slices' part once per block (Workspace, apply_lambda, _picard_loop,
-operators.ForcingHistory). The whole interval and each block are
-iterated by one routine (_iterate), in place on the slices it is given.
-The fixed point reached is the whole map's to within tol.
+operators.ForcingHistory). Within a block the same holds: each
+application starts at the block's front, its first slice whose last
+update exceeded tol, so the leading slices that met tol are not
+recomputed. The whole interval and each block are iterated by one
+routine (_iterate), in place on the slices it is given. The fixed point
+reached is the whole map's to within tol.
 """
 from __future__ import annotations
 
@@ -157,6 +160,10 @@ class IterationReport:
     record per block of the sweep (see _picard_loop), and t_reached: when
     the sweep stalled (a block below 2 slices refused the attempt as "no
     contraction"), the absolute time of that block's first slice, else None.
+    A block record's fronts hold the first slice of each of its
+    applications; its cut is None, or "max_iter" when the block stopped
+    at max_iter after its front advanced: the slices before the front
+    are kept and the sweep goes on from the front, at the same size.
     """
 
     iterates: int = 0
@@ -366,7 +373,10 @@ def apply_lambda(w: SolutionField, pre: LinearData, out: Workspace | None = None
     those a whole application would give if w's slices before start were
     the ones out.duhamel came from (see _picard_loop). The block forcing
     keeps its state in out.history, and only the block's rows of
-    out.result are written.
+    out.result are written. A block's applications may start at a later
+    slice (its front) with the same stop: the recursion then restarts
+    from the buffer's row start-1, as at a block boundary, and the
+    forcing reuses the block's history.
     At lam = 0 the map does not depend on w: the value is the linear part,
     and w |w|^(alpha-1) is not formed.
 
@@ -419,45 +429,63 @@ _BLOCK = 32  # the slices a block of the sweep freezes, at most
 
 def _iterate(u: SolutionField, pre: LinearData, s: float, cfg: SolverConfig,
              report: IterationReport, work: Workspace, norms: np.ndarray,
-             old: np.ndarray, k: int, stop: int, limit: int, updates, ratios):
+             old: np.ndarray, k: int, stop: int, limit: int, updates, ratios,
+             fronts=None):
     """Apply the map in place to u's slices [k, stop), u living in
-    work.result, up to limit times; returns (why it stopped, the last
-    update's H^s norm per slice, the last finite update relative to
-    max(norms), None before one). It stops when an update falls to tol
-    times max(norms) (None), a ratio of updates exceeds ratio_cap ("ratio")
-    or an iterate is not finite ("non-finite iterate"), else after limit
-    ("limit"). Each application counts in report.iterates; its update is
-    formed in old and appended to updates, its ratio to ratios, and norms,
-    each slice's, is kept current. A zero update (the map returned its
-    input, as at lam = 0) is the fixed point: it stops the loop unrecorded.
+    work.result, up to limit times; returns (why it stopped, the largest
+    last update relative to the scale, the front). The scale is
+    max(norms), norms taken on [k, stop): on a block once, after the
+    call's first application, on the whole interval after each. It stops
+    when an update falls to tol times the scale (None), a ratio of updates
+    exceeds ratio_cap ("ratio") or an iterate is not finite ("non-finite
+    iterate"), else after limit ("limit"). Each application counts in
+    report.iterates; its update is formed in old and appended to updates,
+    its ratio to ratios. A zero update (the map returned its input, as at
+    lam = 0) is the fixed point: it stops the loop unrecorded. The front is
+    the first slice whose last update exceeds tol times the scale (stop
+    once none does); given fronts (a block), each application starts at
+    it and appends it to fronts, so it is never the block's last slice
+    while the loop runs. The residual is None before a finite update; a
+    block that stops at limit gives it for the slices before the front
+    only (None when there are none).
     """
     vals = u.values
-    deltas = residual = None
-    for _ in range(limit):
+    lasts = np.zeros(stop - k)
+    front, residual = k, None
+    for i in range(limit):
         report.iterates += 1
-        old[: stop - k] = vals[k:stop]
+        if fronts is not None:
+            fronts.append(front)
+        first = k if fronts is None else front
+        prev = old[: stop - first]
+        prev[:] = vals[first:stop]
         try:
-            apply_lambda(u, pre, out=work, start=k, stop=stop)
+            apply_lambda(u, pre, out=work, start=first, stop=stop)
         except NonFiniteError:  # w |w|^(alpha-1), its trace or the forcing overflowed
-            return "non-finite iterate", deltas, residual
-        norms[k:stop] = sobolev_norm(vals[k:stop], pre.sgrid, s)
-        update = np.subtract(vals[k:stop], old[: stop - k], out=old[: stop - k])
-        deltas = sobolev_norm(update, pre.sgrid, s)
-        top, delta = float(np.max(norms)), float(np.max(deltas))
+            return "non-finite iterate", residual, front
+        if i == 0 or fronts is None:
+            norms[k:stop] = sobolev_norm(vals[k:stop], pre.sgrid, s)
+            top = float(np.max(norms))
+        deltas = lasts[first - k:]
+        deltas[:] = sobolev_norm(np.subtract(vals[first:stop], prev, out=prev), pre.sgrid, s)
+        delta = float(np.max(deltas))
         if delta == 0.0:
-            return None, deltas, 0.0
+            return None, 0.0, stop
         if not (math.isfinite(top) and math.isfinite(delta)):
-            return "non-finite iterate", deltas, residual
-        norm_u = max(top, 1e-300)
+            return "non-finite iterate", residual, front
+        scale = max(top, 1e-300)
         if updates:
             ratios.append(delta / updates[-1])
         updates.append(delta)
-        residual = delta / norm_u
-        if delta <= cfg.tol * norm_u:
-            return None, deltas, residual
+        residual = float(np.max(lasts)) / scale
+        if delta <= cfg.tol * scale:
+            return None, residual, stop
         if ratios and ratios[-1] > cfg.ratio_cap:
-            return "ratio", deltas, residual
-    return "limit", deltas, residual
+            return "ratio", residual, front
+        front = k + int(np.argmax(lasts > cfg.tol * scale))
+    if fronts is not None:  # a block: the slices behind the front only
+        residual = float(np.max(lasts[: front - k])) / scale if front > k else None
+    return "limit", residual, front
 
 
 def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
@@ -471,8 +499,8 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     Norms are C_t H^s_x: the max over time slices of the H^s norm in x. The
     iterate lives in the workspace's result; _iterate applies the map to it
     on the whole interval and on each block, and checks each iterate once,
-    in these norms: a non-finite one refuses the attempt before it enters
-    any residual, and frozen slices are copies of checked ones.
+    through its update's norm: a non-finite one refuses the attempt before
+    it enters any residual, and frozen slices are copies of checked ones.
 
     An attempt first applies the map _WHOLE times on the whole interval,
     and once more when the opening is fast: the first ratio is at most
@@ -492,16 +520,23 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     the forcing kernel's lags in t. The first block starts from the whole
     iterate's values; each later one does too after a fast opening, and
     after a slow one starts from quadratic extrapolation in t of the slices
-    k-2, k-1, k. A block whose update ratio exceeds ratio_cap, or that
-    takes max_iter applications, is retried from its start at half the
-    size b; b < 2 refuses the attempt as "no contraction". b starts at
-    _BLOCK and does not grow again: where blocks of 2b failed, the next one
-    would too. Each block appends to blocks {"slices": [k, stop], "start":
-    "whole" or "extrapolated", "iterates", "ratios", "residual", "halved"}:
-    ratios are its successive update ratios, residual its last update
-    relative to the iterate's norm when it converged (else None), halved
-    None or why it was retried smaller. fixed_point_residual is then the
-    largest residual.
+    k-2, k-1, k. Each application of a block starts at its front (see
+    _iterate), so the leading slices whose update met tol are not
+    recomputed. A block whose update ratio exceeds ratio_cap, or that
+    takes max_iter applications with its front still at k, is retried
+    from its start at half the size b; b < 2 refuses the attempt as "no
+    contraction". b starts at _BLOCK and does not grow again: where blocks
+    of 2b failed, the next one would too. A block that takes max_iter
+    applications after its front advanced is cut there instead: [k, front)
+    is frozen and the sweep goes on from k = front at the same size, from
+    the current iterate. Each block appends to blocks {"slices": [k,
+    stop], "start": "whole", "extrapolated" or "current" (after a cut),
+    "iterates", "fronts", "ratios", "residual", "halved", "cut"}: fronts
+    holds the front of each application, ratios its successive update
+    ratios, residual the largest last update of the slices it froze,
+    relative to _iterate's scale (else None), halved None or why it was
+    retried smaller, cut None or "max_iter". fixed_point_residual is then
+    the largest residual.
     """
     m = pre.tgrid.m
     work = Workspace(pre.sgrid, pre.tgrid)
@@ -514,11 +549,11 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     report.residual_history, report.contraction_ratios = [], []
     whole = (u, pre, s, cfg, report, work, norms, work.field(spare), 0, m + 1)
     history = (report.residual_history, report.contraction_ratios)
-    why, deltas, residual = _iterate(*whole, _WHOLE, *history)
+    why, residual, k = _iterate(*whole, _WHOLE, *history)
     fast = (why == "limit" and cfg.max_iter > _WHOLE
             and report.contraction_ratios[0] <= _FAST_RATIO)
     if fast:
-        why, deltas, third = _iterate(*whole, 1, *history)
+        why, third, k = _iterate(*whole, 1, *history)
         residual = residual if third is None else third
     if residual is not None:
         report.fixed_point_residual = residual
@@ -527,7 +562,6 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     if why == "ratio":
         return u, "no contraction"
     work.history = ForcingHistory(pre.sgrid, pre.tgrid, buf=spare)
-    k = int(np.argmax(deltas > cfg.tol * max(float(np.max(norms)), 1e-300)))
     size = _BLOCK
     begin = np.empty((_BLOCK + 1, pre.sgrid.n), dtype=complex)  # a block's start
     old = np.empty_like(begin)
@@ -537,17 +571,20 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
         stop = min(k + size + 1, m + 1)
         if start == "extrapolated":
             _extrapolate(vals, k, stop, old)
-        record = {"slices": [k, stop], "start": start, "iterates": 0,
-                  "ratios": [], "residual": None, "halved": None}
+        record = {"slices": [k, stop], "start": start, "iterates": 0, "fronts": [],
+                  "ratios": [], "residual": None, "halved": None, "cut": None}
         blocks.append(record)
         begin[: stop - k] = vals[k:stop]
-        before = report.iterates
-        why, _, residual = _iterate(u, pre, s, cfg, report, work, norms, old, k, stop,
-                                    cfg.max_iter, [], record["ratios"])
-        record["iterates"] = report.iterates - before
+        why, residual, front = _iterate(u, pre, s, cfg, report, work, norms, old, k, stop,
+                                        cfg.max_iter, [], record["ratios"], record["fronts"])
+        record["iterates"] = len(record["fronts"])
         if why == "non-finite iterate":
             return u, why
-        if why is not None:
+        if why == "limit" and front > k:
+            # [k, front) met tol: frozen, the rest goes on from where it is
+            record["cut"] = "max_iter"
+            log.debug("block [%d, %d): max_iter, cut at %d", k, stop, front)
+        elif why is not None:
             record["halved"] = ("max_iter" if why == "limit"
                                 else f"ratio {record['ratios'][-1]:.3g} > ratio_cap")
             log.debug("block [%d, %d): %s", k, stop, record["halved"])
@@ -558,10 +595,12 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
             continue
         record["residual"] = residual
         report.fixed_point_residual = max(report.fixed_point_residual, residual)
-        if stop == m + 1:
-            return u, None
-        start = "whole" if fast else "extrapolated"
-        k = stop - 1
+        if why is None:
+            if stop == m + 1:
+                return u, None
+            start, k = ("whole" if fast else "extrapolated"), stop - 1
+        else:
+            start, k = "current", front
 
 
 def _extrapolate(vals, k, stop, scratch):

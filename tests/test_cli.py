@@ -529,6 +529,29 @@ def test_solve_boundary_presets_match_their_closed_form(tmp_path, preset):
     assert rel < 5e-3, rel  # measured 4.2e-4 (bump), 6.4e-4 (sinusoid_windowed)
 
 
+_GAUSSIAN = ["phi.preset = gaussian", "grid.x_min = -30.0", "grid.x_max = 30.0",
+             "grid.nt = 128", "problem.T = 0.5"]
+
+
+@pytest.mark.parametrize("lines, iterates, halvings", [
+    (["f.preset = bump", "problem.lambda_re = 1.0", "grid.nt = 64", "problem.T = 0.5"], 9, 0),
+    (["f.preset = bump", "problem.lambda_re = -2.0", "grid.nt = 64", "problem.T = 1.0"], 15, 0),
+    (["f.preset = sinusoid_windowed", "problem.lambda_re = -2.0", "grid.nt = 64",
+      "problem.T = 1.0"], 14, 0),
+    (["f.preset = sinusoid_windowed", "problem.lambda_re = 1.0", "problem.alpha = 5.0",
+      "grid.nt = 64", "problem.T = 1.0"], 1, 4),
+    (_GAUSSIAN + ["phi.center = 4.0", "problem.lambda_re = 2.0"], 25, 0),
+    (_GAUSSIAN + ["phi.center = 8.0", "problem.lambda_re = -1.0", "problem.s = 0.3"], 22, 0),
+], ids=["bump", "bump T=1", "sinusoid T=1", "sinusoid alpha=5", "gaussian", "gaussian s=0.3"])
+def test_default_solver_keeps_its_application_counts(tmp_path, lines, iterates, halvings):
+    # six configs of a 40-config sweep over the presets (nx = 256): a change
+    # to the Picard loop's schedule must not make any of them take more
+    # applications or halvings at the default max_iter
+    cfg = parse_config(_write_cfg(tmp_path / "s.cfg", ["grid.nx = 256"] + lines))
+    _, rep = solve_ibvp(*build_problem(cfg))
+    assert (rep.iterates, rep.halvings) == (iterates, halvings)
+
+
 def test_verify_passes_at_default_resolution(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "v.cfg", [
         "problem.T = 1.0",

@@ -301,6 +301,33 @@ def test_boundary_forcing_short_blocks_match_the_whole_call(span):
     assert np.max(np.abs(part[start:stop] - whole[start:stop])) <= 1e-13 * np.max(np.abs(whole))
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 20])
+def test_boundary_forcing_from_a_later_front_reuses_the_history(k):
+    # a caller that stops recomputing a block's leading slices calls again
+    # on [front, stop) with the block's history, its samples before the
+    # front now held too: the history keeps its span, only the rows
+    # [front, stop) of out are written, and they match a fresh call on that
+    # span to 1e-13 of the whole call's largest entry
+    sg, tg = SpatialGrid(-10.0, 10.0, 64), TimeGrid(1.0, 48)
+    v = np.sin(3.0 * tg.nodes) * np.exp(2j * tg.nodes)
+    stop = k + 20
+    history = ForcingHistory(sg, tg)
+    boundary_forcing_time(TimeSignal(tg, v), sg, tg, start=k, stop=stop, history=history)
+    for front in (k + 1, k + 3, stop - 1):
+        v = v.copy()
+        v[front:] *= 1.5
+        f = TimeSignal(tg, v)
+        out = np.full((tg.m + 1) * sg.n, 3.0 + 4.0j)
+        part = boundary_forcing_time(f, sg, tg, out=out, start=front, stop=stop,
+                                     history=history).values
+        assert history.span == (k, stop)
+        assert np.all(part[:front] == 3.0 + 4.0j) and np.all(part[stop:] == 3.0 + 4.0j)
+        fresh = boundary_forcing_time(f, sg, tg, start=front, stop=stop).values
+        whole = boundary_forcing_time(f, sg, tg).values
+        gap = np.max(np.abs(part[front:stop] - fresh[front:stop]))
+        assert gap <= 1e-13 * np.max(np.abs(whole))
+
+
 def test_operator_plan_keeps_no_field_sized_table():
     # besides the forcing kernels the plan holds O(n): the free group and
     # Duhamel step their spectra by one n-vector, not an (m+1, n) table

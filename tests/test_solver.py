@@ -43,7 +43,7 @@ from halfline_nls.solver import (
     mixed_norm,
 )
 from halfline_nls.grids import interp_complex
-from halfline_nls.spectral import extend_half_line, sobolev_norm
+from halfline_nls.spectral import extend_half_line, smooth_ramp, sobolev_norm
 
 
 def _soliton(x, t):
@@ -343,10 +343,11 @@ def test_map_looks_one_slice_ahead():
 def _replay(spec, cfg, attempt):
     # the solve's last attempt, replayed through apply_lambda from its
     # record: the whole-interval applications on one workspace, each
-    # iterate copied out; then each block's applications on [k, stop), in
-    # place over the last whole iterate, from the start the block names and
-    # back to that start when it was halved. Returns the linear part and the
-    # whole iterates, the final field, and each block's update norms
+    # iterate copied out; then each block's applications on [front, stop),
+    # from each front the block records, in place over the last whole
+    # iterate, from the start the block names and back to that start when it
+    # was halved. Returns the linear part and the whole iterates, the final
+    # field, and each block's update norms
     pre = _prepare_linear(
         extend_half_line(spec.phi, cfg.sgrid), spec.f, spec.lam, spec.alpha,
         cfg.seam_mismatch_cap,
@@ -369,10 +370,11 @@ def _replay(spec, cfg, attempt):
             solver_module._extrapolate(vals, k, stop, scratch)
         begin = vals[k:stop].copy()
         updates.append([])
-        for _ in range(b["iterates"]):
-            old = vals[k:stop].copy()
-            apply_lambda(u, pre, out=work, start=k, stop=stop)
-            updates[-1].append(np.max(sobolev_norm(vals[k:stop] - old, cfg.sgrid, spec.s)))
+        for front in b["fronts"]:
+            old = vals[front:stop].copy()
+            apply_lambda(u, pre, out=work, start=front, stop=stop)
+            updates[-1].append(np.max(sobolev_norm(vals[front:stop] - old, cfg.sgrid,
+                                                   spec.s)))
         if b["halved"]:
             vals[k:stop] = begin
     return iterates, u, updates
@@ -538,18 +540,25 @@ def test_blocks_sweep_the_interval_forward():
     assert all(b["halved"] is None and b["residual"] <= 1e-10 for b in blocks)
 
 
-def _max_iter_4_wave():
-    sg = SpatialGrid(-30.0, 30.0, 256)
-    spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 64)
-    return solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10, max_iter=4))[1]
+def _stalling_bump(**changes):
+    # the CLI bump preset's data at lam = 3 on a coarse grid, tol = 1e-12,
+    # max_iter = 4. On [0, 0.5] the sweep's second block, started at slice
+    # 34 by extrapolation, meets tol on no slice in 4 applications at any
+    # size, so each is retried at half its size down to 2 slices; [0, 0.25]
+    # converges in two blocks of 2 applications
+    sg = SpatialGrid(-40.0, 40.0, 64)
+    spec = _make_spec(3.0, 3.0, 0.0, _zeros, _bump, 0.5, sg, 64)
+    cfg = SolverConfig(sgrid=sg, tol=1e-12, max_iter=4)
+    return solve_ibvp(spec, dataclasses.replace(cfg, **changes))[1]
 
 
 def test_block_that_does_not_converge_is_retried_at_half_size():
-    # with max_iter = 4 no 33-slice block converges: each is retried from
-    # its start at half its size, and after a converged block the size
-    # stays. On [0, 0.5] a block of 2 slices fails too, which refuses the
-    # attempt; [0, 0.25] converges in smaller blocks
-    rep = _max_iter_4_wave()
+    # a block whose front is still at its first slice after max_iter
+    # applications is retried from its start at half its size (that a
+    # converged block's size then stays, see the next test). On [0, 0.5] a
+    # block of 2 slices fails too, which refuses the attempt; [0, 0.25]
+    # converges
+    rep = _stalling_bump()
     refused, done = rep.attempts
     assert refused["reason"] == "no contraction" and done["reason"] is None
     last = refused["blocks"][-1]
@@ -572,40 +581,184 @@ def test_block_that_does_not_converge_is_retried_at_half_size():
 
 def test_block_after_a_converged_block_is_no_larger():
     # the size that converged is kept: where blocks of b slices failed, a
-    # block of 2b after each converged one would fail again. Measured:
-    # [0, 0.5] takes 22 applications and halves 5 blocks, [0, 0.25] 134
-    # and 4 (242 and 31 on [0, 0.25] when the size doubled after each
-    # converged block)
-    rep = _max_iter_4_wave()
+    # block of 2b after each converged one would fail again. The bump's
+    # data on [0, 2] (64 nodes, 128 steps, tol 1e-10): the block at slice
+    # 34, where the bump ends, fails on its ratio at 33 slices and converges
+    # at 17, and the five blocks after it keep 17. Measured: 49
+    # applications and 1 halving; 55 and 5 when the size went back to 33
+    # after each converged block, each of those retried at 17
+    sg = SpatialGrid(-40.0, 40.0, 64)
+    spec = _make_spec(1.0, 3.0, 0.0, _zeros, _bump, 2.0, sg, 128)
+    _, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
     for a in rep.attempts:
         blocks = a["blocks"]
         for b, c in zip(blocks, blocks[1:]):
             if b["halved"] is None:
                 assert np.diff(c["slices"]) <= np.diff(b["slices"])
     assert [(a["iterates"], sum(b["halved"] is not None for b in a["blocks"]))
-            for a in rep.attempts] == [(22, 5), (134, 4)]
+            for a in rep.attempts] == [(49, 1)]
+    # a halved block converges and is followed by blocks of its size
+    sizes = [(np.diff(b["slices"])[0], b["halved"]) for b in rep.attempts[0]["blocks"]]
+    assert sizes[1:] == [(33, sizes[1][1]), (17, None)] + [(17, None)] * 4 + [(15, None)]
+    assert sizes[1][1].startswith("ratio")
 
 
 def test_stalled_sweep_names_the_time_it_reached(caplog):
-    # with max_iter = 4 the sweep on [0, 0.5] stalls at a block of 2 slices
-    # starting at slice 1 (dt = 0.5/64): the refused attempt, its halving
-    # line and, with no halving allowed, the BlowupSuspected message name
-    # t = dt. An attempt refused otherwise, or converged, reached nothing
+    # the sweep on [0, 0.5] stalls at a block of 2 slices starting at slice
+    # 34 (dt = 0.5/64): the refused attempt, its halving line and, with no
+    # halving allowed, the BlowupSuspected message name t = 34 dt. An
+    # attempt refused otherwise, or converged, reached nothing
     with caplog.at_level("INFO", logger="halfline_nls.solver"):
-        rep = _max_iter_4_wave()
-    assert [a["t_reached"] for a in rep.attempts] == [0.5 / 64, None]
-    assert rep.attempts[0]["blocks"][-1]["slices"][0] == 1
+        rep = _stalling_bump()
+    assert [a["t_reached"] for a in rep.attempts] == [34 * 0.5 / 64, None]
+    assert rep.attempts[0]["blocks"][-1]["slices"][0] == 34
     assert [r.getMessage() for r in caplog.records] == [
-        "no contraction on [0, 0.5], sweep reached t = 0.0078125; halving"]
-    sg = SpatialGrid(-30.0, 30.0, 256)
-    spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 64)
+        "no contraction on [0, 0.5], sweep reached t = 0.265625; halving"]
     with pytest.raises(BlowupSuspected) as exc:
-        solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10, max_iter=4, max_halvings=0))
+        _stalling_bump(max_halvings=0)
     assert str(exc.value) == ("no contraction after 0 halvings "
-                              "(last interval [0, 0.5], sweep reached t = 0.0078125)")
+                              "(last interval [0, 0.5], sweep reached t = 0.265625)")
     sg, spec = _twice_halving_wave()  # refused twice on the whole interval
     _, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
     assert [a["t_reached"] for a in rep.attempts] == [None, None, None]
+
+
+def _sinusoid(tt):
+    # the CLI's sinusoid_windowed preset on [0, 0.5]
+    tt = np.asarray(tt)
+    return np.sin(2.0 * np.pi * tt) * smooth_ramp(8.0 * tt) + 0j
+
+
+def _zeros(xx):
+    return np.zeros_like(np.asarray(xx), dtype=complex)
+
+
+def _gauss4_phi(xx):
+    return np.exp(-(np.asarray(xx) - 4.0) ** 2) + 0j
+
+
+@pytest.mark.parametrize("case", ["sinusoid_windowed", "bump on [0, 1]", "gaussian"])
+def test_block_stopped_at_max_iter_keeps_its_converged_slices(case):
+    # a block that stops at max_iter after its front advanced keeps the
+    # slices before the front and the sweep goes on from the front at the
+    # same size. Halving it instead, as every max_iter stop once did, lost
+    # its applications and shrank every later block: at max_iter = 3 the
+    # sinusoid_windowed preset took 17 applications (12 here), the bump on
+    # [0, 1] halved once and answered [0, 0.5] only (11 applications here,
+    # none halved), and the Gaussian took 202 (29 here)
+    if case == "sinusoid_windowed":  # the CLI preset at 256x128
+        sg = SpatialGrid(-40.0, 40.0, 256)
+        spec = _make_spec(1.0, 3.0, 0.0, _zeros, _sinusoid, 0.5, sg, 128)
+        iterates = 12
+    elif case == "bump on [0, 1]":  # the CLI bump preset at 256x64
+        sg = SpatialGrid(-40.0, 40.0, 256)
+        spec = _make_spec(1.0, 3.0, 0.0, _zeros, lambda tt: _bump(0.5 * np.asarray(tt)),
+                          1.0, sg, 64)
+        iterates = 11
+    else:
+        sg = SpatialGrid(-30.0, 30.0, 256)
+        spec = _make_spec(2.0, 3.0, 0.0, _gauss4_phi, _zeros, 0.5, sg, 128)
+        iterates = 29
+    _, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, max_iter=3))
+    assert rep.converged and rep.halvings == 0 and rep.t_achieved == spec.T
+    assert rep.iterates <= iterates
+    blocks = rep.attempts[-1]["blocks"]
+    assert any(b["cut"] == "max_iter" for b in blocks)
+    for b, c in zip(blocks, blocks[1:]):
+        if b["cut"]:
+            assert b["halved"] is None and b["residual"] <= 1e-8
+            k = c["slices"][0]
+            assert b["fronts"][-1] <= k < b["slices"][1] and c["start"] == "current"
+            assert c["slices"][1] == min(k + b["slices"][1] - b["slices"][0],
+                                         spec.f.grid.m + 1)
+
+
+def _front_cases():
+    # the standing wave at the default max_iter, and the Gaussian whose
+    # blocks stop at max_iter = 3 and are cut at their fronts
+    sg = SpatialGrid(-30.0, 30.0, 256)
+    yield sg, _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 64), SolverConfig(
+        sgrid=sg, tol=1e-10)
+    yield sg, _make_spec(2.0, 3.0, 0.0, _gauss4_phi, _zeros, 0.5, sg, 128), SolverConfig(
+        sgrid=sg, max_iter=3)
+
+
+def test_block_fronts_start_at_the_block_and_never_fall_back():
+    # one front per application: the first is the block's first slice, and
+    # each later one is no smaller and short of the block's last slice
+    moved = 0
+    for _, spec, cfg in _front_cases():
+        _, rep = solve_ibvp(spec, cfg)
+        assert rep.converged
+        for b in rep.attempts[-1]["blocks"]:
+            k, stop = b["slices"]
+            fronts = b["fronts"]
+            assert len(fronts) == b["iterates"] and fronts[0] == k
+            assert all(a <= c < stop for a, c in zip(fronts, fronts[1:]))
+            moved += fronts[-1] > k
+    assert moved > 2
+
+
+def test_slice_behind_the_front_is_not_written_again(monkeypatch):
+    # an application from the front leaves every slice before it as it was,
+    # and each slice of the answer last moved by at most tol times the
+    # field's norm: the largest H^s norm of a slice of the iterate that the
+    # loop took (slices not yet swept keep the opening's last norms)
+    real_apply, real_norm = solver_module.apply_lambda, solver_module.sobolev_norm
+    for sg, spec, cfg in _front_cases():
+        last, seen, iterate = {}, [0.0], []
+
+        def apply_spy(w, pre, out=None, start=0, stop=None):
+            iterate[:] = [w.values]
+            before = w.values.copy()
+            value = real_apply(w, pre, out=out, start=start, stop=stop)
+            assert np.array_equal(value.values[:start], before[:start])
+            moved = real_norm(value.values[start:stop] - before[start:stop], sg, spec.s)
+            last.update(zip(range(start, start + len(moved)), moved))
+            return value
+
+        def norm_spy(values, sgrid, s):
+            norms = real_norm(values, sgrid, s)
+            if np.shares_memory(values, iterate[0]):
+                seen.append(np.max(norms))
+            return norms
+
+        monkeypatch.setattr(solver_module, "apply_lambda", apply_spy)
+        monkeypatch.setattr(solver_module, "sobolev_norm", norm_spy)
+        u, rep = solve_ibvp(spec, cfg)
+        assert rep.converged and rep.halvings == 0
+        assert len(last) == u.tgrid.m + 1
+        assert max(last.values()) <= cfg.tol * max(seen)
+
+
+def test_block_takes_the_iterate_norm_once_after_its_first_application(monkeypatch):
+    # on a block _iterate takes the H^s norm of its slices of the iterate
+    # once, after its first application (never of an extrapolated start),
+    # and the norm of each update: a block of n applications reads
+    # A N N (A N)^(n-1), A an application, N a norm. The whole-interval
+    # opening takes both after each of its applications, A N N
+    events = []
+    real_apply, real_norm = solver_module.apply_lambda, solver_module.sobolev_norm
+
+    def apply_spy(w, pre, **kwargs):
+        events.append("A")
+        return real_apply(w, pre, **kwargs)
+
+    def norm_spy(values, sgrid, s):
+        events.append("N")
+        return real_norm(values, sgrid, s)
+
+    monkeypatch.setattr(solver_module, "apply_lambda", apply_spy)
+    monkeypatch.setattr(solver_module, "sobolev_norm", norm_spy)
+    for _, spec, cfg in _front_cases():
+        events.clear()
+        _, rep = solve_ibvp(spec, cfg)
+        assert rep.converged and rep.halvings == 0
+        whole = len(rep.residual_history)  # _WHOLE, then one more when fast
+        blocks = [b["iterates"] for b in rep.attempts[-1]["blocks"]]
+        assert "".join(events) == "ANN" * whole + "".join(
+            "ANN" + "AN" * (n - 1) for n in blocks)
+        assert events.count("N") == rep.iterates + whole + len(blocks)
 
 
 def _whole_picard(spec, cfg):

@@ -61,12 +61,12 @@ and a solve that halves its interval twice works on three time grids):
   peak stays near the plan's own size.
 
 A plan owns no buffer: it is shared read-only by every caller on its grids.
-duhamel_field and boundary_forcing_time write into buffers the caller hands
-them (out=, work=), as each attempt of the fixed-point solver does with its
-one workspace, and allocate their own otherwise. Both compute only a block
-of time slices [start, stop) when asked: duhamel_field restarts its
-recursion from the Duhamel term an earlier call left in out and ends it at
-stop. boundary_forcing_time takes its whole t-FFT on the whole interval
+free_group_field, duhamel_field and boundary_forcing_time write into buffers
+the caller hands them (out=, work=), as the fixed-point solver does with the
+buffers of a solve, and allocate their own otherwise. The last two compute
+only a block of time slices [start, stop) when asked: duhamel_field
+restarts its recursion from the Duhamel term an earlier call left in out
+and ends it at stop. boundary_forcing_time takes its whole t-FFT on the whole interval
 only; on any other block it takes no FFT: the block's own samples of h meet
 the kernel's first lags in t in one small product, and the earlier samples'
 part, computed once per block, is kept in a ForcingHistory with the
@@ -166,15 +166,21 @@ def free_group(phi: GridFunction, t: float) -> GridFunction:
     return GridFunction(phi.grid, out)
 
 
-def free_group_field(phi: GridFunction, tgrid: TimeGrid) -> SolutionField:
+def free_group_field(phi: GridFunction, tgrid: TimeGrid,
+                     out: np.ndarray | None = None) -> SolutionField:
     """Free evolution sampled on a whole time grid (one fft, one ifft).
 
     The group property steps the spectra: row i is step * row i-1, built in
-    the output buffer and transformed back in place.
+    the output buffer and transformed back in place. The buffer is out, an
+    (m+1, n) complex array, when given, else allocated; its whole content
+    is written.
     """
     _warn_edges(phi.values, "free_group_field")
     step = operator_plan(phi.grid, tgrid).step
-    vals = np.empty((tgrid.m + 1, phi.grid.n), dtype=complex)
+    shape = (tgrid.m + 1, phi.grid.n)
+    vals = np.empty(shape, dtype=complex) if out is None else out
+    if vals.shape != shape or vals.dtype != complex:
+        raise ValueError(f"free_group_field: out must be a {shape} complex array")
     np.fft.fft(phi.values, out=vals[0])
     for i in range(1, len(vals)):
         np.multiply(vals[i - 1], step, out=vals[i])

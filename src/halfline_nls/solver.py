@@ -40,6 +40,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
+import numbers
 from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
@@ -125,6 +126,9 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.0 <= self.seam_mismatch_cap < math.inf:
             raise ValueError("seam_mismatch_cap must be finite and >= 0")
+        for name in ("max_iter", "max_halvings"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.max_iter < 2 or self.max_halvings < 0:
             raise ValueError("max_iter >= 2 (a contraction ratio needs two map "
                              "applications) and max_halvings >= 0 required")
@@ -151,9 +155,13 @@ class IterationReport:
     to the field's norm (see _picard_loop), or the last whole update's when
     the attempt converged on the whole interval: <= tol when converged, 0
     when the map returns its input (lam=0).
-    linear_mixed_norm is the last attempt's linear part's mixed norm (None
-    when it is not finite). boundary_residual is boundary_residual's, of
-    the field returned (None without one).
+    linear_mixed_norm is the mixed norm of the last attempt's linear part
+    (None when it is not finite): taken before every attempt of a critical
+    solve, whose gate reads it, and otherwise once the attempt the solve
+    ends on is done. An attempt is refused as "non-finite linear part"
+    exactly when that norm is not finite, which one pass over the linear
+    part settles where it can (_mixed_norm_is_finite). boundary_residual is
+    boundary_residual's, of the field returned (None without one).
     attempts holds one entry per attempt, in order: its absolute interval
     [start, end], the reason it was refused (None for the one that
     converged), its iterates, its contraction_ratios, its blocks, one
@@ -238,10 +246,11 @@ def mixed_norm(field: SolutionField, s: float, q: float, r: float) -> float:
     """
     sgrid, tgrid = field.sgrid, field.tgrid
     smoothed = field.values
-    if s != 0.0:
+    if s != 0.0:  # J^s u in one buffer: a solve takes it beside its own buffers
         xi = sgrid.frequencies
-        bessel = (1.0 + xi * xi) ** (s / 2.0)
-        smoothed = np.fft.ifft(bessel * np.fft.fft(smoothed, axis=1), axis=1)
+        smoothed = np.fft.fft(smoothed, axis=1)
+        smoothed *= (1.0 + xi * xi) ** (s / 2.0)
+        np.fft.ifft(smoothed, axis=1, out=smoothed)
     a = np.abs(smoothed)
     # the powers are taken of |J^s u| / max |J^s u|: a finite field whose
     # |u|^r would overflow still has a finite norm
@@ -249,10 +258,40 @@ def mixed_norm(field: SolutionField, s: float, q: float, r: float) -> float:
     if top == 0.0 or not math.isfinite(top):
         return top
     a /= top
-    slice_norms = (sgrid.dx * np.sum(a**r, axis=1)) ** (1.0 / r)
+    a **= r
+    slice_norms = (sgrid.dx * np.sum(a, axis=1)) ** (1.0 / r)
     if math.isinf(q):
         return top * float(np.max(slice_norms))
     return top * float((tgrid.dt * np.sum(slice_norms**q)) ** (1.0 / q))
+
+
+# e^700 is about 1e304: a bound below it leaves room for rounding below the
+# float range (e^709.78)
+_LOG_FINITE = 700.0
+
+
+def _mixed_norm_is_finite(field: SolutionField, s: float, pair: AdmissiblePair,
+                          scratch: np.ndarray) -> bool:
+    """True when one pass shows mixed_norm(field, s, pair.q, pair.r) finite:
+    max |u| (taken into scratch, (m+1, n) floats) times a bound, set by the
+    grids, on every value mixed_norm forms over max |u|. False leaves it
+    open. The FFT's sums are at most n max |u|, so |J^s u| <= beta n max|u|
+    (beta the largest Bessel multiplier) with the inverse FFT's unscaled
+    sums n times that, and the L^r, L^q norms of |J^s u| / max |J^s u| <= 1
+    are at most (n dx)^(1/r) and ((m+1) dt)^(1/q) times their inputs, the
+    sum of the q-th powers at most (m+1) max(dt, 1) (n dx)^(q/r).
+    """
+    sgrid, tgrid = field.sgrid, field.tgrid
+    xi = float(np.max(np.abs(sgrid.frequencies)))
+    log_x = max(math.log(sgrid.n * sgrid.dx) / pair.r, 0.0)
+    growth = 0.5 * s * math.log1p(xi * xi) + 2.0 * math.log(sgrid.n) + log_x
+    if not math.isinf(pair.q):
+        log_dt = math.log(tgrid.dt)
+        if pair.q * log_x + math.log(tgrid.m + 1) + max(log_dt, 0.0) >= _LOG_FINITE:
+            return False
+        growth += max((math.log(tgrid.m + 1) + log_dt) / pair.q, 0.0)
+    top = float(np.max(np.abs(field.values, out=scratch)))
+    return top == 0.0 or math.log(top) + growth < _LOG_FINITE
 
 
 def boundary_residual(u: SolutionField, f: TimeSignal) -> float:
@@ -281,8 +320,13 @@ class LinearData:
 
 
 def _prepare_linear(phi_ext: GridFunction, f: TimeSignal, lam, alpha,
-                    seam_mismatch_cap: float) -> LinearData:
+                    seam_mismatch_cap: float, work: Workspace | None = None,
+                    out: np.ndarray | None = None) -> LinearData:
     """Free part + boundary correction; the two w-independent terms.
+
+    The linear part is built in out, an (m+1, n) complex array, and the
+    boundary correction's forcing in work's result and half buffers; each
+    is allocated when not given.
 
     The forcing input g = f - (free trace) must vanish at t=0. An exact-zero
     mismatch cannot be expected from a restarted (continuation) solve, where
@@ -293,7 +337,7 @@ def _prepare_linear(phi_ext: GridFunction, f: TimeSignal, lam, alpha,
     """
     sgrid = phi_ext.grid
     tgrid = f.grid
-    ufree = free_group_field(phi_ext, tgrid)
+    ufree = free_group_field(phi_ext, tgrid, out=out)
     j0 = sgrid.index_nearest_zero()
     g = f.values - ufree.values[:, j0]
     # incompatibility is judged against the data scale: a correction that is
@@ -318,27 +362,35 @@ def _prepare_linear(phi_ext: GridFunction, f: TimeSignal, lam, alpha,
         g = g - mism * profile
         log.debug("seam mismatch %.2e removed", abs(mism) / scale)
     gsig = TimeSignal(tgrid, g)
+    work = Workspace(sgrid, tgrid) if work is None else work
     # the free field's own buffer becomes the linear part
-    ufree.values += boundary_forcing_time(gsig, sgrid).values
+    ufree.values += boundary_forcing_time(gsig, sgrid, out=work.result,
+                                          work=work.half).values
     return LinearData(ufree, sgrid, tgrid, complex(lam), float(alpha), j0)
 
 
 class Workspace:
-    """The buffers of one Picard attempt's applications of the fixed-point
-    map on one grid pair, as plain arrays (m+1 time slices, n nodes, r
-    distinct |x|) that no whole-field finiteness pass reads:
+    """The buffers of one solve's applications of the fixed-point map, as
+    plain arrays (m+1 time slices, n nodes, r distinct |x|) that no
+    whole-field finiteness pass reads. Their sizes depend on m, n and r
+    only, so every attempt of a solve, which halves T and keeps m and n,
+    works in the same buffers:
 
-    * result: forcing's out, max((m+1) n, 2 m r) elements; the iterate,
-      which each application of the map replaces in place on its slices
-      (on the whole interval through forcing's (r, 2m) spectrum product),
-      and which _picard_loop's norms check;
+    * result: forcing's out, max((m+1) n, 2 m r) elements; the boundary
+      correction's forcing while the linear part is built, then the
+      iterate, which each application of the map replaces in place on its
+      slices (on the whole interval through forcing's (r, 2m) spectrum
+      product), and which _picard_loop's norms check;
     * duhamel: (m+2, n), zero when fresh; w |w|^(alpha-1) is formed and
       transformed in place in its rows 1.., and the Duhamel term stays in
-      its first m+1 rows for the next application to restart from;
+      its first m+1 rows for the next application to restart from. A
+      whole-interval application writes every row, and each attempt opens
+      with one, so a buffer an earlier attempt used needs no zeroing;
     * half: forcing's work, (m+1) r elements (r >= n/2); |w|^(alpha-1) as
       (m+1, n) floats, then the transposed rows, checked before the gather;
     * history: the block forcing's ForcingHistory, None until a caller
-      applies the map to blocks of slices other than the whole interval.
+      applies the map to blocks of slices other than the whole interval;
+      _picard_loop resets it for each attempt.
     """
 
     def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid):
@@ -489,9 +541,12 @@ def _iterate(u: SolutionField, pre: LinearData, s: float, cfg: SolverConfig,
 
 
 def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
-                 report: IterationReport, blocks: list):
-    """Iterate from the linear part; returns (field, None if converged, else
-    the reason the attempt is refused).
+                 report: IterationReport, blocks: list, work: Workspace,
+                 spare: np.ndarray):
+    """Iterate from the linear part in work, a Workspace of pre's grids
+    (its history reset here), with spare a second buffer of work.result's
+    size; returns (field, None if converged, else the reason the attempt is
+    refused). The field is a view of work.result.
 
     Writes this attempt's iterates (every map application),
     residual_history, contraction_ratios and fixed_point_residual into
@@ -539,8 +594,7 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     the largest residual.
     """
     m = pre.tgrid.m
-    work = Workspace(pre.sgrid, pre.tgrid)
-    spare = np.empty_like(work.result)
+    work.history = None
     vals = work.field(work.result)
     vals[:] = pre.linear.values
     u = SolutionField._of_finite(pre.sgrid, pre.tgrid, vals)
@@ -624,7 +678,9 @@ def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
     counts the halvings made before the last attempt. Its times are
     absolute: t_requested is t0 + T, t_achieved the end of the last interval
     iterated on (t0 if none was). Raises BlowupSuspected, naming the last
-    refusal's reason, when no attempt converges.
+    refusal's reason, when no attempt converges. The attempts share one
+    Workspace, its spare buffer and the linear part's buffer, built once
+    per call.
     """
     crit = criticality(spec.s, spec.alpha)
     if crit == "supercritical":
@@ -635,30 +691,45 @@ def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
         )
     report = IterationReport(t_requested=t0 + T, t_achieved=t0, criticality=crit)
     pair = admissible_pair(spec.s, spec.alpha)
+    # every attempt halves T and keeps m and n: one set of buffers serves all
+    work = Workspace(phi_ext.grid, TimeGrid(T, m))
+    spare = np.empty_like(work.result)
+    linear = np.empty((m + 1, phi_ext.grid.n), dtype=complex)
     for halving in range(cfg.max_halvings + 1):
-        # a failed attempt's iterate and linear part are whole fields: free
-        # them before the next attempt builds its own
+        # a refused attempt's iterate and linear part are views of the
+        # buffers this attempt rewrites: drop them before it does
         u = pre = None
         report.halvings = halving
         tgrid = TimeGrid(T, m)
         f = TimeSignal(tgrid, interp_complex(t0 + tgrid.nodes, spec.f.grid.nodes,
                                              spec.f.values))
-        pre = _prepare_linear(phi_ext, f, spec.lam, spec.alpha, cfg.seam_mismatch_cap)
-        lin = mixed_norm(pre.linear, spec.s, pair.q, pair.r)
-        report.linear_mixed_norm = lin if math.isfinite(lin) else None
+        pre = _prepare_linear(phi_ext, f, spec.lam, spec.alpha, cfg.seam_mismatch_cap,
+                              work, linear)
+        # the mixed norm is read by the critical gate, and by the report once
+        # the attempt the solve ends on is done; before that it need only be
+        # finite
+        lin = None
+        if crit == "critical" or not _mixed_norm_is_finite(
+                pre.linear, spec.s, pair, work.field(work.half.view(float))):
+            lin = _report_mixed_norm(report, pre, spec.s, pair)
         attempt = {"interval": [t0, t0 + T], "reason": None, "iterates": 0,
                    "contraction_ratios": [], "blocks": [], "t_reached": None}
         report.attempts.append(attempt)
-        if report.linear_mixed_norm is None:
+        if lin is not None and not math.isfinite(lin):
             reason = "non-finite linear part"
         elif crit == "critical" and lin >= cfg.delta_crit:
             reason = f"linear mixed norm {lin:.3e} >= delta_crit {cfg.delta_crit:g}"
         else:
-            u, reason = _picard_loop(pre, spec.s, cfg, report, attempt["blocks"])
+            u, reason = _picard_loop(pre, spec.s, cfg, report, attempt["blocks"], work, spare)
             report.t_achieved = t0 + T
             attempt["iterates"] = report.iterates
             attempt["contraction_ratios"] = report.contraction_ratios
             if reason is None:
+                # u lives in work.result: the other buffers go before the
+                # norm's temporaries come
+                work = spare = None
+                if lin is None:
+                    _report_mixed_norm(report, pre, spec.s, pair)
                 report.converged = True
                 report.boundary_residual = boundary_residual(u, f)
                 return u, report
@@ -671,13 +742,26 @@ def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
         log.info("%s on [%.17g, %.17g]%s; halving", reason, t0, t0 + T, reached)
         T *= 0.5
     # the exception's traceback holds this frame: free the last attempt's
-    # fields, or whoever keeps the exception keeps them too
-    u = pre = None
+    # fields and the solve's buffers, or whoever keeps the exception keeps
+    # them too
+    u = work = spare = None
+    if lin is None:
+        _report_mixed_norm(report, pre, spec.s, pair)
+    pre = linear = None
     raise BlowupSuspected(
         f"{reason} after {cfg.max_halvings} halvings "
         f"(last interval [{t0:.17g}, {t0 + 2 * T:.17g}]{reached})",
         report,
     )
+
+
+def _report_mixed_norm(report: IterationReport, pre: LinearData, s: float,
+                       pair: AdmissiblePair) -> float:
+    """The linear part's mixed norm, also set as report.linear_mixed_norm
+    (None when it is not finite)."""
+    lin = mixed_norm(pre.linear, s, pair.q, pair.r)
+    report.linear_mixed_norm = lin if math.isfinite(lin) else None
+    return lin
 
 
 def solve_ibvp(spec: ProblemSpec, cfg: SolverConfig):
@@ -709,8 +793,10 @@ def continue_solution(
     after T and at most at T + m2 * dt. A restart that contracts on no such
     interval raises BlowupSuspected.
     """
-    if delta < 0.0:
-        raise ValueError("delta >= 0 required")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("delta must be finite and >= 0")
+    if not math.isfinite(T):
+        raise ValueError("T must be finite")
     if abs(u.tgrid.t_max - T) > 1e-12 * max(T, 1.0):
         raise ValueError("T must equal the field's final time")
     if delta == 0.0:

@@ -119,6 +119,20 @@ def test_free_group_field_matches_single_steps():
         assert np.max(np.abs(fld.values[i] - step.values)) < 1e-13
 
 
+def test_free_group_field_into_a_buffer_gives_the_same_bits():
+    # out= is filled whole, whatever it held, with the allocating call's bits
+    g = SpatialGrid(-40.0, 40.0, 256)
+    phi = GridFunction(g, np.exp(-(g.nodes - 3.0) ** 2) * np.exp(2j * g.nodes))
+    tg = TimeGrid(0.5, 16)
+    out = np.full((17, 256), complex(np.nan, np.inf))
+    fld = free_group_field(phi, tg, out=out)
+    assert fld.values is out
+    assert np.array_equal(out, free_group_field(phi, tg).values)
+    for bad in (np.empty((16, 256), dtype=complex), np.empty((17, 256))):
+        with pytest.raises(ValueError, match="out must be"):
+            free_group_field(phi, tg, out=bad)
+
+
 def test_edge_decay_warning():
     g = SpatialGrid(-4.0, 4.0, 64)
     phi = GridFunction(g, np.exp(-g.nodes**2).astype(complex))

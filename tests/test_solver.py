@@ -274,6 +274,35 @@ def test_mixed_norm_of_a_finite_field_is_finite():
         assert big == pytest.approx(1e160 * unit, rel=1e-13)
 
 
+def test_one_pass_shows_the_mixed_norm_finite_only_where_it_is():
+    # _mixed_norm_is_finite may leave a finite norm open, never call an
+    # overflowing one finite: scaled up to the largest float, the field's
+    # norm overflows for some scales, and the pass shows it finite on every
+    # scale up to 1e290
+    sg = SpatialGrid(-20.0, 20.0, 64)
+    tg = TimeGrid(0.5, 16)
+    vals = np.exp(-sg.nodes[None, :] ** 2) * np.exp(1j * tg.nodes[:, None])
+    vals /= np.max(np.abs(vals))
+    scales = [10.0**e for e in range(309)] + [np.finfo(float).max]
+    scratch = np.empty(vals.shape)
+    overflowed = 0
+    for s, alpha in ((0.0, 3.0), (0.3, 3.0), (1.0, 3.0)):
+        pair = admissible_pair(s, alpha)
+        for c in scales:
+            u = SolutionField(sg, tg, c * vals)
+            shown = solver_module._mixed_norm_is_finite(u, s, pair, scratch)
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = math.isfinite(mixed_norm(u, s, pair.q, pair.r))
+            assert finite or not shown, (s, c)
+            assert shown or c > 1e290, (s, c)
+            overflowed += not finite
+        bad = vals.copy()
+        bad[3, 5] = np.nan
+        nan_field = SolutionField._of_finite(sg, tg, bad)
+        assert not solver_module._mixed_norm_is_finite(nan_field, s, pair, scratch)
+    assert overflowed > 0
+
+
 def test_apply_lambda_defocusing_free_is_w_independent():
     sg = SpatialGrid(-30.0, 30.0, 512)
     x = sg.nodes
@@ -816,7 +845,7 @@ def test_boundary_residual_reads_the_trace_against_f():
 
 
 def test_consecutive_solves_share_no_memory(monkeypatch):
-    # each attempt's workspace is its own: a result aliases neither the
+    # each solve's workspace is its own: a result aliases neither the
     # next solve's result nor the linear parts nor the shared plan
     pres = []
     real = solver_module._prepare_linear
@@ -842,23 +871,30 @@ def test_consecutive_solves_share_no_memory(monkeypatch):
 
 
 def test_warm_solve_peak_memory_is_under_five_fields():
-    # one workspace per attempt: two iterate slots, the Duhamel buffer and a
-    # half-size block, besides the linear part. Measured 4.65 fields here;
+    # one workspace per solve: two iterate slots, the Duhamel buffer and a
+    # half-size block, besides the linear part, and for every attempt of a
+    # halving solve the same ones. Measured 4.97 fields on all three;
     # allocating every temporary anew, as each map application once did,
-    # took 5.65
+    # took 5.65 on the standing wave. With max_halvings = 0 its one attempt
+    # is the last, whose mixed norm waits for the buffers to go (5.52
+    # fields taken beside them). The halving wave is solved on the same
+    # grid: at 128x64 the sweep's two 33-slice block buffers are half a
+    # field each
     sg = SpatialGrid(-30.0, 30.0, 512)
-    spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 256)
-    cfg = SolverConfig(sgrid=sg, tol=1e-10)
-    solve_ibvp(spec, cfg)  # builds the plan outside the measurement
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        u, rep = solve_ibvp(spec, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.converged and rep.halvings == 0
-    assert peak - base <= 5.0 * u.values.nbytes, (peak - base) / u.values.nbytes
+    wave = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 256)
+    for (sg, spec), max_halvings, halvings in [((sg, wave), 8, 0), ((sg, wave), 0, 0),
+                                               (_twice_halving_wave(512, 256), 8, 2)]:
+        cfg = SolverConfig(sgrid=sg, tol=1e-10, max_halvings=max_halvings)
+        solve_ibvp(spec, cfg)  # builds the plans outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            u, rep = solve_ibvp(spec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged and rep.halvings == halvings
+        assert peak - base <= 5.0 * u.values.nbytes, (peak - base) / u.values.nbytes
 
 
 def test_warm_solve_validates_only_the_free_field(monkeypatch):
@@ -985,9 +1021,11 @@ def test_problem_spec_rejects_non_finite_inputs():
     {"ratio_cap": -1.0}, {"delta_crit": math.nan},
     {"seam_mismatch_cap": math.inf},
     {"max_iter": 0}, {"max_iter": 1}, {"max_halvings": -1},
+    {"max_iter": 3.5}, {"max_halvings": 1.5},
 ], ids=lambda d: "%s=%s" % next(iter(d.items())))
 def test_solver_config_validation(setting):
-    # none of these was rejected before a solve that could not succeed
+    # none of these was rejected before a solve that could not succeed; a
+    # fractional max_iter or max_halvings failed mid-solve in range()
     sg = SpatialGrid(-20.0, 20.0, 64)
     with pytest.raises(ValueError, match=next(iter(setting))):
         SolverConfig(sgrid=sg, **setting)
@@ -1160,6 +1198,12 @@ def test_continuation_argument_validation():
     # boundary data ends at t=0.25, cannot continue past it
     with pytest.raises(ValueError, match="cover"):
         continue_solution(u, spec, 0.25, 0.25, cfg)
+    # non-finite arguments are named: delta = nan failed converting NaN to
+    # an integer, inf overflowed, and T = nan passed the final-time check
+    for T, delta, name in [(0.25, math.nan, "delta"), (0.25, math.inf, "delta"),
+                           (math.nan, 0.25, "T"), (math.inf, 0.25, "T")]:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            continue_solution(u, spec, T, delta, cfg)
 
 
 def test_continuation_names_the_rounded_interval_it_needs():
@@ -1300,10 +1344,10 @@ def test_continuation_restart_shorter_than_parent_step():
     assert not exc.value.report.converged
 
 
-def _twice_halving_wave():
+def _twice_halving_wave(n=128, m=64):
     # the standing wave asked for on [0, 2] contracts only on [0, 0.5]
-    sg = SpatialGrid(-30.0, 30.0, 128)
-    tg = TimeGrid(2.0, 64)
+    sg = SpatialGrid(-30.0, 30.0, n)
+    tg = TimeGrid(2.0, m)
     xp = sg.nodes[sg.nodes >= 0.0]
     spec = ProblemSpec(
         2.0, 3.0, 0.0, _soliton(xp, 0.0), TimeSignal(tg, _soliton(0.0, tg.nodes)), 2.0
@@ -1369,12 +1413,60 @@ def test_report_keeps_every_attempt(monkeypatch):
         assert a["contraction_ratios"][0] > cfg.ratio_cap
 
 
-def test_blowup_suspected_carries_report():
+def test_halving_solve_builds_one_workspace(monkeypatch):
+    # every attempt keeps m and n, so the buffers of the first serve all
+    # three; one Workspace was once built per attempt
+    built = []
+    real = Workspace.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(Workspace, "__init__", counted)
+    sg, spec = _twice_halving_wave()
+    _, report = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
+    assert report.converged and report.halvings == 2
+    assert len(built) == 1
+
+
+def _count_mixed_norms(monkeypatch):
+    # the final time of each field solver.mixed_norm is taken of
+    calls = []
+    real = solver_module.mixed_norm
+
+    def counted(*args):
+        calls.append(args[0].tgrid.t_max)
+        return real(*args)
+
+    monkeypatch.setattr(solver_module, "mixed_norm", counted)
+    return calls
+
+
+def test_halving_solve_takes_the_mixed_norm_once(monkeypatch):
+    # the two refused attempts need their linear parts only finite, which
+    # one pass shows; the norm is taken for the report of the attempt the
+    # solve ends on (three norms were taken, one per attempt), and equals
+    # that linear part's, 1.14663 as before
+    calls = _count_mixed_norms(monkeypatch)
+    sg, spec = _twice_halving_wave()
+    u, report = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
+    assert report.converged and report.halvings == 2
+    assert calls == [0.5]
+    f = TimeSignal(u.tgrid, interp_complex(u.tgrid.nodes, spec.f.grid.nodes, spec.f.values))
+    pre = _prepare_linear(extend_half_line(spec.phi, sg), f, spec.lam, spec.alpha, 1e-3)
+    pair = admissible_pair(spec.s, spec.alpha)
+    assert report.linear_mixed_norm == mixed_norm(pre.linear, spec.s, pair.q, pair.r)
+    assert report.linear_mixed_norm == pytest.approx(1.1466299193594027, rel=1e-12)
+
+
+def test_blowup_suspected_carries_report(monkeypatch):
     sg = SpatialGrid(-30.0, 30.0, 256)
     phi_fn = lambda xx: 3.0 * np.exp(-(np.asarray(xx) - 8.0) ** 2) + 0j
     f_fn = lambda tt: np.zeros_like(np.asarray(tt), dtype=complex)
     spec = _make_spec(2.0, 3.0, 0.0, phi_fn, f_fn, 0.25, sg, 64)
     cruel = SolverConfig(sgrid=sg, tol=1e-14, max_iter=2, ratio_cap=1e-6, max_halvings=1)
+    norms = _count_mixed_norms(monkeypatch)
     with pytest.raises(BlowupSuspected) as exc:
         solve_ibvp(spec, cruel)
     assert exc.value.report.iterates == 2
@@ -1382,11 +1474,17 @@ def test_blowup_suspected_carries_report():
     # two attempts, one halving between them, both refused by the ratio cap
     assert exc.value.report.halvings == 1
     assert str(exc.value).startswith("no contraction after 1 halvings")
+    # the last attempt's linear part's norm, taken once it was refused (one
+    # norm per attempt was taken, 2.64821 on [0, 0.125] as now)
+    assert norms == [0.125]
+    assert exc.value.report.linear_mixed_norm == pytest.approx(2.6482129266584016, rel=1e-12)
 
 
 def test_refused_solve_keeps_no_field_in_its_traceback():
     # whoever keeps a BlowupSuspected keeps the solver's frames through its
-    # traceback; the last attempt's iterate and linear part are not in them
+    # traceback; the last attempt's iterate and linear part are not in
+    # them, nor the solve's workspace or any other whole-field buffer
+    # (about 4.5 fields between them)
     sg = SpatialGrid(-30.0, 30.0, 128)
     phi_fn = lambda xx: 3.0 * np.exp(-(np.asarray(xx) - 8.0) ** 2) + 0j
     f_fn = lambda tt: np.zeros_like(np.asarray(tt), dtype=complex)
@@ -1399,7 +1497,8 @@ def test_refused_solve_keeps_no_field_in_its_traceback():
     while tb is not None:
         if tb.tb_frame.f_code.co_name == "_solve_from_slice":
             held += [k for k, v in tb.tb_frame.f_locals.items()
-                     if isinstance(v, (SolutionField, solver_module.LinearData))]
+                     if isinstance(v, (SolutionField, solver_module.LinearData, Workspace))
+                     or isinstance(v, np.ndarray) and v.size >= 33 * sg.n]
         tb = tb.tb_next
     assert held == []
 
@@ -1412,25 +1511,28 @@ def _critical_case():
     return sg, _make_spec(1.0, 5.0, 0.0, phi_fn, f_fn, 0.25, sg, 16)
 
 
-def test_critical_gate_halves_until_the_linear_part_is_small():
+def test_critical_gate_halves_until_the_linear_part_is_small(monkeypatch):
     sg, spec = _critical_case()
     cfg = SolverConfig(sgrid=sg, tol=1e-8)
+    norms = _count_mixed_norms(monkeypatch)
     _, rep = solve_ibvp(spec, cfg)
     assert rep.converged and rep.criticality == "critical"
     assert rep.halvings == 6
+    assert len(norms) == 7  # the gate's, one per attempt
     assert rep.t_achieved == 0.25 / 64
     assert rep.linear_mixed_norm < cfg.delta_crit  # measured 0.0910
 
 
-def test_critical_gate_refusals_name_the_mixed_norm():
+def test_critical_gate_refusals_name_the_mixed_norm(monkeypatch):
     # with one halving too few the gate refuses every attempt: no iterate is
     # made, and the report says so
     sg, spec = _critical_case()
     cfg = SolverConfig(sgrid=sg, tol=1e-8, max_halvings=5)
+    norms = _count_mixed_norms(monkeypatch)
     with pytest.raises(BlowupSuspected) as exc:
         solve_ibvp(spec, cfg)
     rep = exc.value.report
-    assert rep.halvings == 5
+    assert rep.halvings == 5 and len(norms) == 6
     assert rep.iterates == 0 and rep.t_achieved == 0.0 and not rep.converged
     assert rep.linear_mixed_norm >= cfg.delta_crit
     msg = str(exc.value)

@@ -719,6 +719,36 @@ def test_csv_numbers_at_the_format_edges(tmp_path):
         b"123456789012345.62,123456789012345.38,-123456789012345.62")
 
 
+@pytest.mark.parametrize("cells", [1, 3, 64, halfline_nls.cli._BLOCK_CELLS])
+def test_csv_bytes_do_not_depend_on_the_block_split(tmp_path, monkeypatch, cells):
+    # +-d * 10**k for every first digit d, on both sides of each %g layout
+    # switch, with an empty fraction (2.0) and two nonempty ones (2.5 and
+    # 2.0000000000000004): every template row class, split into blocks of
+    # one row, a few rows and the whole table
+    values = []
+    for k in (-7, -5, -4, -3, -2, -1, 0, 1, 8, 15, 16, 17, 20):
+        for d in range(1, 10):
+            base = d * 10.0**k
+            for x in (base, (d + 0.5) * 10.0**k, np.nextafter(base, np.inf)):
+                values += [x, -x]
+    values += [0.0, -0.0, 5e-324, 1e300, np.inf, np.nan]
+    monkeypatch.setattr(halfline_nls.cli, "_BLOCK_CELLS", cells)
+    got, expected = _csv_bytes(tmp_path / "t.csv", np.reshape(values, (-1, 6)).tolist())
+    assert got == expected
+
+
+def test_csv_widens_narrow_columns_to_float64(tmp_path):
+    # a complex64 column is written as its parts (not its bytes read as
+    # float64), and a float32 column reaches the formatter as float64
+    path = tmp_path / "c.csv"
+    _write_csv(path, "h\n", np.array([1 + 2j, 0.5 - 0.25j], np.complex64))
+    assert path.read_bytes() == b"h\n1,2\n0.5,-0.25\n"
+    narrow = np.array([0.1, -3.0, 1e-7], np.float32)
+    _write_csv(path, "h\n", narrow)
+    expected = "h\n" + "".join(f"{float(v):.17g}\n" for v in narrow)
+    assert path.read_bytes() == expected.encode()
+
+
 def test_signal_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(4)
     t = np.linspace(0.0, 1.0, 33)

@@ -125,6 +125,8 @@ def _phi_preset(cfg, x):
     A = cfg["phi.amplitude"]
     c = cfg["phi.center"]
     w = cfg["phi.width"]
+    if kind in ("gaussian", "sech") and not 0.0 < w < np.inf:
+        raise ConfigError(f"phi.width must be positive and finite, got {w!r}")
     if kind == "gaussian":
         return lambda xx: A * np.exp(-(((np.asarray(xx) - c) / w) ** 2)) + 0j
     if kind == "sech":

@@ -163,7 +163,7 @@ class SolutionField:
         """A field of complex entries its caller has checked finite: shape only."""
         u = cls.__new__(cls)
         u.sgrid, u.tgrid, u.values, u.meta = sgrid, tgrid, values, {}
-        _as_complex(values, (tgrid.m + 1, len(sgrid.nodes)), "SolutionField", False)
+        _as_complex(values, (tgrid.m + 1, sgrid.n), "SolutionField", False)
         return u
 
     def slice_at(self, t_index):

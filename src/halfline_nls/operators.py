@@ -58,26 +58,27 @@ and a solve that halves its interval twice works on three time grids):
   built in chunks of _PLAN_CHUNK rows, whose Fresnel temporaries stay in
   cache: each chunk's folded kernel is written into its own rows of the
   spectrum, zero-padded there and transformed in place, so the build's
-  peak stays near the plan's own size.
+  peak stays near the plan's own size;
+* the order-1/2 weights and, on first use, the folded kernel's lags in t.
 
-A plan owns no buffer: it is shared read-only by every caller on its grids.
-free_group_field, duhamel_field and boundary_forcing_time write into buffers
-the caller hands them (out=, work=), as the fixed-point solver does with the
-buffers of a solve, and allocate their own otherwise. The last two compute
-only a block of time slices [start, stop) when asked: duhamel_field
-restarts its recursion from the Duhamel term an earlier call left in out
-and ends it at stop. boundary_forcing_time takes its whole t-FFT on the whole interval
-only; on any other block it takes no FFT: the block's own samples of h meet
-the kernel's first lags in t in one small product, and the earlier samples'
-part, computed once per block, is kept in a ForcingHistory with the
-kernel's lags (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
-(1985), split a convolution the same way). h itself is split the same way:
-the half-integral of f's samples before the block, and the h they fix, are
-formed once per block into the ForcingHistory, and each call integrates
-only the block's own samples (a call that starts later in the block
-reuses its history). It then writes only the rows it computes.
-Neither checks its whole output for finiteness: the forcing checks the rows
-it gathers, the solver its norms.
+A plan owns no buffer a call writes: it is shared read-only by every caller
+on its grids. free_group_field, duhamel_field and boundary_forcing_time
+write into buffers the caller hands them (out=, work=), as the fixed-point
+solver does with the buffers of a solve, and allocate their own otherwise.
+The last two compute only a block of time slices [start, stop) when asked:
+duhamel_field restarts its recursion from the Duhamel term an earlier call
+left in out and ends it at stop. boundary_forcing_time takes its whole t-FFT
+on the whole interval only; on any other block it takes no FFT: the block's
+own samples of h meet the kernel's first lags in t in one small product, and
+the earlier samples' part, computed once per block from the plan's lags, is
+kept in a ForcingHistory (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+Comput. 6 (1985), split a convolution the same way). h itself is split the
+same way: the half-integral of f's samples before the block, and the h they
+fix, are formed once per block into the ForcingHistory, and each call
+integrates only the block's own samples (a call that starts later in the
+block reuses its history). It then writes only the rows it computes. Neither
+checks its whole output for finiteness: the forcing checks the rows it
+gathers, the solver its norms.
 """
 from __future__ import annotations
 
@@ -85,10 +86,10 @@ import functools
 import warnings
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
-from .fractional import (_integral_values, _pl_weights, frac_derivative, panel_weights,
-                         vanishes_at_start)
+from .fractional import (_gradient, _integral_values, _pl_weights, frac_derivative,
+                         panel_weights, vanishes_at_start)
 from .grids import (GridFunction, NonFiniteError, SolutionField, SpatialGrid, TimeGrid,
                     TimeSignal, _as_complex)
 from .spectral import damped_inverse, padded_spectrum
@@ -208,14 +209,16 @@ def duhamel_field(w: np.ndarray, sgrid: SpatialGrid, tgrid: TimeGrid,
     The recursion is causal: slice i needs only D_{i-1} and the slices of w
     at t_{i-1} and t_i. Every call restarts it from row k-1 of the buffer,
     k = max(start, 1): D_{k-1} is that row's FFT, w's slices k-1.. are read
-    and the rows k.. computed. With start = 0 that row is row 0; with
-    start = k > 0, out's rows hold an earlier call's Dw, and the rows 1..k-1
-    are not written and keep its values. With stop (m+1 by default) the
-    recursion ends there: the rows [start, stop) are computed, w's slices
-    from stop on are not read, row stop holds w's spectrum at t_{stop-1} and
-    the rows after it are not written. The fixed-point solver restarts its
-    one buffer this way, so that it recomputes only the block of slices it
-    is iterating.
+    and the rows k.. computed (that row and w's slices, copied into the
+    rows below it unless w is out[1:], are transformed in one call, and
+    the row put back). With start = 0 that row is row 0; with start = k > 0,
+    out's rows hold an earlier call's Dw, and the rows 1..k-1 are not
+    written and keep its values. With stop (m+1 by default) the recursion
+    ends there: the rows [start, stop) are computed, w's slices from stop
+    on are not read, row stop holds w's spectrum at t_{stop-1} and the rows
+    after it are not written. The fixed-point solver restarts its one
+    buffer this way, so that it recomputes only the block of slices it is
+    iterating.
     """
     if not isinstance(sgrid, SpatialGrid):
         raise TypeError("duhamel_field needs a whole-line grid")
@@ -233,9 +236,12 @@ def duhamel_field(w: np.ndarray, sgrid: SpatialGrid, tgrid: TimeGrid,
     buf = np.empty((m + 2, sgrid.n), dtype=complex) if out is None else out
     buf[0] = 0.0
     first = max(start, 1)
-    prev = np.fft.fft(buf[first - 1])
-    prev *= 1.0 / c
-    np.fft.fft(w[first - 1: stop], axis=1, out=buf[first: stop + 1])
+    rows, kept = buf[first - 1: stop + 1], buf[first - 1].copy()
+    if w.__array_interface__["data"][0] != buf[1:].__array_interface__["data"][0]:
+        rows[1:] = w[first - 1: stop]  # w is not buf[1:]
+    np.fft.fft(rows, axis=1, out=rows)
+    prev = rows[0] * (1.0 / c)
+    rows[0] = kept
     for i in range(first, stop):
         row = buf[i]
         row += prev
@@ -295,6 +301,8 @@ class OperatorPlan:
       h_1) does not; forcing subtracts it.
     * forcing_sizes: the element counts of forcing's two buffers, out
       (max((m+1) n, 2 m r)) and work ((m+1) r).
+    * weights, lags: the block forcing's order-1/2 weights, and K in t,
+      lags 0..m, shape (r, m+1), formed on first use.
 
     The arrays are read-only: operator_plan hands the same plan to every
     caller on the same grids.
@@ -307,6 +315,7 @@ class OperatorPlan:
         absx, self.inv = np.unique(np.abs(sgrid.nodes), return_inverse=True)
         r = len(absx)
         self.forcing_sizes = (max((m + 1) * sgrid.n, 2 * m * r), (m + 1) * r)
+        self.weights = _pl_weights(0.5, tgrid.dt, m)
         self.kspec = np.empty((r, 2 * m), dtype=complex)
         self.b = np.empty((m, r), dtype=complex)
         # row chunks bound the Fresnel temporaries of the kernel build; each
@@ -320,8 +329,19 @@ class OperatorPlan:
             rows[:, m + 1:] = 0.0
             np.fft.fft(rows, axis=1, out=rows)
             self.b[:, lo:hi] = b[:, 1:].T
-        for arr in (self.step, self.inv, self.kspec, self.b):
+        for arr in (self.step, self.inv, self.kspec, self.b, *self.weights):
             arr.flags.writeable = False
+
+    @functools.cached_property
+    def lags(self):
+        """kspec's inverse t-FFT, lags 0..m, once, in _PLAN_CHUNK-row chunks."""
+        r, m = len(self.kspec), self.kspec.shape[1] // 2
+        lags = np.empty((r, m + 1), dtype=complex)
+        for lo in range(0, r, _PLAN_CHUNK):
+            hi = lo + _PLAN_CHUNK
+            lags[lo:hi] = np.fft.ifft(self.kspec[lo:hi], axis=1)[:, : m + 1]
+        lags.flags.writeable = False
+        return lags
 
 
 operator_plan = functools.lru_cache(maxsize=_PLAN_SLOTS)(OperatorPlan)
@@ -333,38 +353,24 @@ def _check_vanishing_start(f: TimeSignal, what):
 
 
 class ForcingHistory:
-    """The state of boundary_forcing_time on consecutive blocks of slices
-    of one grid pair, other than the whole interval:
-
-    * lags: the folded kernel K_l in t, lags 0..m in its first m+1 columns,
-      one row per distinct |x|: the inverse t-FFT of the plan's kspec, once,
-      into buf (at least 2 m r elements) or a buffer of its own;
-    * weights: the order-1/2 product-integration weights on lags 0..m;
-    * fixed: what f's samples before k, which a caller iterating one
-      block [k, stop) holds fixed, fix on it, and span, the (k, stop) it
-      was formed for. The first call on a block forms it and later ones
-      reuse it while they end at the same stop and start in [k, stop)
-      (see _forcing_block): those samples' half-integral g on [lo, top];
-      h of length stop, whose h_j, j < j0, they fix (each call writes the
-      rest); and the part sum_{j < j0} K_{i-j} h_j of the forcing on the
-      slices i in [k, stop), shape (stop-k, r).
+    """The state of boundary_forcing_time on consecutive blocks of slices of
+    one grid pair, other than the whole interval: fixed, what f's samples
+    before k, which a caller iterating one block [k, stop) holds fixed, fix
+    on it, and span, the (k, stop) it was formed for. The first call on a
+    block forms it and later ones reuse it while they end at the same stop
+    and start in [k, stop) (see _forcing_block): those samples'
+    half-integral g on [lo, top]; h of length stop, whose h_j, j < j0, they
+    fix (each call writes the rest); and the part sum_{j < j0} K_{i-j} h_j
+    of the forcing on the slices i in [k, stop), shape (stop-k, r).
     """
 
-    def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid, buf=None):
-        kspec = operator_plan(sgrid, tgrid).kspec
-        if buf is None:
-            buf = np.empty(kspec.size, dtype=complex)
-        self.lags = np.fft.ifft(kspec, axis=1,
-                                out=buf[: kspec.size].reshape(kspec.shape))
-        self.weights = _pl_weights(0.5, tgrid.dt, tgrid.m)
-        self.span = None
-        self.fixed = None
+    span = fixed = None
 
 
-def _lag_product(lags, h, j_lo, j_hi, start, stop):
+def _lag_product(lags, h, j_lo, j_hi, start, stop, out=None):
     """sum_{j_lo <= j < j_hi} K_{i-j} h_j on the slices i in [start, stop)
-    (K_l = 0 for l < 0), shape (stop-start, r): one matrix product of the
-    Toeplitz rows of h with the lags max(start-j_hi+1, 0) .. stop-1-j_lo."""
+    (K_l = 0 for l < 0), shape (stop-start, r), into out if given: one matrix
+    product of h's Toeplitz rows with the lags max(start-j_hi+1, 0) .. stop-1-j_lo."""
     lo, hi = max(start - j_hi + 1, 0), stop - j_lo
     width = hi - lo
     # hz[t] = h_{t + off}, zero outside [j_lo, j_hi); row p of the Toeplitz
@@ -373,8 +379,8 @@ def _lag_product(lags, h, j_lo, j_hi, start, stop):
     hz = np.zeros(stop - start + width - 1, dtype=complex)
     a, b = max(j_lo, off), min(j_hi, off + len(hz))
     hz[a - off: b - off] = h[a:b]
-    toeplitz = sliding_window_view(hz, width)[: stop - start, ::-1]
-    return toeplitz @ lags[:, lo:hi].T
+    toeplitz = as_strided(hz[width - 1:], (stop - start, width), (hz.itemsize, -hz.itemsize))
+    return np.matmul(toeplitz, lags[:, lo:hi].T, out=out)
 
 
 def boundary_forcing_time(
@@ -474,12 +480,12 @@ def _forcing_block(f, sgrid, plan, out, work, start, stop, history):
     if not 0 <= start < stop <= m + 1:
         raise ValueError("boundary_forcing_time: 0 <= start < stop <= m+1 required")
     if history is None:
-        history = ForcingHistory(sgrid, tgrid)
+        history = ForcingHistory()
     if out is None:
         out = np.zeros((m + 1) * n, dtype=complex)
     if work is None:
         work = np.empty((stop - start) * r, dtype=complex)
-    v, weights, dt = f.values, history.weights, tgrid.dt
+    v, weights, dt = f.values, plan.weights, tgrid.dt
     if history.span is None or history.span[1] != stop or history.span[0] > start:
         history.span, history.fixed = (start, stop), None
     k = history.span[0]
@@ -490,17 +496,17 @@ def _forcing_block(f, sgrid, plan, out, work, start, stop, history):
         before[:k] = v[:k]
         g = _integral_values(before, weights, top)
         h = np.zeros(stop, dtype=complex)
-        h[:j0] = np.gradient(g, dt, edge_order=2)[:j0]
-        history.fixed = (g[lo:], h, _lag_product(history.lags, h, 0, j0, k, stop))
+        h[:j0] = _gradient(g, dt)[:j0]
+        history.fixed = (g[lo:], h, _lag_product(plan.lags, h, 0, j0, k, stop))
     g, h, fixed = history.fixed
     s0 = max(k - 1, 0)
     own = np.zeros(top - s0 + 1, dtype=complex)
     own[k - s0:] = v[k: top + 1]
     g = g.copy()
     g[s0 - lo:] += _integral_values(own, weights, top - s0)
-    h[j0:] = np.gradient(g, dt, edge_order=2)[j0 - lo: stop - lo]
+    h[j0:] = _gradient(g, dt)[j0 - lo: stop - lo]
     rows = work[: (stop - start) * r].reshape(stop - start, r)
-    rows[:] = _lag_product(history.lags, h, j0, stop, start, stop)
+    _lag_product(plan.lags, h, j0, stop, start, stop, out=rows)
     rows += fixed[start - k:]
     # K's h_0 b_{l+1} term, as the whole call subtracts it (lag m takes none)
     b = plan.b[start:stop]

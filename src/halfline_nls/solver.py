@@ -107,6 +107,8 @@ class ProblemSpec:
         if not _covers(self.f, self.T):
             raise ValueError("boundary data does not cover [0, T]")
         self.phi = np.asarray(self.phi, dtype=complex)
+        if not np.all(np.isfinite(self.phi)):
+            raise ValueError("phi must be finite")
         self.lam = complex(self.lam)
 
 
@@ -416,7 +418,7 @@ def apply_lambda(w: SolutionField, pre: LinearData, out: Workspace | None = None
     buffers; without out, a fresh Workspace is allocated and the whole map
     applied. Slice i of the value depends on w's slices 0..i and on
     w(0, t_{i+1}), which enters the Duhamel trace at t_{i+1} with weight
-    -i dt/2: the forcing's half-derivative (np.gradient) reads that trace.
+    -i dt/2: the forcing's half-derivative reads that trace.
     out.result may hold w itself, whose slices [start, stop) the value then
     replaces in place: w is read before the forcing writes out.result.
     On the whole interval the forcing takes its whole t-FFT. On a block,
@@ -571,11 +573,10 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     it iterates the block [k, stop), stop = k + b + 1, to tol, freezes
     [k, stop - 1) and goes on from k = stop - 1 (the map reads one slice
     ahead, so the block's last slice stays active into the next). The
-    spare whole buffer, in which the whole updates were formed, then holds
-    the forcing kernel's lags in t. The first block starts from the whole
-    iterate's values; each later one does too after a fast opening, and
-    after a slow one starts from quadratic extrapolation in t of the slices
-    k-2, k-1, k. Each application of a block starts at its front (see
+    first block starts from the whole iterate's values; each later one
+    does too after a fast opening, and after a slow one starts from
+    quadratic extrapolation in t of the slices k-2, k-1, k. Each
+    application of a block starts at its front (see
     _iterate), so the leading slices whose update met tol are not
     recomputed. A block whose update ratio exceeds ratio_cap, or that
     takes max_iter applications with its front still at k, is retried
@@ -615,7 +616,7 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
         return u, why
     if why == "ratio":
         return u, "no contraction"
-    work.history = ForcingHistory(pre.sgrid, pre.tgrid, buf=spare)
+    work.history = ForcingHistory()
     size = _BLOCK
     begin = np.empty((_BLOCK + 1, pre.sgrid.n), dtype=complex)  # a block's start
     old = np.empty_like(begin)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .fractional import _gradient
 from .grids import (
     HalfLineGrid, SolutionField, SpatialGrid, TimeGrid, TimeSignal, interp_complex,
 )
@@ -248,7 +249,7 @@ def mass_flux_balance(field: SolutionField) -> dict:
     dx = xs[1] - xs[0]
 
     mass = np.trapezoid(np.abs(vals) ** 2, dx=dx, axis=1)
-    dmass = np.gradient(mass, dt, edge_order=2)
+    dmass = _gradient(mass, dt)
     du0 = (-3.0 * vals[:, 0] + 4.0 * vals[:, 1] - vals[:, 2]) / (2.0 * dx)
     flux = 2.0 * np.imag(np.conj(vals[:, 0]) * du0)
     imbalance = float(np.trapezoid(np.abs(dmass - flux), dx=dt))

@@ -155,6 +155,13 @@ def test_main_bad_config_exits_one(tmp_path, capsys):
         (["problem.s = 0.5"], "s = 1/2 is excluded"),
         (["phi.preset = cosine"], "unknown phi.preset 'cosine'"),
         (["f.preset = cosine"], "unknown f.preset 'cosine'"),
+        # a zero width once divided by zero and solved phi = 0 with exit 0; a
+        # nan amplitude was reported as a container's "non-finite entries"
+        (["phi.width = 0"], "phi.width must be positive and finite"),
+        (["phi.preset = sech", "phi.width = -1"], "phi.width"),
+        (["phi.width = nan"], "phi.width"),
+        (["phi.width = inf"], "phi.width"),
+        (["phi.amplitude = nan"], "phi must be finite"),
     ]
     for lines, message in cases:
         cfg = _write_cfg(tmp_path / "a.cfg", [

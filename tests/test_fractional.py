@@ -20,6 +20,7 @@ from halfline_nls import (
     frac_fourier_path,
     frac_integral,
 )
+from halfline_nls.fractional import _gradient
 
 
 def _grid(m=512, T=1.0):
@@ -194,3 +195,15 @@ def test_order_validation():
             fn(b, 4.5)
     with pytest.raises(ValueError):
         frac_fourier_path(b, 17.0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 37])
+def test_gradient_is_numpy_gradient_bit_for_bit(n):
+    # the central differences that form h and d mass/dt replace
+    # np.gradient(edge_order=2), bits and signed zeros included
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal(n)
+    real[1] = -0.0
+    for g in (real, real + 1j * rng.standard_normal(n)):
+        for dt in (0.5 / 512, 0.3, np.float64(1.0 / 3.0)):
+            assert _gradient(g, dt).tobytes() == np.gradient(g, dt, edge_order=2).tobytes()

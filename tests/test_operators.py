@@ -6,6 +6,8 @@ forcing field has a corner at x=0, so its residual is evaluated on
 |x| > 1/2 only; spectral differentiation would smear that corner over the
 whole grid.
 """
+import collections
+import math
 import tracemalloc
 
 import numpy as np
@@ -40,7 +42,7 @@ from halfline_nls.operators import (
     free_group_field,
     operator_plan,
 )
-from halfline_nls.solver import _prepare_linear, apply_lambda
+from halfline_nls.solver import Workspace, _prepare_linear, apply_lambda
 
 
 def _gaussian_exact(x, t):
@@ -260,7 +262,7 @@ def test_boundary_forcing_blocks_match_the_whole_call(tg):
     scale = np.max(np.abs(whole))
     n = (tg.m + 1) * sg.n
     for b in (5, 32):
-        history = ForcingHistory(sg, tg)
+        history = ForcingHistory()
         k = 0
         while True:
             stop = min(k + b + 1, tg.m + 1)
@@ -292,7 +294,7 @@ def test_boundary_forcing_block_follows_its_own_samples(start):
     v = np.sin(3.0 * tg.nodes) * np.exp(2j * tg.nodes)
     moved = v.copy()
     moved[start:] *= 1.5
-    history = ForcingHistory(sg, tg)
+    history = ForcingHistory()
     stop = start + 12
     boundary_forcing_time(TimeSignal(tg, v), sg, tg, start=start, stop=stop, history=history)
     part = boundary_forcing_time(TimeSignal(tg, moved), sg, tg, start=start, stop=stop,
@@ -325,7 +327,7 @@ def test_boundary_forcing_from_a_later_front_reuses_the_history(k):
     sg, tg = SpatialGrid(-10.0, 10.0, 64), TimeGrid(1.0, 48)
     v = np.sin(3.0 * tg.nodes) * np.exp(2j * tg.nodes)
     stop = k + 20
-    history = ForcingHistory(sg, tg)
+    history = ForcingHistory()
     boundary_forcing_time(TimeSignal(tg, v), sg, tg, start=k, stop=stop, history=history)
     for front in (k + 1, k + 3, stop - 1):
         v = v.copy()
@@ -380,6 +382,90 @@ def test_operator_plan_chunks_match_a_one_chunk_build(monkeypatch):
         assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
 
 
+def test_operator_plan_lags_are_the_kernel_in_t():
+    # the block forcing's lags are the first m+1 columns of kspec's inverse
+    # t-FFT bit for bit, though formed in row chunks; they are read-only,
+    # and the histories on the grid pair read the plan's: a history holds
+    # only its block's span and fixed part
+    sg, tg = SpatialGrid(-10.0, 10.0, 128), TimeGrid(1.0, 48)
+    plan = operator_plan(sg, tg)
+    lags = plan.lags
+    assert len(lags) > operators._PLAN_CHUNK
+    assert lags.tobytes() == np.fft.ifft(plan.kspec, axis=1)[:, : tg.m + 1].tobytes()
+    with pytest.raises(ValueError):
+        lags[0, 0] = 0.0
+    f = TimeSignal(tg, np.sin(3.0 * tg.nodes) * np.exp(2j * tg.nodes))
+    for history in (ForcingHistory(), ForcingHistory()):
+        boundary_forcing_time(f, sg, tg, start=9, stop=20, history=history)
+        assert set(vars(history)) == {"span", "fixed"}
+    assert operator_plan(sg, tg).lags is lags
+
+
+def test_fixed_cost_call_counts(monkeypatch):
+    # the fixed cost of a block application, counted in calls, which repeat
+    # exactly where times do not: a plan's lags take one inverse FFT per
+    # row chunk, once; a block application two FFTs, its Duhamel term's
+    # forward and inverse; a block forcing with a fresh history none; and a
+    # warm solve no np.gradient
+    sg, tg = SpatialGrid(-30.0, 30.0, 128), TimeGrid(0.5, 48)
+    wave = lambda x, t: np.exp(1j * t) / np.cosh(x - 6.0)
+    f = TimeSignal(tg, wave(0.0, tg.nodes))
+    pre = _prepare_linear(GridFunction(sg, wave(sg.nodes, 0.0)), f, 2.0, 3.0, 1e-3)
+    work = Workspace(sg, tg)
+    u = apply_lambda(pre.linear, pre, out=work)
+    work.history = ForcingHistory()
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    monkeypatch.setattr(np, "gradient", counted("gradient", np.gradient))
+    plan = OperatorPlan(sg, tg)
+    calls.clear()
+    plan.lags, plan.lags
+    assert calls == {"ifft": math.ceil(len(plan.kspec) / operators._PLAN_CHUNK)}
+    operator_plan(sg, tg).lags
+    for start in (9, 12):  # a block, then a later front of it
+        calls.clear()
+        apply_lambda(u, pre, out=work, start=start, stop=20)
+        assert calls == {"fft": 1, "ifft": 1}
+    calls.clear()
+    g = TimeSignal(tg, np.sin(3.0 * tg.nodes) + 0j)
+    boundary_forcing_time(g, sg, tg, start=9, stop=20, history=ForcingHistory())
+    assert not calls
+    xp = sg.nodes[sg.nodes >= 0.0]
+    spec = ProblemSpec(2.0, 3.0, 0.0, wave(xp, 0.0), f, 0.5)
+    cfg = SolverConfig(sgrid=sg, tol=1e-10)
+    solve_ibvp(spec, cfg)
+    calls.clear()
+    _, report = solve_ibvp(spec, cfg)
+    assert report.converged and calls["gradient"] == 0 and calls["fft"] > 0
+
+
+@pytest.mark.parametrize("start", [0, 1, 17])
+def test_duhamel_of_its_own_buffer_rows_is_the_separate_input_call(start):
+    # with w the rows 1.. of out, as the solver passes it, D_{start-1} and
+    # w's slices are transformed in one call: every row of out, that of
+    # D_{start-1} included, equals a call on a separate w bit for bit
+    sg, tg = SpatialGrid(-20.0, 20.0, 128), TimeGrid(0.5, 40)
+    x, t = sg.nodes[None, :], tg.nodes[:, None]
+    w = np.exp(-(x - 2.0) ** 2) * np.exp(3j * t) * (1.0 + t)
+    carried = np.empty((tg.m + 2, sg.n), dtype=complex)
+    duhamel_field(0.5j * w, sg, tg, out=carried)
+    first = max(start, 1)
+    for stop in (start + 1, 33, tg.m + 1):
+        apart, own = carried.copy(), carried.copy()
+        duhamel_field(w, sg, tg, out=apart, start=start, stop=stop)
+        own[first: stop + 1] = w[first - 1: stop]
+        duhamel_field(own[1:], sg, tg, out=own, start=start, stop=stop)
+        assert own.tobytes() == apart.tobytes()
+
+
 @pytest.mark.parametrize("tg", [TimeGrid(1.0, 48), TimeGrid(0.5, 100), TimeGrid(2.0, 256)],
                          ids=lambda tg: f"m{tg.m}")
 def test_block_half_derivative_reads_only_the_block(tg):
@@ -394,7 +480,7 @@ def test_block_half_derivative_reads_only_the_block(tg):
     whole = boundary_forcing_time(TimeSignal(tg, v), sg, tg).values
     scale = np.max(np.abs(whole))
     for b in (5, 32):
-        history = ForcingHistory(sg, tg)
+        history = ForcingHistory()
         k = 0
         while True:
             stop = min(k + b + 1, tg.m + 1)

@@ -390,7 +390,7 @@ def _replay(spec, cfg, attempt):
     vals = work.field(work.result)
     vals[:] = iterates[-1].values
     u = SolutionField(pre.sgrid, pre.tgrid, vals)
-    work.history = ForcingHistory(pre.sgrid, pre.tgrid)
+    work.history = ForcingHistory()
     scratch = np.empty_like(vals)
     updates = []
     for b in blocks:
@@ -1014,6 +1014,11 @@ def test_problem_spec_rejects_non_finite_inputs():
     # and boundary data that ends before T
     with pytest.raises(ValueError, match="does not cover"):
         ProblemSpec(1.0, 3.0, 0.0, phi, f, 0.5 * (1.0 + 1e-9))
+    # and an initial slice that is not finite, which once surfaced only in
+    # the whole-line extension, as a GridFunction's error
+    for bad in (math.nan, complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            ProblemSpec(1.0, 3.0, 0.0, np.r_[phi[:-1], bad], f, 0.5)
 
 
 @pytest.mark.parametrize("setting", [

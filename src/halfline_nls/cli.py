@@ -120,13 +120,21 @@ def _file_preset(path, rows, key):
     return lambda xx: interp_complex(xx, data[:, 0], vals)
 
 
+def _check_finite(cfg, *keys):
+    for key in keys:
+        if not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
+
+
 def _phi_preset(cfg, x):
     kind = cfg["phi.preset"]
     A = cfg["phi.amplitude"]
     c = cfg["phi.center"]
     w = cfg["phi.width"]
-    if kind in ("gaussian", "sech") and not 0.0 < w < np.inf:
-        raise ConfigError(f"phi.width must be positive and finite, got {w!r}")
+    if kind in ("gaussian", "sech"):
+        _check_finite(cfg, "phi.amplitude", "phi.center")
+        if not 0.0 < w < np.inf:
+            raise ConfigError(f"phi.width must be positive and finite, got {w!r}")
     if kind == "gaussian":
         return lambda xx: A * np.exp(-(((np.asarray(xx) - c) / w) ** 2)) + 0j
     if kind == "sech":
@@ -142,12 +150,14 @@ def _f_preset(cfg, T, m):
     kind = cfg["f.preset"]
     A = cfg["f.amplitude"]
     if kind == "bump":
+        _check_finite(cfg, "f.amplitude")
         return lambda tt: (
             16.0 * A * np.asarray(tt) ** 2 * np.maximum(T - np.asarray(tt), 0.0) ** 2
             / T**4
             + 0j
         )
     if kind == "sinusoid_windowed":
+        _check_finite(cfg, "f.amplitude", "f.omega")
         om = cfg["f.omega"]
         return lambda tt: (
             A

@@ -22,11 +22,11 @@ The map is causal in t up to one step (slice i reads w(0, t_{i+1}), see
 apply_lambda) and its contraction is local in t, so the iterates settle
 from t = 0 forward. Each attempt therefore applies the map twice on the
 whole interval, which tests the contraction (a third time when it
-contracts fast), and then sweeps forward in blocks of slices, all but
-the first started from the whole iterate after a fast opening and by
-extrapolation in t after a slow one: each is iterated to tol and
-frozen, the Duhamel recursion restarting from the frozen slices' Duhamel
-term, which its buffer keeps, and the boundary forcing adding the frozen
+contracts fast), and then sweeps forward in blocks of slices, each
+started from that opening's last whole iterate plus the extrapolation in
+t of the sweep's correction to it: each is iterated to tol and frozen,
+the Duhamel recursion restarting from the frozen slices' Duhamel term,
+which its buffer keeps, and the boundary forcing adding the frozen
 slices' part once per block (Workspace, apply_lambda, _picard_loop,
 operators.ForcingHistory). Within a block the same holds: each
 application starts at the block's front, its first slice whose last
@@ -393,6 +393,11 @@ class Workspace:
     * history: the block forcing's ForcingHistory, None until a caller
       applies the map to blocks of slices other than the whole interval;
       _picard_loop resets it for each attempt.
+
+    A solve keeps one spare buffer of result's size beside it (see
+    _picard_loop): the opening's old iterate, then, during the sweep, the
+    opening's last whole iterate, from which every block's start is
+    predicted.
     """
 
     def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid):
@@ -472,11 +477,11 @@ def apply_lambda(w: SolutionField, pre: LinearData, out: Workspace | None = None
 
 
 _WHOLE = 2  # whole-interval applications that open each attempt: one ratio
-# a first ratio at most this is a fast opening: a third whole application,
-# then blocks started from the whole iterate. At 256x128 on [0, 0.5] the
-# CLI bump and sinusoid_windowed presets (ratios 0.094, 0.104) take 11 and
-# 12 iterates with it, 19 and 19 without; the standing wave's 0.58, taken
-# as fast, would take 106 in place of 75 at 1024x512
+# a first ratio at most this is a fast opening: a third whole application.
+# At 256x128 on [0, 0.5] the CLI bump and sinusoid_windowed presets (ratios
+# 0.094, 0.104) take 11 and 11 iterates with it, 14 and 15 without; the
+# standing wave's 0.58, taken as fast, would take 67 in place of 66 at
+# 1024x512
 _FAST_RATIO = 0.25
 _BLOCK = 32  # the slices a block of the sweep freezes, at most
 
@@ -547,8 +552,9 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
                  spare: np.ndarray):
     """Iterate from the linear part in work, a Workspace of pre's grids
     (its history reset here), with spare a second buffer of work.result's
-    size; returns (field, None if converged, else the reason the attempt is
-    refused). The field is a view of work.result.
+    size: the opening's old buffer, then the sweep's O (below); returns
+    (field, None if converged, else the reason the attempt is refused).
+    The field is a view of work.result.
 
     Writes this attempt's iterates (every map application),
     residual_history, contraction_ratios and fixed_point_residual into
@@ -573,20 +579,23 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     it iterates the block [k, stop), stop = k + b + 1, to tol, freezes
     [k, stop - 1) and goes on from k = stop - 1 (the map reads one slice
     ahead, so the block's last slice stays active into the next). The
-    first block starts from the whole iterate's values; each later one
-    does too after a fast opening, and after a slow one starts from
-    quadratic extrapolation in t of the slices k-2, k-1, k. Each
-    application of a block starts at its front (see
-    _iterate), so the leading slices whose update met tol are not
-    recomputed. A block whose update ratio exceeds ratio_cap, or that
-    takes max_iter applications with its front still at k, is retried
-    from its start at half the size b; b < 2 refuses the attempt as "no
-    contraction". b starts at _BLOCK and does not grow again: where blocks
-    of 2b failed, the next one would too. A block that takes max_iter
-    applications after its front advanced is cut there instead: [k, front)
-    is frozen and the sweep goes on from k = front at the same size, from
-    the current iterate. Each block appends to blocks {"slices": [k,
-    stop], "start": "whole", "extrapolated" or "current" (after a cut),
+    opening's last whole iterate O is copied into spare, the opening's
+    old buffer, which the sweep does not otherwise use. Every block starts
+    from O plus the cubic extrapolation in t of the correction u - O at the
+    slices k, k-1, k-2, k-3, three when k = 2 (_predict): the first
+    block's correction is zero, so it starts from O itself ("whole"), and
+    the fast structure that O already carries is not extrapolated. Each
+    application of a block starts at its front (see _iterate), so the
+    leading slices whose update met tol are not recomputed. A block whose
+    update ratio exceeds ratio_cap, or that takes max_iter applications
+    with its front still at k, is retried from its start at half the size
+    b; b < 2 refuses the attempt as "no contraction". b starts at _BLOCK
+    and does not grow again: where blocks of 2b failed, the next one would
+    too. A block that takes max_iter applications after its front advanced
+    is cut there instead: [k, front) is frozen and the sweep goes on from
+    k = front at the same size, from the values in place. Each block
+    appends to blocks {"slices": [k, stop], "start": "whole" (the first
+    block and its retries), "extrapolated" or "current" (after a cut),
     "iterates", "fronts", "ratios", "residual", "halved", "cut"}: fronts
     holds the front of each application, ratios its successive update
     ratios, residual the largest last update of the slices it froze,
@@ -617,6 +626,8 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     if why == "ratio":
         return u, "no contraction"
     work.history = ForcingHistory()
+    opening = work.field(spare)  # the opening's old buffer, free from here on
+    opening[:] = vals
     size = _BLOCK
     begin = np.empty((_BLOCK + 1, pre.sgrid.n), dtype=complex)  # a block's start
     old = np.empty_like(begin)
@@ -625,7 +636,7 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
     while True:
         stop = min(k + size + 1, m + 1)
         if start == "extrapolated":
-            _extrapolate(vals, k, stop, old)
+            _predict(vals, opening, k, stop)
         record = {"slices": [k, stop], "start": start, "iterates": 0, "fronts": [],
                   "ratios": [], "residual": None, "halved": None, "cut": None}
         blocks.append(record)
@@ -653,19 +664,39 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
         if why is None:
             if stop == m + 1:
                 return u, None
-            start, k = ("whole" if fast else "extrapolated"), stop - 1
+            start, k = "extrapolated", stop - 1
         else:
             start, k = "current", front
 
 
-def _extrapolate(vals, k, stop, scratch):
-    """Quadratic extrapolation in t of the slices k-2, k-1, k of vals onto
-    its slices k+1..stop-1, in place; scratch holds stop-k-1 slices."""
-    p = np.arange(1.0, stop - k)[:, None]
-    dst, tmp = vals[k + 1: stop], scratch[: stop - k - 1]
-    np.multiply(0.5 * (p + 1.0) * (p + 2.0), vals[k], out=dst)
-    dst -= np.multiply(p * (p + 2.0), vals[k - 1], out=tmp)
-    dst += np.multiply(0.5 * p * (p + 1.0), vals[k - 2], out=tmp)
+def _lagrange_rows(nodes):
+    """l_j(p) for p = 1.._BLOCK (rows) and j < nodes (columns): the weights
+    of the polynomial through the values at t_k, t_{k-1}, ..., t_{k-nodes+1}
+    at t_{k+p}, l_j(p) = prod_{i != j} (p + i) / (i - j). Each is an integer
+    and is formed exactly."""
+    p = np.arange(1.0, _BLOCK + 1)[:, None]
+    rows = np.empty((_BLOCK, nodes))
+    for j in range(nodes):
+        others = np.delete(np.arange(nodes), j)
+        rows[:, j] = np.prod(p + others, axis=1) / np.prod(others - j)
+    return rows
+
+
+# _PREDICT[q - 3]: the weights on q nodes, quadratic at q = 3, cubic at 4
+_PREDICT = [_lagrange_rows(q) for q in (3, 4)]
+
+
+def _predict(vals, opening, k, stop):
+    """A block's start: vals' slices k+1..stop-1 become opening's plus the
+    cubic extrapolation in t of the correction vals - opening at the slices
+    k, k-1, k-2, k-3 (the quadratic through k, 1, 0 at k = 2), in place;
+    one product with a _PREDICT table. k >= 2: an extrapolated block
+    follows a converged one of at least 2 slices."""
+    nodes = np.arange(k, max(k - 4, -1), -1)
+    correction = vals[nodes] - opening[nodes]
+    dst = vals[k + 1: stop]
+    np.matmul(_PREDICT[len(nodes) - 3][: stop - k - 1], correction, out=dst)
+    dst += opening[k + 1: stop]
 
 
 def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,

@@ -103,9 +103,11 @@ _X_CHUNK = 256
 # in cache. The kernels' last bits depend on the chunk size: at 1024x512,
 # chunks of 32 to 256 rows agree bit for bit, 8, 16 and 1024 do not
 _PLAN_CHUNK = 32
-# a solve that halves twice touches three time grids (T, T/2, T/4); with two
-# slots each one is evicted before the next solve on the same data reaches it
-_PLAN_SLOTS = 3
+# a solve that halves twice touches four time grids: the probes' coarse ones
+# on T, T/2 and T/4 and the fine one on T/4 (see solver._solve_from_slice).
+# With fewer slots, least-recent eviction drops each one before the next
+# solve on the same data reaches it
+_PLAN_SLOTS = 4
 
 
 def _weideman_coefficients(n):
@@ -281,6 +283,14 @@ def _bf_kernel_chunk(x, dt, m):
     return panel_weights(M0, Q1 / dt, ROOT_PI)
 
 
+def forcing_sizes(sgrid: SpatialGrid, tgrid: TimeGrid):
+    """The element counts of boundary_forcing_time's two buffers on the
+    grids, out (max((m+1) n, 2 m r)) and work ((m+1) r), r the number of
+    distinct |x|."""
+    m, r = tgrid.m, len(np.unique(np.abs(sgrid.nodes)))
+    return max((m + 1) * sgrid.n, 2 * m * r), (m + 1) * r
+
+
 class OperatorPlan:
     """The grid-only work of the three operators on one (sgrid, tgrid) pair,
     built in chunks of _PLAN_CHUNK distinct |x| (see the module docstring).
@@ -299,8 +309,6 @@ class OperatorPlan:
       column per distinct |x|, laid out like forcing's transposed rows. K's
       convolution with h counts b_{l+1} h_0, which the b-sum (starting at
       h_1) does not; forcing subtracts it.
-    * forcing_sizes: the element counts of forcing's two buffers, out
-      (max((m+1) n, 2 m r)) and work ((m+1) r).
     * weights, lags: the block forcing's order-1/2 weights, and K in t,
       lags 0..m, shape (r, m+1), formed on first use.
 
@@ -314,7 +322,6 @@ class OperatorPlan:
         self.step = np.exp(-1j * tgrid.dt * xi * xi)
         absx, self.inv = np.unique(np.abs(sgrid.nodes), return_inverse=True)
         r = len(absx)
-        self.forcing_sizes = (max((m + 1) * sgrid.n, 2 * m * r), (m + 1) * r)
         self.weights = _pl_weights(0.5, tgrid.dt, m)
         self.kspec = np.empty((r, 2 * m), dtype=complex)
         self.b = np.empty((m, r), dtype=complex)
@@ -391,14 +398,14 @@ def boundary_forcing_time(
     """Time-representation boundary forcing field on sgrid x f's grid, on
     its slices [start, stop) (stop = m+1 by default).
 
-    Two flat complex buffers, allocated unless given, hold the work. On the
-    whole interval, out (of at least the plan's forcing_sizes) first holds
-    the (r, 2m) spectrum product of the whole t-FFT (r distinct |x|), then
-    receives the field; work holds the product's transposed rows. A
-    non-finite field raises ValueError, checked on the distinct-|x| rows it
-    copies; rows that came out non-finite are first taken again with h
-    scaled by a power of two, as the t-FFT of a finite h near the overflow
-    threshold can overflow where the rows do not.
+    Two flat complex buffers, allocated unless given, hold the work, of at
+    least forcing_sizes' element counts. On the whole interval, out first
+    holds the (r, 2m) spectrum product of the whole t-FFT (r distinct
+    |x|), then receives the field; work holds the product's transposed
+    rows. A non-finite field raises ValueError, checked on the distinct-|x|
+    rows it copies; rows that came out non-finite are first taken again
+    with h scaled by a power of two, as the t-FFT of a finite h near the
+    overflow threshold can overflow where the rows do not.
 
     On any other [start, stop), only those slices are computed, from f's
     samples up to stop, and only those rows of out are written (out is
@@ -423,10 +430,10 @@ def boundary_forcing_time(
     if (start, stop) != (0, m + 1):
         return _forcing_block(f, sgrid, plan, out, work, start, stop, history)
     h = frac_derivative(f, 0.5).values
-    if out is None:
-        out = np.empty(plan.forcing_sizes[0], dtype=complex)
-    if work is None:
-        work = np.empty(plan.forcing_sizes[1], dtype=complex)
+    if out is None or work is None:
+        out_size, work_size = forcing_sizes(sgrid, tgrid)
+        out = np.empty(out_size, dtype=complex) if out is None else out
+        work = np.empty(work_size, dtype=complex) if work is None else work
     buf = out[: 2 * m * r].reshape(r, 2 * m)
     rows = work[: (m + 1) * r].reshape(m + 1, r)
     with np.errstate(over="ignore", invalid="ignore"):

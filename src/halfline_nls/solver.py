@@ -19,21 +19,22 @@ enough depending on the data), and repeated failure is reported as suspected
 blow-up rather than an answer.
 
 The map is causal in t up to one step (slice i reads w(0, t_{i+1}), see
-apply_lambda) and its contraction is local in t, so the iterates settle
-from t = 0 forward. Each attempt therefore applies the map twice on the
-whole interval, which tests the contraction (a third time when it
-contracts fast), and then sweeps forward in blocks of slices, each
-started from that opening's last whole iterate plus the extrapolation in
-t of the sweep's correction to it: each is iterated to tol and frozen,
-the Duhamel recursion restarting from the frozen slices' Duhamel term,
-which its buffer keeps, and the boundary forcing adding the frozen
-slices' part once per block (Workspace, apply_lambda, _picard_loop,
-operators.ForcingHistory). Within a block the same holds: each
-application starts at the block's front, its first slice whose last
-update exceeded tol, so the leading slices that met tol are not
-recomputed. The whole interval and each block are iterated by one
-routine (_iterate), in place on the slices it is given. The fixed point
-reached is the whole map's to within tol.
+apply_lambda) and its contraction local in t, so the iterates settle from
+t = 0 forward. Each attempt therefore first tests the contraction with a
+probe: two applications of the map on the whole interval, on a coarse
+time grid of at most _PROBE steps (the contraction is a property of T,
+not of the time step). An attempt that passes sweeps its own grid
+forward in blocks of slices from the linear part, each started from the
+linear part plus the extrapolation in t of the sweep's correction to it:
+each is iterated to tol and frozen, the Duhamel recursion restarting from
+the frozen slices' Duhamel term, which its buffer keeps, and the boundary
+forcing adding the frozen slices' part once per block (Workspace,
+apply_lambda, _picard_loop, operators.ForcingHistory). Within a block the
+same holds: each application starts at the block's front, its first
+slice whose last update exceeded tol, so the leading slices that met tol
+are not recomputed. The probe and each block are iterated by one routine
+(_iterate), in place on the slices it is given. The fixed point reached
+is the whole map's to within tol.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ from .fractional import vanishes_at_start
 from .grids import (GridFunction, NonFiniteError, SolutionField, SpatialGrid,
                     TimeGrid, TimeSignal, interp_complex)
 from .operators import (ForcingHistory, boundary_forcing_time, duhamel_field,
-                        free_group_field, operator_plan)
+                        forcing_sizes, free_group_field)
 from .spectral import boundary_value, extend_half_line, smooth_ramp, sobolev_norm
 
 log = logging.getLogger(__name__)
@@ -146,23 +147,18 @@ class AdmissiblePair:
 class IterationReport:
     """Record of a solve, as report.json holds it.
 
-    iterates counts the last Picard attempt's map applications, on the
-    whole interval and on the blocks of its sweep (see _picard_loop).
-    residual_history holds the C_t H^s_x norm of each nonzero update on the
-    whole interval (two, or three after a fast first contraction),
-    contraction_ratios the ratios of successive ones: the attempt's
-    contraction test. When every update is finite and nonzero, iterates
-    is len(residual_history) plus the last attempt's blocks' iterates.
-    fixed_point_residual is the largest last update of a block, relative
-    to the field's norm (see _picard_loop), or the last whole update's when
-    the attempt converged on the whole interval: <= tol when converged, 0
-    when the map returns its input (lam=0).
-    linear_mixed_norm is the mixed norm of the last attempt's linear part
-    (None when it is not finite): taken before every attempt of a critical
-    solve, whose gate reads it, and otherwise once the attempt the solve
-    ends on is done. An attempt is refused as "non-finite linear part"
-    exactly when that norm is not finite, which one pass over the linear
-    part settles where it can (_mixed_norm_is_finite). boundary_residual is
+    iterates counts the last attempt's map applications on its own grid:
+    its blocks' iterates (see _picard_loop). residual_history holds the
+    C_t H^s_x norm of each nonzero update of the attempt's probe,
+    contraction_ratios their ratio: the contraction test, taken on a
+    coarse grid (see _probe). fixed_point_residual is the largest last
+    update of a block, relative to the norm of the slices swept (see
+    _picard_loop): <= tol when converged, 0 when the map returns its input
+    (lam=0) or no block was swept. linear_mixed_norm is the mixed norm of
+    the last attempt's linear part on its own grid, taken once the probe
+    passed, or before it for a critical pair, whose gate reads it; None
+    when the attempt built none or the norm is not finite, which refuses
+    the attempt as "non-finite linear part". boundary_residual is
     boundary_residual's, of the field returned (None without one).
     attempts holds one entry per attempt, in order: its absolute interval
     [start, end], the reason it was refused (None for the one that
@@ -267,35 +263,6 @@ def mixed_norm(field: SolutionField, s: float, q: float, r: float) -> float:
     return top * float((tgrid.dt * np.sum(slice_norms**q)) ** (1.0 / q))
 
 
-# e^700 is about 1e304: a bound below it leaves room for rounding below the
-# float range (e^709.78)
-_LOG_FINITE = 700.0
-
-
-def _mixed_norm_is_finite(field: SolutionField, s: float, pair: AdmissiblePair,
-                          scratch: np.ndarray) -> bool:
-    """True when one pass shows mixed_norm(field, s, pair.q, pair.r) finite:
-    max |u| (taken into scratch, (m+1, n) floats) times a bound, set by the
-    grids, on every value mixed_norm forms over max |u|. False leaves it
-    open. The FFT's sums are at most n max |u|, so |J^s u| <= beta n max|u|
-    (beta the largest Bessel multiplier) with the inverse FFT's unscaled
-    sums n times that, and the L^r, L^q norms of |J^s u| / max |J^s u| <= 1
-    are at most (n dx)^(1/r) and ((m+1) dt)^(1/q) times their inputs, the
-    sum of the q-th powers at most (m+1) max(dt, 1) (n dx)^(q/r).
-    """
-    sgrid, tgrid = field.sgrid, field.tgrid
-    xi = float(np.max(np.abs(sgrid.frequencies)))
-    log_x = max(math.log(sgrid.n * sgrid.dx) / pair.r, 0.0)
-    growth = 0.5 * s * math.log1p(xi * xi) + 2.0 * math.log(sgrid.n) + log_x
-    if not math.isinf(pair.q):
-        log_dt = math.log(tgrid.dt)
-        if pair.q * log_x + math.log(tgrid.m + 1) + max(log_dt, 0.0) >= _LOG_FINITE:
-            return False
-        growth += max((math.log(tgrid.m + 1) + log_dt) / pair.q, 0.0)
-    top = float(np.max(np.abs(field.values, out=scratch)))
-    return top == 0.0 or math.log(top) + growth < _LOG_FINITE
-
-
 def boundary_residual(u: SolutionField, f: TimeSignal) -> float:
     """max_t |u(0,t) - f(t)| over the largest |u| on x >= 0, u(0, .) read at
     the node nearest x = 0.
@@ -382,26 +349,21 @@ class Workspace:
       correction's forcing while the linear part is built, then the
       iterate, which each application of the map replaces in place on its
       slices (on the whole interval through forcing's (r, 2m) spectrum
-      product), and which _picard_loop's norms check;
+      product), and which _iterate's norms check;
     * duhamel: (m+2, n), zero when fresh; w |w|^(alpha-1) is formed and
       transformed in place in its rows 1.., and the Duhamel term stays in
-      its first m+1 rows for the next application to restart from. A
-      whole-interval application writes every row, and each attempt opens
-      with one, so a buffer an earlier attempt used needs no zeroing;
+      its first m+1 rows for the next application to restart from. Every
+      use of the buffer starts at slice 0, so one an earlier attempt used
+      needs no zeroing;
     * half: forcing's work, (m+1) r elements (r >= n/2); |w|^(alpha-1) as
       (m+1, n) floats, then the transposed rows, checked before the gather;
     * history: the block forcing's ForcingHistory, None until a caller
       applies the map to blocks of slices other than the whole interval;
       _picard_loop resets it for each attempt.
-
-    A solve keeps one spare buffer of result's size beside it (see
-    _picard_loop): the opening's old iterate, then, during the sweep, the
-    opening's last whole iterate, from which every block's start is
-    predicted.
     """
 
     def __init__(self, sgrid: SpatialGrid, tgrid: TimeGrid):
-        result_size, half_size = operator_plan(sgrid, tgrid).forcing_sizes
+        result_size, half_size = forcing_sizes(sgrid, tgrid)
         self.result = np.empty(result_size, dtype=complex)
         self.duhamel = np.zeros((tgrid.m + 2, sgrid.n), dtype=complex)
         self.half = np.empty(half_size, dtype=complex)
@@ -476,43 +438,39 @@ def apply_lambda(w: SolutionField, pre: LinearData, out: Workspace | None = None
     return SolutionField._of_finite(pre.sgrid, pre.tgrid, vals)
 
 
-_WHOLE = 2  # whole-interval applications that open each attempt: one ratio
-# a first ratio at most this is a fast opening: a third whole application.
-# At 256x128 on [0, 0.5] the CLI bump and sinusoid_windowed presets (ratios
-# 0.094, 0.104) take 11 and 11 iterates with it, 14 and 15 without; the
-# standing wave's 0.58, taken as fast, would take 67 in place of 66 at
-# 1024x512
-_FAST_RATIO = 0.25
+_WHOLE = 2  # the probe's applications: one contraction ratio
+_PROBE = 32  # the probe's time steps, at most
 _BLOCK = 32  # the slices a block of the sweep freezes, at most
 
 
 def _iterate(u: SolutionField, pre: LinearData, s: float, cfg: SolverConfig,
-             report: IterationReport, work: Workspace, norms: np.ndarray,
-             old: np.ndarray, k: int, stop: int, limit: int, updates, ratios,
-             fronts=None):
+             work: Workspace, norms: np.ndarray, old: np.ndarray, k: int,
+             stop: int, limit: int, updates, ratios, fronts=None):
     """Apply the map in place to u's slices [k, stop), u living in
     work.result, up to limit times; returns (why it stopped, the largest
     last update relative to the scale, the front). The scale is
-    max(norms), norms taken on [k, stop): on a block once, after the
-    call's first application, on the whole interval after each. It stops
-    when an update falls to tol times the scale (None), a ratio of updates
+    max(norms[:stop]): norms holds the H^s norm of each slice of the
+    iterate before stop, taken on [k, stop) here (on a block once, after
+    the call's first application, on the whole interval after each) and
+    before k by the caller's earlier calls. It stops when an update falls
+    to tol times the scale (None; on a block only), a ratio of updates
     exceeds ratio_cap ("ratio") or an iterate is not finite ("non-finite
-    iterate"), else after limit ("limit"). Each application counts in
-    report.iterates; its update is formed in old and appended to updates,
-    its ratio to ratios. A zero update (the map returned its input, as at
-    lam = 0) is the fixed point: it stops the loop unrecorded. The front is
-    the first slice whose last update exceeds tol times the scale (stop
-    once none does); given fronts (a block), each application starts at
-    it and appends it to fronts, so it is never the block's last slice
-    while the loop runs. The residual is None before a finite update; a
-    block that stops at limit gives it for the slices before the front
-    only (None when there are none).
+    iterate"), else after limit ("limit"). Each application's update is
+    formed in old and appended to updates, its ratio to ratios. A zero
+    update (the map returned its input, as at lam = 0) is the fixed point:
+    it stops the loop unrecorded. The front is the first slice whose last
+    update exceeds tol times the scale (stop once none does); given fronts
+    (a block), each application starts at it and appends it to fronts, so
+    it is never the block's last slice while the loop runs. Without fronts
+    (the probe) no update meets tol: the probe's test is its ratio, which
+    a small first update would skip. The residual is None before a finite
+    update; a block that stops at limit gives it for the slices before the
+    front only (None when there are none).
     """
     vals = u.values
     lasts = np.zeros(stop - k)
     front, residual = k, None
     for i in range(limit):
-        report.iterates += 1
         if fronts is not None:
             fronts.append(front)
         first = k if fronts is None else front
@@ -524,7 +482,7 @@ def _iterate(u: SolutionField, pre: LinearData, s: float, cfg: SolverConfig,
             return "non-finite iterate", residual, front
         if i == 0 or fronts is None:
             norms[k:stop] = sobolev_norm(vals[k:stop], pre.sgrid, s)
-            top = float(np.max(norms))
+            top = float(np.max(norms[:stop]))
         deltas = lasts[first - k:]
         deltas[:] = sobolev_norm(np.subtract(vals[first:stop], prev, out=prev), pre.sgrid, s)
         delta = float(np.max(deltas))
@@ -537,7 +495,7 @@ def _iterate(u: SolutionField, pre: LinearData, s: float, cfg: SolverConfig,
             ratios.append(delta / updates[-1])
         updates.append(delta)
         residual = float(np.max(lasts)) / scale
-        if delta <= cfg.tol * scale:
+        if fronts is not None and delta <= cfg.tol * scale:
             return None, residual, stop
         if ratios and ratios[-1] > cfg.ratio_cap:
             return "ratio", residual, front
@@ -547,103 +505,94 @@ def _iterate(u: SolutionField, pre: LinearData, s: float, cfg: SolverConfig,
     return "limit", residual, front
 
 
+def _probe(pre: LinearData, s: float, cfg: SolverConfig, report: IterationReport,
+           work: Workspace):
+    """The attempt's contraction test, on pre's grid of at most _PROBE
+    steps: the map applied _WHOLE times on the whole interval from the
+    linear part, in work, a Workspace of pre's grids. Its updates' norms
+    are residual_history, their ratios contraction_ratios. Returns (why
+    the attempt is refused, None when it is not; whether the probe met
+    tol): "no contraction" when the ratio exceeds ratio_cap, "non-finite
+    iterate" when an iterate is not finite. The probe takes both
+    applications, so it meets tol only with its ratio tested: when its
+    last update is at most tol times the scale, or zero (the map returned
+    its input, which ends it early).
+    """
+    vals = work.field(work.result)
+    vals[:] = pre.linear.values
+    u = SolutionField._of_finite(pre.sgrid, pre.tgrid, vals)
+    report.residual_history, report.contraction_ratios = [], []
+    why, residual, _ = _iterate(u, pre, s, cfg, work, np.empty(len(vals)),
+                                np.empty_like(vals), 0, len(vals), _WHOLE,
+                                report.residual_history, report.contraction_ratios)
+    met = why is None or (why == "limit" and residual <= cfg.tol)
+    return {"ratio": "no contraction", "limit": None}.get(why, why), met
+
+
 def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
-                 report: IterationReport, blocks: list, work: Workspace,
-                 spare: np.ndarray):
-    """Iterate from the linear part in work, a Workspace of pre's grids
-    (its history reset here), with spare a second buffer of work.result's
-    size: the opening's old buffer, then the sweep's O (below); returns
-    (field, None if converged, else the reason the attempt is refused).
-    The field is a view of work.result.
+                 report: IterationReport, blocks: list, work: Workspace, size: int):
+    """Sweep pre's grids forward in blocks of at most size slices from the
+    linear part, in work, a Workspace of pre's grids (its history reset
+    here); returns (field, None if converged, else the reason the attempt
+    is refused). The field is a view of work.result.
 
-    Writes this attempt's iterates (every map application),
-    residual_history, contraction_ratios and fixed_point_residual into
-    report (see IterationReport), and appends a record per block to blocks.
-    Norms are C_t H^s_x: the max over time slices of the H^s norm in x. The
-    iterate lives in the workspace's result; _iterate applies the map to it
-    on the whole interval and on each block, and checks each iterate once,
-    through its update's norm: a non-finite one refuses the attempt before
-    it enters any residual, and frozen slices are copies of checked ones.
-
-    An attempt first applies the map _WHOLE times on the whole interval,
-    and once more when the opening is fast: the first ratio is at most
-    _FAST_RATIO and max_iter allows. Those updates are residual_history,
-    their ratios the contraction_ratios, and a ratio above ratio_cap
-    refuses the attempt: the map does not contract on this interval. The
-    attempt converges there if an update falls to tol times the iterate's
-    norm.
+    Writes this attempt's iterates (every map application) and
+    fixed_point_residual into report (see IterationReport), and appends a
+    record per block to blocks. Norms are C_t H^s_x: the max over time
+    slices of the H^s norm in x. The iterate lives in the workspace's
+    result; _iterate applies the map to it on each block, and checks each
+    iterate once, through its update's norm: a non-finite one refuses the
+    attempt before it enters any residual, and frozen slices are copies of
+    checked ones. Each block's tol is relative to the largest norm of the
+    slices swept so far, which the sweep itself took.
 
     The map is causal up to one step and its contraction local in t, so the
-    iterates settle from t = 0 forward. The attempt then sweeps forward
-    from the first slice k whose last whole update exceeds tol (relative):
-    it iterates the block [k, stop), stop = k + b + 1, to tol, freezes
-    [k, stop - 1) and goes on from k = stop - 1 (the map reads one slice
-    ahead, so the block's last slice stays active into the next). The
-    opening's last whole iterate O is copied into spare, the opening's
-    old buffer, which the sweep does not otherwise use. Every block starts
-    from O plus the cubic extrapolation in t of the correction u - O at the
-    slices k, k-1, k-2, k-3, three when k = 2 (_predict): the first
-    block's correction is zero, so it starts from O itself ("whole"), and
-    the fast structure that O already carries is not extrapolated. Each
-    application of a block starts at its front (see _iterate), so the
-    leading slices whose update met tol are not recomputed. A block whose
-    update ratio exceeds ratio_cap, or that takes max_iter applications
-    with its front still at k, is retried from its start at half the size
-    b; b < 2 refuses the attempt as "no contraction". b starts at _BLOCK
-    and does not grow again: where blocks of 2b failed, the next one would
-    too. A block that takes max_iter applications after its front advanced
-    is cut there instead: [k, front) is frozen and the sweep goes on from
-    k = front at the same size, from the values in place. Each block
-    appends to blocks {"slices": [k, stop], "start": "whole" (the first
-    block and its retries), "extrapolated" or "current" (after a cut),
-    "iterates", "fronts", "ratios", "residual", "halved", "cut"}: fronts
-    holds the front of each application, ratios its successive update
-    ratios, residual the largest last update of the slices it froze,
-    relative to _iterate's scale (else None), halved None or why it was
-    retried smaller, cut None or "max_iter". fixed_point_residual is then
-    the largest residual.
+    iterates settle from t = 0 forward. The sweep iterates the block
+    [k, stop), stop = k + b + 1, to tol, freezes [k, stop - 1) and goes on
+    from k = stop - 1 (the map reads one slice ahead, so the block's last
+    slice stays active into the next), from k = 0 and b = size. The first
+    block starts from the linear part L ("linear"), and every block after
+    a converged one from L plus the cubic extrapolation in t of the
+    correction u - L at the frozen slices k-1, k-2, k-3, k-4 (_predict,
+    "extrapolated"). Each application of a block starts at its front (see
+    _iterate), so the leading slices whose update met tol are not
+    recomputed. A block whose update ratio exceeds ratio_cap, or that
+    takes max_iter applications with its front still at k, is retried at
+    half the size b, from L plus the extrapolated correction (from L
+    itself when k < 2); b < 2 refuses the attempt as "no contraction". b
+    does not grow again: where blocks of 2b failed, the next one would
+    too. A block that takes max_iter applications after its
+    front advanced is cut there instead: [k, front) is frozen and the sweep
+    goes on from k = front at the same size, from the values in place, the
+    slices from the cut block's stop on predicted as above ("current").
+    Each block appends to blocks {"slices": [k, stop],
+    "start", "iterates", "fronts", "ratios", "residual", "halved", "cut"}:
+    fronts holds the front of each application, ratios its successive
+    update ratios, residual the largest last update of the slices it
+    froze, relative to _iterate's scale (else None), halved None or why it
+    was retried smaller, cut None or "max_iter". fixed_point_residual is
+    then the largest residual.
     """
     m = pre.tgrid.m
-    work.history = None
+    work.history = ForcingHistory()
     vals = work.field(work.result)
     vals[:] = pre.linear.values
     u = SolutionField._of_finite(pre.sgrid, pre.tgrid, vals)
     norms = np.empty(m + 1)
-    report.iterates = 0
-    report.residual_history, report.contraction_ratios = [], []
-    whole = (u, pre, s, cfg, report, work, norms, work.field(spare), 0, m + 1)
-    history = (report.residual_history, report.contraction_ratios)
-    why, residual, k = _iterate(*whole, _WHOLE, *history)
-    fast = (why == "limit" and cfg.max_iter > _WHOLE
-            and report.contraction_ratios[0] <= _FAST_RATIO)
-    if fast:
-        why, third, k = _iterate(*whole, 1, *history)
-        residual = residual if third is None else third
-    if residual is not None:
-        report.fixed_point_residual = residual
-    if why is None or why == "non-finite iterate":
-        return u, why
-    if why == "ratio":
-        return u, "no contraction"
-    work.history = ForcingHistory()
-    opening = work.field(spare)  # the opening's old buffer, free from here on
-    opening[:] = vals
-    size = _BLOCK
-    begin = np.empty((_BLOCK + 1, pre.sgrid.n), dtype=complex)  # a block's start
-    old = np.empty_like(begin)
-    report.fixed_point_residual = 0.0
-    start = "whole"
+    old = np.empty((min(size, m) + 1, pre.sgrid.n), dtype=complex)
+    report.iterates, report.fixed_point_residual = 0, 0.0
+    k, start, fill = 0, "linear", m + 1
     while True:
         stop = min(k + size + 1, m + 1)
-        if start == "extrapolated":
-            _predict(vals, opening, k, stop)
+        if fill < stop:
+            _predict(vals, pre.linear.values, fill, stop)
         record = {"slices": [k, stop], "start": start, "iterates": 0, "fronts": [],
                   "ratios": [], "residual": None, "halved": None, "cut": None}
         blocks.append(record)
-        begin[: stop - k] = vals[k:stop]
-        why, residual, front = _iterate(u, pre, s, cfg, report, work, norms, old, k, stop,
+        why, residual, front = _iterate(u, pre, s, cfg, work, norms, old, k, stop,
                                         cfg.max_iter, [], record["ratios"], record["fronts"])
         record["iterates"] = len(record["fronts"])
+        report.iterates += record["iterates"]
         if why == "non-finite iterate":
             return u, why
         if why == "limit" and front > k:
@@ -654,8 +603,9 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
             record["halved"] = ("max_iter" if why == "limit"
                                 else f"ratio {record['ratios'][-1]:.3g} > ratio_cap")
             log.debug("block [%d, %d): %s", k, stop, record["halved"])
-            vals[k:stop] = begin[: stop - k]
-            size //= 2
+            vals[k:stop] = pre.linear.values[k:stop]
+            start, fill = ("extrapolated", k) if k >= 2 else ("linear", m + 1)
+            size = min(size // 2, _BLOCK)  # _predict's tables hold _BLOCK + 1 rows
             if size < 2:
                 return u, "no contraction"
             continue
@@ -664,55 +614,85 @@ def _picard_loop(pre: LinearData, s: float, cfg: SolverConfig,
         if why is None:
             if stop == m + 1:
                 return u, None
-            start, k = "extrapolated", stop - 1
+            start, k, fill = "extrapolated", stop - 1, stop - 1
         else:
-            start, k = "current", front
+            start, k, fill = "current", front, stop
 
 
 def _lagrange_rows(nodes):
-    """l_j(p) for p = 1.._BLOCK (rows) and j < nodes (columns): the weights
-    of the polynomial through the values at t_k, t_{k-1}, ..., t_{k-nodes+1}
-    at t_{k+p}, l_j(p) = prod_{i != j} (p + i) / (i - j). Each is an integer
-    and is formed exactly."""
-    p = np.arange(1.0, _BLOCK + 1)[:, None]
-    rows = np.empty((_BLOCK, nodes))
+    """l_j(p) for p = 1.._BLOCK+1 (rows) and j < nodes (columns): the
+    weights of the polynomial through the values at t_k, t_{k-1}, ...,
+    t_{k-nodes+1} at t_{k+p}, l_j(p) = prod_{i != j} (p + i) / (i - j).
+    Each is an integer and is formed exactly."""
+    p = np.arange(1.0, _BLOCK + 2)[:, None]
+    rows = np.empty((_BLOCK + 1, nodes))
     for j in range(nodes):
         others = np.delete(np.arange(nodes), j)
         rows[:, j] = np.prod(p + others, axis=1) / np.prod(others - j)
     return rows
 
 
-# _PREDICT[q - 3]: the weights on q nodes, quadratic at q = 3, cubic at 4
-_PREDICT = [_lagrange_rows(q) for q in (3, 4)]
+# _PREDICT[q - 2]: the weights on q nodes, linear at q = 2, cubic at 4
+_PREDICT = [_lagrange_rows(q) for q in (2, 3, 4)]
 
 
-def _predict(vals, opening, k, stop):
-    """A block's start: vals' slices k+1..stop-1 become opening's plus the
-    cubic extrapolation in t of the correction vals - opening at the slices
-    k, k-1, k-2, k-3 (the quadratic through k, 1, 0 at k = 2), in place;
-    one product with a _PREDICT table. k >= 2: an extrapolated block
-    follows a converged one of at least 2 slices."""
-    nodes = np.arange(k, max(k - 4, -1), -1)
-    correction = vals[nodes] - opening[nodes]
-    dst = vals[k + 1: stop]
-    np.matmul(_PREDICT[len(nodes) - 3][: stop - k - 1], correction, out=dst)
-    dst += opening[k + 1: stop]
+def _predict(vals, base, j, stop):
+    """A block's start from slice j on: vals' slices j..stop-1 become
+    base's plus the cubic extrapolation in t of the correction vals - base
+    at the slices j-1, j-2, j-3, j-4 (fewer when j < 4), in place; one
+    product with a _PREDICT table. An extrapolated block's j is its first
+    slice k: slice k, the last of the block before, read a lookahead slice
+    that was only a guess, so it is predicted from the frozen slices too.
+    j >= 2: a block of at least 2 slices came before."""
+    nodes = np.arange(j - 1, max(j - 5, -1), -1)
+    correction = vals[nodes] - base[nodes]
+    dst = vals[j:stop]
+    np.matmul(_PREDICT[len(nodes) - 2][: stop - j], correction, out=dst)
+    dst += base[j:stop]
+
+
+def _linear_part(phi_ext: GridFunction, spec: ProblemSpec, t0: float, tgrid: TimeGrid,
+                 cfg: SolverConfig, work: Workspace, out: np.ndarray):
+    """(f, the LinearData) of an attempt on tgrid: f(t0 + .) read from
+    spec.f on tgrid's nodes (exact on shared nodes), the linear part built
+    in out and work (see _prepare_linear)."""
+    f = TimeSignal(tgrid, interp_complex(t0 + tgrid.nodes, spec.f.grid.nodes,
+                                         spec.f.values))
+    return f, _prepare_linear(phi_ext, f, spec.lam, spec.alpha, cfg.seam_mismatch_cap,
+                              work, out)
+
+
+def _gate(report: IterationReport, pre: LinearData, crit: str, s: float,
+          pair: AdmissiblePair, cfg: SolverConfig):
+    """The refusal the linear part's mixed norm makes, else None: not
+    finite, or at least delta_crit for a critical pair."""
+    lin = _report_mixed_norm(report, pre, s, pair)
+    if not math.isfinite(lin):
+        return "non-finite linear part"
+    if crit == "critical" and lin >= cfg.delta_crit:
+        return f"linear mixed norm {lin:.3e} >= delta_crit {cfg.delta_crit:g}"
+    return None
 
 
 def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
                       T: float, m: int, cfg: SolverConfig):
     """The one driver: whole-line slice at t0 -> field on [t0, t0 + T].
 
-    Rejects a supercritical (s, alpha) with SupercriticalError. Each attempt
-    reads its boundary data f(t0 + .) from spec.f on its own m-step grid
-    (exact on shared nodes) and halves the interval when the critical gate
-    refuses its linear part or _picard_loop the iterates; report.halvings
-    counts the halvings made before the last attempt. Its times are
-    absolute: t_requested is t0 + T, t_achieved the end of the last interval
-    iterated on (t0 if none was). Raises BlowupSuspected, naming the last
-    refusal's reason, when no attempt converges. The attempts share one
-    Workspace, its spare buffer and the linear part's buffer, built once
-    per call.
+    Rejects a supercritical (s, alpha) with SupercriticalError. Each
+    attempt on [t0, t0 + T] first runs the probe (_probe) on a coarse grid
+    of min(m, _PROBE) steps, then builds the linear part on its own m-step
+    grid and takes its mixed norm (_gate), then sweeps (_picard_loop); a
+    critical pair takes the norm first, as its gate reads it. The first
+    refusal halves the interval; report.halvings counts the halvings made
+    before the last attempt. A probe that met tol (see _probe) lets the
+    sweep take the whole interval as one block. The answer is always the
+    sweep's, on the m-step grid. Times are absolute: t_requested is t0 +
+    T, t_achieved the end of the last interval iterated on (t0 if none
+    was). Raises BlowupSuspected, naming the last refusal's reason, when
+    no attempt converges. The attempts share one Workspace and linear part
+    buffer per grid size, built once per call; when m <= _PROBE the
+    probe's grid is the attempt's own, and the probe runs on the attempt's
+    linear part.
     """
     crit = criticality(spec.s, spec.alpha)
     if crit == "supercritical":
@@ -723,45 +703,42 @@ def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
         )
     report = IterationReport(t_requested=t0 + T, t_achieved=t0, criticality=crit)
     pair = admissible_pair(spec.s, spec.alpha)
+    sgrid = phi_ext.grid
     # every attempt halves T and keeps m and n: one set of buffers serves all
-    work = Workspace(phi_ext.grid, TimeGrid(T, m))
-    spare = np.empty_like(work.result)
-    linear = np.empty((m + 1, phi_ext.grid.n), dtype=complex)
+    m_c = min(m, _PROBE)
+    work, linear = Workspace(sgrid, TimeGrid(T, m)), np.empty((m + 1, sgrid.n), dtype=complex)
+    probe, coarse = work, linear
+    if m_c < m:
+        probe = Workspace(sgrid, TimeGrid(T, m_c))
+        coarse = np.empty((m_c + 1, sgrid.n), dtype=complex)
     for halving in range(cfg.max_halvings + 1):
         # a refused attempt's iterate and linear part are views of the
         # buffers this attempt rewrites: drop them before it does
-        u = pre = None
-        report.halvings = halving
-        tgrid = TimeGrid(T, m)
-        f = TimeSignal(tgrid, interp_complex(t0 + tgrid.nodes, spec.f.grid.nodes,
-                                             spec.f.values))
-        pre = _prepare_linear(phi_ext, f, spec.lam, spec.alpha, cfg.seam_mismatch_cap,
-                              work, linear)
-        # the mixed norm is read by the critical gate, and by the report once
-        # the attempt the solve ends on is done; before that it need only be
-        # finite
-        lin = None
-        if crit == "critical" or not _mixed_norm_is_finite(
-                pre.linear, spec.s, pair, work.field(work.half.view(float))):
-            lin = _report_mixed_norm(report, pre, spec.s, pair)
+        u = pre = reason = None
+        report.halvings, report.iterates, report.linear_mixed_norm = halving, 0, None
         attempt = {"interval": [t0, t0 + T], "reason": None, "iterates": 0,
                    "contraction_ratios": [], "blocks": [], "t_reached": None}
         report.attempts.append(attempt)
-        if lin is not None and not math.isfinite(lin):
-            reason = "non-finite linear part"
-        elif crit == "critical" and lin >= cfg.delta_crit:
-            reason = f"linear mixed norm {lin:.3e} >= delta_crit {cfg.delta_crit:g}"
-        else:
-            u, reason = _picard_loop(pre, spec.s, cfg, report, attempt["blocks"], work, spare)
+        tgrid = TimeGrid(T, m)
+        if crit == "critical" or m_c == m:
+            f, pre = _linear_part(phi_ext, spec, t0, tgrid, cfg, work, linear)
+        if crit == "critical":
+            reason = _gate(report, pre, crit, spec.s, pair, cfg)
+        if reason is None:
+            reason, met = _probe(pre if m_c == m else _linear_part(
+                phi_ext, spec, t0, TimeGrid(T, m_c), cfg, probe, coarse)[1],
+                spec.s, cfg, report, probe)
             report.t_achieved = t0 + T
-            attempt["iterates"] = report.iterates
             attempt["contraction_ratios"] = report.contraction_ratios
+        if reason is None and crit != "critical":
+            if pre is None:
+                f, pre = _linear_part(phi_ext, spec, t0, tgrid, cfg, work, linear)
+            reason = _gate(report, pre, crit, spec.s, pair, cfg)
+        if reason is None:
+            u, reason = _picard_loop(pre, spec.s, cfg, report, attempt["blocks"], work,
+                                     m if met else _BLOCK)
+            attempt["iterates"] = report.iterates
             if reason is None:
-                # u lives in work.result: the other buffers go before the
-                # norm's temporaries come
-                work = spare = None
-                if lin is None:
-                    _report_mixed_norm(report, pre, spec.s, pair)
                 report.converged = True
                 report.boundary_residual = boundary_residual(u, f)
                 return u, report
@@ -776,10 +753,7 @@ def _solve_from_slice(phi_ext: GridFunction, spec: ProblemSpec, t0: float,
     # the exception's traceback holds this frame: free the last attempt's
     # fields and the solve's buffers, or whoever keeps the exception keeps
     # them too
-    u = work = spare = None
-    if lin is None:
-        _report_mixed_norm(report, pre, spec.s, pair)
-    pre = linear = None
+    u = pre = work = probe = linear = coarse = None
     raise BlowupSuspected(
         f"{reason} after {cfg.max_halvings} halvings "
         f"(last interval [{t0:.17g}, {t0 + 2 * T:.17g}]{reached})",

@@ -683,9 +683,8 @@ def test_forcing_kernel_matches_extended_precision_far_from_origin():
     assert scale == np.abs(b[0, 1])
     assert np.max(np.abs(b[1:, 1:] - exact)) <= 1e-9 * scale
 
-def test_operator_plan_cache_holds_a_twice_halving_solve():
-    # the standing wave asked for on [0, 2] contracts only on [0, 0.5]: one
-    # solve builds plans on three time grids, and a repeat solve reuses them
+def _twice_halving_wave():
+    # the standing wave asked for on [0, 2] contracts only on [0, 0.5]
     sg = SpatialGrid(-30.0, 30.0, 128)
     tg = TimeGrid(2.0, 64)
     xp = sg.nodes[sg.nodes >= 0.0]
@@ -693,13 +692,39 @@ def test_operator_plan_cache_holds_a_twice_halving_solve():
     spec = ProblemSpec(
         2.0, 3.0, 0.0, wave(xp, 0.0), TimeSignal(tg, wave(0.0, tg.nodes)), 2.0
     )
-    cfg = SolverConfig(sgrid=sg, tol=1e-10)
+    return spec, SolverConfig(sgrid=sg, tol=1e-10)
+
+
+def test_operator_plan_cache_holds_a_twice_halving_solve():
+    # one solve builds plans on four time grids, the three probes' and the
+    # accepted attempt's, and a repeat solve reuses them all
+    spec, cfg = _twice_halving_wave()
     _, first = solve_ibvp(spec, cfg)
     misses = operator_plan.cache_info().misses
     _, second = solve_ibvp(spec, cfg)
     assert first.halvings == second.halvings == 2
     assert operator_plan.cache_info().misses == misses
-    assert operator_plan.cache_info().currsize <= 3
+    assert operator_plan.cache_info().maxsize == 4
+
+
+def test_halving_solve_plans_only_the_grids_it_iterates_on(monkeypatch):
+    # the probe refuses the attempts on [0, 2] and [0, 1] on 32 steps, so
+    # only the probes' grids and the accepted attempt's get a plan: the
+    # solve's buffers are sized without one (a plan on [0, 2] and 64 steps
+    # was once built for them), and a refused attempt builds none of its own
+    built = []
+    real = OperatorPlan.__init__
+
+    def recorded(self, sgrid, tgrid):
+        built.append((tgrid.t_max, tgrid.m))
+        real(self, sgrid, tgrid)
+
+    monkeypatch.setattr(OperatorPlan, "__init__", recorded)
+    operator_plan.cache_clear()
+    spec, cfg = _twice_halving_wave()
+    _, report = solve_ibvp(spec, cfg)
+    assert report.halvings == 2
+    assert built == [(2.0, 32), (1.0, 32), (0.5, 32), (0.5, 64)]
 
 
 def test_duhamel_and_map_leave_inputs_and_plan_unchanged():

@@ -163,7 +163,7 @@ def test_readme_library_example_runs_as_written():
     scope = {}
     exec(compile(block, "README.md", "exec"), scope)
     u, report = scope["u"], scope["report"]
-    assert report.converged and report.iterates == 66
+    assert report.converged and report.iterates == 72
     x = u.sgrid.nodes
     keep = x > 0.0
     TT, XX = np.meshgrid(u.tgrid.nodes, x[keep], indexing="ij")

@@ -274,35 +274,6 @@ def test_mixed_norm_of_a_finite_field_is_finite():
         assert big == pytest.approx(1e160 * unit, rel=1e-13)
 
 
-def test_one_pass_shows_the_mixed_norm_finite_only_where_it_is():
-    # _mixed_norm_is_finite may leave a finite norm open, never call an
-    # overflowing one finite: scaled up to the largest float, the field's
-    # norm overflows for some scales, and the pass shows it finite on every
-    # scale up to 1e290
-    sg = SpatialGrid(-20.0, 20.0, 64)
-    tg = TimeGrid(0.5, 16)
-    vals = np.exp(-sg.nodes[None, :] ** 2) * np.exp(1j * tg.nodes[:, None])
-    vals /= np.max(np.abs(vals))
-    scales = [10.0**e for e in range(309)] + [np.finfo(float).max]
-    scratch = np.empty(vals.shape)
-    overflowed = 0
-    for s, alpha in ((0.0, 3.0), (0.3, 3.0), (1.0, 3.0)):
-        pair = admissible_pair(s, alpha)
-        for c in scales:
-            u = SolutionField(sg, tg, c * vals)
-            shown = solver_module._mixed_norm_is_finite(u, s, pair, scratch)
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = math.isfinite(mixed_norm(u, s, pair.q, pair.r))
-            assert finite or not shown, (s, c)
-            assert shown or c > 1e290, (s, c)
-            overflowed += not finite
-        bad = vals.copy()
-        bad[3, 5] = np.nan
-        nan_field = SolutionField._of_finite(sg, tg, bad)
-        assert not solver_module._mixed_norm_is_finite(nan_field, s, pair, scratch)
-    assert overflowed > 0
-
-
 def test_apply_lambda_defocusing_free_is_w_independent():
     sg = SpatialGrid(-30.0, 30.0, 512)
     x = sg.nodes
@@ -369,36 +340,43 @@ def test_map_looks_one_slice_ahead():
     assert np.max(moved[: k - 1]) <= 1e-14
 
 
+def _attempt_linear(spec, cfg, m):
+    # the linear part of an attempt on [0, spec.T] on m steps, f read on
+    # that grid as the solver reads it
+    tg = TimeGrid(spec.T, m)
+    f = TimeSignal(tg, interp_complex(tg.nodes, spec.f.grid.nodes, spec.f.values))
+    return _prepare_linear(extend_half_line(spec.phi, cfg.sgrid), f, spec.lam, spec.alpha,
+                           cfg.seam_mismatch_cap)
+
+
 def _replay(spec, cfg, attempt):
     # the solve's last attempt, replayed through apply_lambda from its
-    # record: the whole-interval applications on one workspace, each
-    # iterate copied out; then each block's applications on [front, stop),
-    # from each front the block records, in place over the last whole
-    # iterate O, from the start the block names (an extrapolated one
-    # predicted from O) and back to that start when it was halved. Returns
-    # the linear part and the whole iterates, the final field, and each
-    # block's update norms
-    pre = _prepare_linear(
-        extend_half_line(spec.phi, cfg.sgrid), spec.f, spec.lam, spec.alpha,
-        cfg.seam_mismatch_cap,
-    )
+    # record: the probe's two whole applications on its grid of
+    # min(m, 32) steps, each iterate copied out; then each block's
+    # applications on [front, stop), from each front the block records, in
+    # place over the linear part L, from the start the block names (L
+    # itself for the first, an extrapolated one predicted from L, the
+    # slices after the last block's stop predicted after a cut), and back
+    # to L when it was halved. Returns the probe's iterates, the final
+    # field, and each block's update norms
+    m = spec.f.grid.m
+    coarse = _attempt_linear(spec, cfg, min(m, 32))
+    probe = [coarse.linear]
+    for _ in range(2):
+        u = apply_lambda(probe[-1], coarse)
+        probe.append(SolutionField(u.sgrid, u.tgrid, u.values.copy()))
+    pre = _attempt_linear(spec, cfg, m)
     work = Workspace(pre.sgrid, pre.tgrid)
-    blocks = attempt["blocks"]
-    iterates = [pre.linear]
-    for _ in range(attempt["iterates"] - sum(b["iterates"] for b in blocks)):
-        u = apply_lambda(iterates[-1], pre, out=work)
-        iterates.append(SolutionField(u.sgrid, u.tgrid, u.values.copy()))
     vals = work.field(work.result)
-    vals[:] = iterates[-1].values
+    vals[:] = pre.linear.values
     u = SolutionField(pre.sgrid, pre.tgrid, vals)
     work.history = ForcingHistory()
-    opening = iterates[-1].values
-    updates = []
-    for b in blocks:
+    updates, last = [], None
+    for b in attempt["blocks"]:
         k, stop = b["slices"]
-        if b["start"] == "extrapolated":
-            solver_module._predict(vals, opening, k, stop)
-        begin = vals[k:stop].copy()
+        fill = {"linear": stop, "extrapolated": k, "current": last}[b["start"]]
+        if fill < stop:
+            solver_module._predict(vals, pre.linear.values, fill, stop)
         updates.append([])
         for front in b["fronts"]:
             old = vals[front:stop].copy()
@@ -406,16 +384,19 @@ def _replay(spec, cfg, attempt):
             updates[-1].append(np.max(sobolev_norm(vals[front:stop] - old, cfg.sgrid,
                                                    spec.s)))
         if b["halved"]:
-            vals[k:stop] = begin
-    return iterates, u, updates
+            vals[k:stop] = pre.linear.values[k:stop]
+        else:
+            last = stop
+    return probe, u, updates
 
 
 @pytest.mark.parametrize("s", [0.0, 0.3])
 def test_residual_history_is_the_norm_of_each_update(s):
-    # the loop measures each whole update with sobolev_norm, and each block
-    # update on the block's slices; recomputed here from the replay.
-    # residual_history holds the whole updates, contraction_ratios their
-    # ratios, and each block its own ratios
+    # the probe measures each of its whole updates with sobolev_norm on
+    # its own grid, and the sweep each block update on the block's slices;
+    # recomputed here from the replay. residual_history holds the probe's
+    # updates, contraction_ratios their ratio, and each block its own
+    # ratios
     sg = SpatialGrid(-30.0, 30.0, 256)
     spec = _make_spec(1.0, 3.0, s, _kf_phi, _kf_f, 0.5, sg, 64)
     cfg = SolverConfig(sgrid=sg, tol=1e-6)
@@ -423,15 +404,16 @@ def test_residual_history_is_the_norm_of_each_update(s):
     assert rep.converged and rep.halvings == 0
     attempt = rep.attempts[-1]
     assert attempt["blocks"]  # the sweep ran
-    iterates, _, block_updates = _replay(spec, cfg, attempt)
+    probe, _, block_updates = _replay(spec, cfg, attempt)
+    assert probe[0].tgrid == TimeGrid(0.5, 32)
     direct = [
         np.max(sobolev_norm(b.values - a.values, sg, spec.s))
-        for a, b in zip(iterates, iterates[1:])
+        for a, b in zip(probe, probe[1:])
     ]
-    assert len(direct) == len(rep.residual_history) == 3
+    assert len(direct) == len(rep.residual_history) == 2
     rel = np.abs(np.array(rep.residual_history) / np.array(direct) - 1.0)
     assert np.max(rel) < 1e-9, rel
-    assert rep.contraction_ratios == [b / a for a, b in zip(direct, direct[1:])]
+    assert rep.contraction_ratios == [direct[1] / direct[0]]
     for b, updates in zip(attempt["blocks"], block_updates):
         assert len(updates) == b["iterates"]
         ratios = [y / x for x, y in zip(updates, updates[1:])]
@@ -439,14 +421,15 @@ def test_residual_history_is_the_norm_of_each_update(s):
 
 
 def test_converged_solve_applies_the_map_once_per_iterate(monkeypatch):
-    # every map application, whole or on a block, is an iterate; the last
-    # update of each block is its residual, so no application is spent
-    # after the loop on filling the report
+    # every map application on the attempt's own grid is an iterate, on a
+    # block, and the probe's two are its residual_history; the last update
+    # of each block is its residual, so no application is spent after the
+    # loop on filling the report
     calls = []
     real = solver_module.apply_lambda
 
     def counted(w, pre, **kwargs):
-        calls.append(1)
+        calls.append(pre.tgrid.m)
         return real(w, pre, **kwargs)
 
     monkeypatch.setattr(solver_module, "apply_lambda", counted)
@@ -456,22 +439,24 @@ def test_converged_solve_applies_the_map_once_per_iterate(monkeypatch):
     u, rep = solve_ibvp(spec, cfg)
     assert rep.converged and rep.halvings == 0
     blocks = rep.attempts[-1]["blocks"]
-    assert len(calls) == rep.iterates == len(rep.residual_history) + sum(
-        b["iterates"] for b in blocks)
+    assert calls == [32] * len(rep.residual_history) + [64] * rep.iterates
+    assert rep.iterates == sum(b["iterates"] for b in blocks)
     assert rep.fixed_point_residual == max(b["residual"] for b in blocks)
     assert rep.fixed_point_residual <= cfg.tol
 
 
 def test_slow_contraction_opens_with_two_whole_applications(monkeypatch):
-    # a third whole application is made only after a first ratio of at most
-    # 1/4; the standing wave on [0, 0.5] contracts by 0.579, so its attempt
-    # applies the map twice on the whole interval and then sweeps from
-    # slice 1. Measured: 22 iterates, blocks of 10 and 10
-    whole = []
+    # every attempt opens with the probe: two applications of the map on
+    # the whole interval, on a grid of min(m, 32) steps, whatever the
+    # ratio (the standing wave on [0, 0.5] contracts by 0.579). The sweep
+    # then starts at slice 0 of the attempt's own grid. Measured: 22
+    # iterates, blocks of 13 and 9
+    grids = []
     real = solver_module.apply_lambda
 
     def counted(w, pre, out=None, start=0, stop=None):
-        whole.append(start == 0 and stop in (None, pre.tgrid.m + 1))
+        whole = start == 0 and stop in (None, pre.tgrid.m + 1)
+        grids.append((pre.tgrid.m, whole))
         return real(w, pre, out=out, start=start, stop=stop)
 
     monkeypatch.setattr(solver_module, "apply_lambda", counted)
@@ -479,9 +464,43 @@ def test_slow_contraction_opens_with_two_whole_applications(monkeypatch):
     spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 64)
     _, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
     assert rep.converged and rep.halvings == 0
-    assert sum(whole) == len(rep.residual_history) == 2
+    assert grids[:2] == [(32, True)] * 2 and len(rep.residual_history) == 2
+    assert all(m == 64 for m, _ in grids[2:])
     assert len(rep.contraction_ratios) == 1 and rep.contraction_ratios[0] > 0.25
-    assert rep.attempts[-1]["blocks"][0]["slices"][0] == 1
+    assert rep.attempts[-1]["blocks"][0]["slices"][0] == 0
+
+
+@pytest.mark.parametrize("T, ratio", [(1.0, 1.343), (0.5, 0.579), (0.25, 0.253)])
+def test_probe_ratio_is_the_fine_grid_ratio(T, ratio):
+    # the contraction is a property of T, not of the time step: on A8's
+    # soliton (1024 nodes, 512 steps) the probe's first ratio, on 32
+    # steps, reads the ratio that two whole applications on the 512 steps
+    # gave (1.3432, 0.5791, 0.2531). ratio_cap 0.1 refuses the attempt at
+    # the probe, so no map is applied on the 512 steps
+    sg = SpatialGrid(-30.0, 30.0, 1024)
+    spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, T, sg, 512)
+    cfg = SolverConfig(sgrid=sg, tol=1e-13, ratio_cap=0.1, max_halvings=0)
+    with pytest.raises(BlowupSuspected) as exc:
+        solve_ibvp(spec, cfg)
+    rep = exc.value.report
+    assert rep.iterates == 0 and len(rep.contraction_ratios) == 1
+    assert rep.contraction_ratios[0] == pytest.approx(ratio, rel=1e-3)
+
+
+def test_probe_meets_tol_only_with_its_ratio_tested():
+    # the probe takes both applications even when its first update meets
+    # tol, so the contraction test always has its ratio; meeting tol on the
+    # second lets the sweep take the whole interval as one block. A
+    # Gaussian of amplitude 1e-5 at lam = 1 (128 nodes, 64 steps): updates
+    # 4.2e-16 and 5.5e-28 against the iterate's norm near 1e-5
+    sg = SpatialGrid(-30.0, 30.0, 128)
+    spec = _make_spec(1.0, 3.0, 0.0, lambda xx: 1e-5 * _gauss_phi(xx), _zeros, 0.5, sg, 64)
+    _, rep = solve_ibvp(spec, SolverConfig(sgrid=sg))
+    assert rep.converged and len(rep.residual_history) == 2
+    assert len(rep.contraction_ratios) == 1 and rep.contraction_ratios[0] < 1e-11
+    assert rep.residual_history[0] < 1e-8 * 1e-5
+    assert [b["slices"] for b in rep.attempts[0]["blocks"]] == [[0, 65]]
+    assert rep.iterates == 1
 
 
 def _bump(tt):
@@ -491,70 +510,71 @@ def _bump(tt):
 
 
 @pytest.mark.parametrize("case", ["fast bump", "slow standing wave"])
-def test_block_start_follows_the_opening(case):
-    # whatever the opening, the first block starts from its last whole
-    # iterate and every later one from that iterate plus the extrapolated
-    # correction; the first whole ratio decides only the third whole
-    # application (at most 1/4). With the whole iterate as every block's
-    # start after a fast opening and quadratic extrapolation of the slices
-    # after a slow one, the bump at max_iter = 3 took 11 and the standing
-    # wave (ratio 0.579) 75
+def test_block_start_follows_the_linear_part(case):
+    # whatever the probe's ratio (0.094 on the bump, 0.579 on the standing
+    # wave), the first block starts from the linear part and every later
+    # one from it plus the extrapolated correction (from the values in
+    # place after a block cut at max_iter). Measured: 17 applications on
+    # the bump at max_iter = 3, 72 on the standing wave
     if case == "fast bump":
         sg = SpatialGrid(-40.0, 40.0, 256)
         spec = _make_spec(1.0, 3.0, 0.0, lambda xx: np.zeros_like(xx, dtype=complex),
                           _bump, 0.5, sg, 128)
         cfg = SolverConfig(sgrid=sg, max_iter=3)
-        fast, iterates = True, 11
+        fast, iterates = True, 17
     else:  # the benchmark's seed-0 standing wave
         sg = SpatialGrid(-30.0, 30.0, 1024)
         spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 512)
         cfg = SolverConfig(sgrid=sg, tol=1e-10)
-        fast, iterates = False, 66
+        fast, iterates = False, 72
     _, rep = solve_ibvp(spec, cfg)
     assert rep.converged and rep.halvings == 0 and rep.iterates == iterates
     assert (rep.contraction_ratios[0] <= 0.25) == fast
-    assert len(rep.residual_history) == (3 if fast else 2)
-    starts = [b["start"] for b in rep.attempts[-1]["blocks"]]
-    assert len(starts) > 2 and starts == ["whole"] + ["extrapolated"] * (len(starts) - 1)
+    assert len(rep.residual_history) == 2
+    blocks = rep.attempts[-1]["blocks"]
+    assert len(blocks) > 2 and [b["start"] for b in blocks] == ["linear"] + [
+        "current" if b["cut"] else "extrapolated" for b in blocks[:-1]]
 
 
-@pytest.mark.parametrize("k", [2, 3, 40])
+@pytest.mark.parametrize("k", [2, 3, 4, 40])
 def test_block_start_is_exact_for_a_polynomial_correction(k):
-    # the start is the opening's iterate O plus the polynomial in t through
-    # the correction u - O at the slices k, k-1, k-2, k-3 (three of them at
-    # k = 2, the first slice an extrapolated block can start at): a
-    # correction of that degree in t is extrapolated exactly, to rounding,
-    # whatever O, and a zero correction leaves O's bits
+    # the start is the linear part L plus the polynomial in t through the
+    # correction u - L at the frozen slices k-1, k-2, k-3, k-4 (two of
+    # them at k = 2, the first slice an extrapolated block can start at,
+    # three at k = 3), slice k itself included: a correction of that
+    # degree in t is extrapolated exactly, to rounding, whatever L, and a
+    # zero correction leaves L's bits
     rng = np.random.default_rng(k)
     n, stop = 16, k + solver_module._BLOCK + 1
-    opening = rng.standard_normal((stop, n)) + 1j * rng.standard_normal((stop, n))
+    base = rng.standard_normal((stop, n)) + 1j * rng.standard_normal((stop, n))
     coef = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
-    coef[min(k, 3) + 1:] = 0.0  # degree min(k, 3)
+    coef[min(k - 1, 3) + 1:] = 0.0  # degree min(k - 1, 3)
     p = np.arange(stop, dtype=float)[:, None] - k
     correction = coef[0] + p * (coef[1] + p * (coef[2] + p * coef[3]))
-    vals = opening + correction
-    vals[k + 1:] = np.nan  # the slices the start replaces
-    solver_module._predict(vals, opening, k, stop)
-    err = np.max(np.abs(vals - opening - correction)) / np.max(np.abs(correction))
+    vals = base + correction
+    vals[k:] = np.nan  # the slices the start replaces
+    solver_module._predict(vals, base, k, stop)
+    err = np.max(np.abs(vals - base - correction)) / np.max(np.abs(correction))
     assert err < 1e-12, err
-    vals[:] = opening
-    vals[k + 1:] = np.nan
-    solver_module._predict(vals, opening, k, stop)
-    assert np.array_equal(vals, opening)
+    vals[:] = base
+    vals[k:] = np.nan
+    solver_module._predict(vals, base, k, stop)
+    assert np.array_equal(vals, base)
 
 
 @pytest.mark.parametrize("case", ["fast bump", "slow standing wave"])
-def test_first_block_starts_from_the_opening_bit_for_bit(monkeypatch, case):
-    # after either opening, the first block applies the map to the last
-    # whole iterate's own values, and each later block to values that
-    # differ from that iterate's on its slices after the first
+def test_first_block_starts_from_the_linear_part_bit_for_bit(monkeypatch, case):
+    # whatever the probe, the first block applies the map to the linear
+    # part's own values, and each later block to values that differ from
+    # them on its slices, the first one included (predicted from the
+    # frozen slices before it)
     calls = []
     real = solver_module.apply_lambda
 
     def recorded(w, pre, out=None, start=0, stop=None):
         given = w.values.copy()
         u = real(w, pre, out=out, start=start, stop=stop)
-        calls.append((start, stop, given, u.values.copy()))
+        calls.append((pre.tgrid.m, start, stop, given))
         return u
 
     monkeypatch.setattr(solver_module, "apply_lambda", recorded)
@@ -564,20 +584,20 @@ def test_first_block_starts_from_the_opening_bit_for_bit(monkeypatch, case):
     else:
         sg = SpatialGrid(-30.0, 30.0, 128)
         spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 64)
-    _, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
+    cfg = SolverConfig(sgrid=sg, tol=1e-10)
+    _, rep = solve_ibvp(spec, cfg)
     assert rep.converged and rep.halvings == 0
-    whole = len(rep.residual_history)
-    assert (whole == 3) == (case == "fast bump")
-    assert all(c[1] in (None, 65) and c[0] == 0 for c in calls[:whole])
-    opening = calls[whole - 1][3]
+    assert (rep.contraction_ratios[0] <= 0.25) == (case == "fast bump")
+    assert [c[0] for c in calls[:2]] == [32, 32]  # the probe
+    linear = _attempt_linear(spec, cfg, 64).linear.values
     blocks = rep.attempts[-1]["blocks"]
-    assert len(blocks) >= 2 and [b["start"] for b in blocks[:2]] == ["whole", "extrapolated"]
-    assert calls[whole][:2] == tuple(blocks[0]["slices"])
-    assert np.array_equal(calls[whole][2], opening)
+    assert len(blocks) >= 2 and [b["start"] for b in blocks[:2]] == ["linear", "extrapolated"]
+    assert calls[2][:3] == (64, *blocks[0]["slices"])
+    assert np.array_equal(calls[2][3], linear)
     k, stop = blocks[1]["slices"]
-    later = next(c for c in calls if c[0] == k)
-    assert np.array_equal(later[2][stop:], opening[stop:])
-    assert np.all(np.any(later[2][k + 1:stop] != opening[k + 1:stop], axis=1))
+    later = next(c for c in calls if c[:2] == (64, k))
+    assert np.array_equal(later[3][stop:], linear[stop:])
+    assert np.all(np.any(later[3][k:stop] != linear[k:stop], axis=1))
 
 
 @pytest.mark.parametrize("row, bad, error, match", [
@@ -611,9 +631,9 @@ def test_block_trace_that_is_not_finite_or_not_vanishing_raises(monkeypatch, row
 
 @pytest.mark.parametrize("s", [0.0, 0.3])
 def test_buffered_solve_equals_the_unbuffered_map(s):
-    # the loop's whole iterates trade buffers and its blocks update the
-    # last one in place; replaying the map from the attempt's record on one
-    # workspace, every whole iterate copied out, gives the same bits
+    # the sweep's blocks update the iterate in place in the solve's
+    # workspace; replaying the map from the attempt's record on a fresh
+    # workspace gives the same bits
     sg = SpatialGrid(-30.0, 30.0, 256)
     spec = _make_spec(2.0, 3.0, s, _sol_phi, _sol_f, 0.5, sg, 64)
     cfg = SolverConfig(sgrid=sg, tol=1e-10)
@@ -648,15 +668,17 @@ def test_windowed_solve_is_a_fixed_point_to_within_tol(s):
 
 
 def test_blocks_sweep_the_interval_forward():
-    # each attempt that reaches the sweep records its blocks in order: a
-    # block starts on the last slice of the one before, or retries the same
-    # start smaller when it was halved, and the last one ends the interval
+    # each attempt that reaches the sweep records its blocks in order: the
+    # first starts at slice 0 from the linear part, a block starts on the
+    # last slice of the one before, or retries the same start smaller when
+    # it was halved, and the last one ends the interval. The two attempts
+    # the probe refused swept nothing
     sg, spec = _twice_halving_wave()
     _, report = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
     assert len(report.attempts) == 3
     assert [a["blocks"] for a in report.attempts[:2]] == [[], []]
     blocks = report.attempts[-1]["blocks"]
-    assert blocks[0]["slices"][0] > 0 and blocks[0]["start"] == "whole"
+    assert blocks[0]["slices"][0] == 0 and blocks[0]["start"] == "linear"
     for a, b in zip(blocks, blocks[1:]):
         assert b["slices"][0] == (a["slices"][0] if a["halved"] else a["slices"][1] - 1)
     assert blocks[-1]["slices"][1] == spec.f.grid.m + 1
@@ -664,17 +686,14 @@ def test_blocks_sweep_the_interval_forward():
 
 
 def _stalling_sinusoid(**changes):
-    # a windowed sinusoid of frequency 4 at lam = -5, alpha = 4 on a coarse
-    # grid, tol = 1e-10, max_iter = 3. On [0, 0.25] the sweep's second
-    # block, at slice 43, meets tol on no slice in 3 applications at any
-    # size, so each is retried at half its size down to 2 slices; [0, 0.125]
-    # converges in two blocks of 2 applications. The CLI bump preset's data
-    # at lam = 3, alpha = 3 (tol 1e-12, max_iter 4), which stalled so at
-    # slice 34 of [0, 0.5] from quadratic extrapolation of the slices,
-    # converges on [0, 0.5] from the extrapolated correction
+    # a windowed sinusoid of frequency 4 and amplitude 3 at lam = -6,
+    # alpha = 4 on a coarse grid, tol = 1e-10, max_iter = 3. On [0, 0.25]
+    # the sweep's block at slice 35 meets tol on no slice in 3 applications
+    # at any size, so it is retried at half its size down to 2 slices;
+    # [0, 0.125] converges in blocks cut at max_iter
     sg = SpatialGrid(-40.0, 40.0, 64)
-    spec = _make_spec(-5.0, 4.0, 0.0, _zeros,
-                      lambda tt: 2.0 * np.sin(8.0 * np.pi * np.asarray(tt))
+    spec = _make_spec(-6.0, 4.0, 0.0, _zeros,
+                      lambda tt: 3.0 * np.sin(8.0 * np.pi * np.asarray(tt))
                       * smooth_ramp(8.0 * np.asarray(tt)) + 0j, 0.25, sg, 64)
     cfg = SolverConfig(sgrid=sg, tol=1e-10, max_iter=3)
     return solve_ibvp(spec, dataclasses.replace(cfg, **changes))[1]
@@ -682,7 +701,7 @@ def _stalling_sinusoid(**changes):
 
 def test_block_that_does_not_converge_is_retried_at_half_size():
     # a block whose front is still at its first slice after max_iter
-    # applications is retried from its start at half its size (that a
+    # applications is retried at half its size (that a
     # converged block's size then stays, see the next test). On [0, 0.25] a
     # block of 2 slices fails too, which refuses the attempt; [0, 0.125]
     # converges
@@ -692,17 +711,20 @@ def test_block_that_does_not_converge_is_retried_at_half_size():
     last = refused["blocks"][-1]
     assert last["halved"] == "max_iter" and last["slices"][1] - last["slices"][0] == 3
     for a in (refused, done):
-        # the opening's whole applications are one more than its ratios,
-        # and each halved block took max_iter = 3
+        # the attempt's iterates are its blocks', and each block halved for
+        # max_iter took max_iter = 3
         blocks = a["blocks"]
-        assert a["iterates"] == len(a["contraction_ratios"]) + 1 + 3 * sum(
-            b["halved"] is not None for b in blocks) + sum(
-            b["iterates"] for b in blocks if b["halved"] is None)
+        assert a["iterates"] == sum(b["iterates"] for b in blocks)
+        assert all(b["iterates"] == 3 for b in blocks if b["halved"] == "max_iter")
         for b, c in zip(blocks, blocks[1:]):
             k, stop = b["slices"]
             if b["halved"]:
+                # retried smaller from the linear part plus the correction
+                # extrapolated from the frozen slices
                 assert c["slices"][0] == k and k + 3 <= c["slices"][1] < stop
-                assert c["start"] == b["start"]
+                assert c["start"] == ("extrapolated" if k >= 2 else "linear")
+            elif b["cut"]:
+                assert b["fronts"][-1] <= c["slices"][0] < stop
             else:
                 assert c["slices"][0] == stop - 1
     assert done["blocks"][-1]["slices"][1] == 65 and rep.converged
@@ -712,13 +734,11 @@ def test_block_after_a_converged_block_is_no_larger():
     # the size that converged is kept: where blocks of b slices failed, a
     # block of 2b after each converged one would fail again. A windowed
     # sinusoid of frequency 4 at lam = -8 on [0, 2] (64 nodes, 128 steps,
-    # tol 1e-8): the block at slice 34 fails on its ratio at 33 slices and
-    # converges at 17, and the five blocks after it keep 17. Measured: 64
-    # applications and 1 halving of a block; when the size went back to 33
-    # after each converged block, 16 blocks halved, down to 2 slices, and
-    # the solve answered [0, 1] only. (The bump's data on [0, 2] at lam = 1,
-    # which halved so at slice 34, converges in blocks of 33 from the
-    # extrapolated correction)
+    # tol 1e-8): the block at slice 32 fails on its ratio at 33 and at 17
+    # slices and converges at 9, and the eleven blocks after it keep 9.
+    # Measured: 110 applications and 2 halvings of a block; when the size
+    # went back to 33 after each converged block, 16 blocks halved, down to
+    # 2 slices, and the solve answered [0, 1] only
     sg = SpatialGrid(-40.0, 40.0, 64)
     spec = _make_spec(-8.0, 3.0, 0.0, _zeros,
                       lambda tt: np.sin(8.0 * np.pi * np.asarray(tt))
@@ -730,28 +750,45 @@ def test_block_after_a_converged_block_is_no_larger():
             if b["halved"] is None:
                 assert np.diff(c["slices"]) <= np.diff(b["slices"])
     assert [(a["iterates"], sum(b["halved"] is not None for b in a["blocks"]))
-            for a in rep.attempts] == [(64, 1)]
+            for a in rep.attempts] == [(110, 2)]
     # a halved block converges and is followed by blocks of its size
     sizes = [(np.diff(b["slices"])[0], b["halved"]) for b in rep.attempts[0]["blocks"]]
-    assert sizes[1:] == [(33, sizes[1][1]), (17, None)] + [(17, None)] * 4 + [(15, None)]
-    assert sizes[1][1].startswith("ratio")
+    assert sizes[1:] == [(33, sizes[1][1]), (17, sizes[2][1])] + [(9, None)] * 12
+    assert sizes[1][1].startswith("ratio") and sizes[2][1].startswith("ratio")
+
+
+def test_whole_interval_block_halves_to_at_most_a_block(monkeypatch):
+    # a probe that met tol lets the sweep take the whole interval as one
+    # block; when that block halves, the size falls to at most _BLOCK, the
+    # rows _predict's tables hold. The standing wave on [0, 0.5] (128 nodes,
+    # 128 steps, ratio_cap 0.5): the 129-slice block halves on its ratio
+    # 0.579, and the blocks after it keep 33 slices (a 65-slice block
+    # converges on 0.323 and its successor's start would need 65 rows)
+    monkeypatch.setattr(solver_module, "_probe", lambda *args: (None, True))
+    sg = SpatialGrid(-30.0, 30.0, 128)
+    spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 128)
+    _, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10, ratio_cap=0.5))
+    assert rep.converged and rep.halvings == 0
+    blocks = rep.attempts[0]["blocks"]
+    assert blocks[0]["slices"] == [0, 129] and blocks[0]["halved"].startswith("ratio")
+    assert [b["slices"] for b in blocks[1:]] == [[0, 33], [32, 65], [64, 97], [96, 129]]
 
 
 def test_stalled_sweep_names_the_time_it_reached(caplog):
     # the sweep on [0, 0.25] stalls at a block of 2 slices starting at slice
-    # 43 (dt = 0.25/64): the refused attempt, its halving line and, with no
-    # halving allowed, the BlowupSuspected message name t = 43 dt. An
+    # 35 (dt = 0.25/64): the refused attempt, its halving line and, with no
+    # halving allowed, the BlowupSuspected message name t = 35 dt. An
     # attempt refused otherwise, or converged, reached nothing
     with caplog.at_level("INFO", logger="halfline_nls.solver"):
         rep = _stalling_sinusoid()
-    assert [a["t_reached"] for a in rep.attempts] == [43 * 0.25 / 64, None]
-    assert rep.attempts[0]["blocks"][-1]["slices"][0] == 43
+    assert [a["t_reached"] for a in rep.attempts] == [35 * 0.25 / 64, None]
+    assert rep.attempts[0]["blocks"][-1]["slices"][0] == 35
     assert [r.getMessage() for r in caplog.records] == [
-        "no contraction on [0, 0.25], sweep reached t = 0.16796875; halving"]
+        "no contraction on [0, 0.25], sweep reached t = 0.13671875; halving"]
     with pytest.raises(BlowupSuspected) as exc:
         _stalling_sinusoid(max_halvings=0)
     assert str(exc.value) == ("no contraction after 0 halvings "
-                              "(last interval [0, 0.25], sweep reached t = 0.16796875)")
+                              "(last interval [0, 0.25], sweep reached t = 0.13671875)")
     sg, spec = _twice_halving_wave()  # refused twice on the whole interval
     _, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
     assert [a["t_reached"] for a in rep.attempts] == [None, None, None]
@@ -775,16 +812,17 @@ def _gauss4_phi(xx):
 def test_block_stopped_at_max_iter_keeps_its_converged_slices(case):
     # a block that stops at max_iter after its front advanced keeps the
     # slices before the front and the sweep goes on from the front at the
-    # same size. Halving it instead, as every max_iter stop once did, lost
-    # its applications and shrank every later block: at max_iter = 3 the
-    # sinusoid_windowed preset at lam = 2 took 22 applications (16 here; at
-    # lam = 1 no block is cut from the extrapolated correction), the bump on
-    # [0, 1] halved once and answered [0, 0.5] only (11 applications here,
-    # none halved), and the Gaussian took 202 (29 here)
+    # same size, the slices after the cut block's stop predicted as an
+    # extrapolated block's are. Halving it instead, as every max_iter stop
+    # once did, lost its applications and shrank every later block: at
+    # max_iter = 3 the sinusoid_windowed preset at lam = 2 took 22
+    # applications (19 here), the bump on [0, 1] halved once and answered
+    # [0, 0.5] only (11 applications here, none halved), and the Gaussian
+    # took 202 (22 here)
     if case == "sinusoid_windowed":  # the CLI preset's data at 256x128, lam = 2
         sg = SpatialGrid(-40.0, 40.0, 256)
         spec = _make_spec(2.0, 3.0, 0.0, _zeros, _sinusoid, 0.5, sg, 128)
-        iterates = 16
+        iterates = 19
     elif case == "bump on [0, 1]":  # the CLI bump preset at 256x64
         sg = SpatialGrid(-40.0, 40.0, 256)
         spec = _make_spec(1.0, 3.0, 0.0, _zeros, lambda tt: _bump(0.5 * np.asarray(tt)),
@@ -793,7 +831,7 @@ def test_block_stopped_at_max_iter_keeps_its_converged_slices(case):
     else:
         sg = SpatialGrid(-30.0, 30.0, 256)
         spec = _make_spec(2.0, 3.0, 0.0, _gauss4_phi, _zeros, 0.5, sg, 128)
-        iterates = 29
+        iterates = 22
     _, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, max_iter=3))
     assert rep.converged and rep.halvings == 0 and rep.t_achieved == spec.T
     assert rep.iterates <= iterates
@@ -838,7 +876,7 @@ def test_slice_behind_the_front_is_not_written_again(monkeypatch):
     # an application from the front leaves every slice before it as it was,
     # and each slice of the answer last moved by at most tol times the
     # field's norm: the largest H^s norm of a slice of the iterate that the
-    # loop took (slices not yet swept keep the opening's last norms)
+    # loop took
     real_apply, real_norm = solver_module.apply_lambda, solver_module.sobolev_norm
     for sg, spec, cfg in _front_cases():
         last, seen, iterate = {}, [0.0], []
@@ -866,12 +904,57 @@ def test_slice_behind_the_front_is_not_written_again(monkeypatch):
         assert max(last.values()) <= cfg.tol * max(seen)
 
 
+def test_block_tol_scale_is_the_norm_of_the_slices_swept(monkeypatch):
+    # each block meets tol relative to the largest H^s norm of a slice of
+    # the iterate that the sweep itself took, on the slices before the
+    # block's stop. The slices it has not reached once kept the norms of
+    # the opening's last whole iterate, up to 2.197 on the standing wave
+    # against the answer's 2.000, and every block but the last met tol
+    # against that larger scale
+    real_apply, real_norm = solver_module.apply_lambda, solver_module.sobolev_norm
+    sg = SpatialGrid(-30.0, 30.0, 256)
+    spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 128)
+    state = {}
+    norm_of, update_of, seen = {}, {}, []  # seen: [scale, updates] per block
+
+    def apply_spy(w, pre, out=None, start=0, stop=None):
+        stop = pre.tgrid.m + 1 if stop is None else stop
+        # a block's: on the attempt's own grid, not its whole interval
+        block = pre.tgrid.m == 128 and (start, stop) != (0, 129)
+        state.update(vals=w.values, block=block, start=start, stop=stop)
+        return real_apply(w, pre, out=out, start=start, stop=stop)
+
+    def norm_spy(values, sgrid, s):
+        norms = real_norm(values, sgrid, s)
+        if not state["block"]:
+            return norms
+        if np.shares_memory(values, state["vals"]):  # the iterate's, on [k, stop)
+            k = (values.ctypes.data - state["vals"].ctypes.data) // values.strides[0]
+            norm_of.update(zip(range(k, k + len(norms)), norms))
+            seen.append([max(v for j, v in norm_of.items() if j < state["stop"]), None])
+        else:  # an update's, on [front, stop)
+            update_of.update(zip(range(state["start"], state["stop"]), norms))
+            seen[-1][1] = dict(update_of)
+        return norms
+
+    monkeypatch.setattr(solver_module, "apply_lambda", apply_spy)
+    monkeypatch.setattr(solver_module, "sobolev_norm", norm_spy)
+    _, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
+    blocks = rep.attempts[-1]["blocks"]
+    assert rep.converged and len(blocks) == len(seen) >= 3
+    for b, (scale, updates) in zip(blocks, seen):
+        k, stop = b["slices"]
+        assert b["halved"] is None and b["cut"] is None
+        last = max(updates[j] for j in range(k, stop))
+        assert b["residual"] == pytest.approx(last / scale, rel=1e-12), (k, stop)
+
+
 def test_block_takes_the_iterate_norm_once_after_its_first_application(monkeypatch):
     # on a block _iterate takes the H^s norm of its slices of the iterate
     # once, after its first application (never of an extrapolated start),
     # and the norm of each update: a block of n applications reads
-    # A N N (A N)^(n-1), A an application, N a norm. The whole-interval
-    # opening takes both after each of its applications, A N N
+    # A N N (A N)^(n-1), A an application, N a norm. The probe takes both
+    # after each of its whole-interval applications, A N N
     events = []
     real_apply, real_norm = solver_module.apply_lambda, solver_module.sobolev_norm
 
@@ -889,11 +972,11 @@ def test_block_takes_the_iterate_norm_once_after_its_first_application(monkeypat
         events.clear()
         _, rep = solve_ibvp(spec, cfg)
         assert rep.converged and rep.halvings == 0
-        whole = len(rep.residual_history)  # _WHOLE, then one more when fast
+        whole = len(rep.residual_history)  # the probe's two
         blocks = [b["iterates"] for b in rep.attempts[-1]["blocks"]]
         assert "".join(events) == "ANN" * whole + "".join(
             "ANN" + "AN" * (n - 1) for n in blocks)
-        assert events.count("N") == rep.iterates + whole + len(blocks)
+        assert events.count("N") == 2 * whole + rep.iterates + len(blocks)
 
 
 def _whole_picard(spec, cfg):
@@ -1006,8 +1089,9 @@ def test_warm_solve_peak_memory_is_under_five_fields():
 def test_warm_solve_validates_only_the_free_field(monkeypatch):
     # each validated SolutionField is a finiteness pass over a whole field.
     # The forcing checks its distinct-|x| rows before the gather, and the
-    # Picard loop each iterate in its own norms, so only the free field is
-    # validated whole, whatever the number of iterates
+    # Picard loop each iterate in its own norms, so only the free fields,
+    # the probe's and the attempt's, are validated whole, whatever the
+    # number of iterates
     sg = SpatialGrid(-30.0, 30.0, 128)
     spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 64)
     cfg = SolverConfig(sgrid=sg, tol=1e-10)
@@ -1021,8 +1105,8 @@ def test_warm_solve_validates_only_the_free_field(monkeypatch):
 
     monkeypatch.setattr(SolutionField, "__post_init__", counted)
     _, rep = solve_ibvp(spec, cfg)
-    assert rep.converged and rep.halvings == 0 and rep.iterates == 21
-    assert len(built) == 1, len(built)
+    assert rep.converged and rep.halvings == 0 and rep.iterates == 22
+    assert len(built) == 2, len(built)
 
 
 @pytest.mark.parametrize("lam", [1e120, 1e160])
@@ -1208,7 +1292,7 @@ def test_solve_standing_wave_on_a_grid_without_a_node_at_zero():
     assert sg.nodes[sg.nodes >= 0.0][0] > 0.0
     spec = _make_spec(2.0, 3.0, 0.0, _sol_phi, _sol_f, 0.5, sg, 128)
     u, rep = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
-    assert rep.converged and rep.halvings == 0 and rep.iterates == 30
+    assert rep.converged and rep.halvings == 0 and rep.iterates == 31
     err = _global_err(u, _soliton)
     assert err < 1e-4, err  # measured 3.7e-5; 2.3e-5 on the aligned [-30, 30)
 
@@ -1444,11 +1528,13 @@ def test_continuation_restart_that_contracts_slowly_answers_the_whole_delta():
 
 @pytest.mark.filterwarnings("ignore::halfline_nls.EdgeDecayWarning")
 def test_continuation_restart_shorter_than_parent_step():
-    # delta = 8 parent steps; ratio_cap 0.005 needs 4 halvings, which would
-    # leave a tail of 8 steps of dt/16: not one whole parent step. The
-    # restart stops at the floor of 3 halvings (2**3 <= 8) and raises
+    # delta = 8 parent steps; ratio_cap 0.0025 needs 4 halvings (first
+    # ratios 0.0274, 0.0137, 0.0068, 0.0034, halving with the interval),
+    # which would leave a tail of 8 steps of dt/16: not one whole parent
+    # step. The restart stops at the floor of 3 halvings (2**3 <= 8) and
+    # raises
     sg, spec, cfg, u = _halving_restart_case()
-    tight = SolverConfig(sgrid=sg, tol=1e-10, ratio_cap=0.005)
+    tight = SolverConfig(sgrid=sg, tol=1e-10, ratio_cap=0.0025)
     with pytest.raises(BlowupSuspected) as exc:
         continue_solution(u, spec, 0.25, 8 * u.tgrid.dt, tight)
     assert exc.value.report.halvings == 3
@@ -1493,8 +1579,9 @@ def test_failed_halving_attempt_is_freed_before_the_retry(monkeypatch):
     base = live_fields()
     _, report = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
     assert report.halvings == 2
-    # each attempt starts from nothing and iterates from its own linear part
-    assert seen == [("_prepare_linear", 0), ("_picard_loop", 1)] * 3
+    # each attempt starts from nothing: the probe builds its coarse linear
+    # part, and the attempt the probe passes its own, which it iterates from
+    assert seen == [("_prepare_linear", 0)] * 4 + [("_picard_loop", 1)]
 
 
 def test_report_keeps_every_attempt(monkeypatch):
@@ -1514,19 +1601,22 @@ def test_report_keeps_every_attempt(monkeypatch):
     attempts = report.attempts
     assert [a["interval"] for a in attempts] == [[0.0, 2.0], [0.0, 1.0], [0.0, 0.5]]
     assert [a["reason"] for a in attempts] == ["no contraction"] * 2 + [None]
-    assert sum(a["iterates"] for a in attempts) == len(calls) > report.iterates
+    # each attempt's probe applies the map twice, besides its iterates
+    assert sum(a["iterates"] + 2 for a in attempts) == len(calls) > report.iterates
     assert attempts[-1]["iterates"] == report.iterates
     assert attempts[-1]["contraction_ratios"] == report.contraction_ratios
-    # each refusal keeps the ratio that ended it: its first, after the 2
-    # whole applications that form it (measured 3.05 and 1.34)
+    # each refusal keeps the ratio that ended it: the probe's, after the 2
+    # whole applications that form it (measured 3.05 and 1.34), and makes
+    # no application on its own grid
     for a in attempts[:2]:
-        assert a["iterates"] == 2 and len(a["contraction_ratios"]) == 1
+        assert a["iterates"] == 0 and len(a["contraction_ratios"]) == 1
         assert a["contraction_ratios"][0] > cfg.ratio_cap
 
 
 def test_halving_solve_builds_one_workspace(monkeypatch):
     # every attempt keeps m and n, so the buffers of the first serve all
-    # three; one Workspace was once built per attempt
+    # three, and those of the first probe, on 32 steps, every probe; one
+    # Workspace was once built per attempt
     built = []
     real = Workspace.__init__
 
@@ -1538,7 +1628,7 @@ def test_halving_solve_builds_one_workspace(monkeypatch):
     sg, spec = _twice_halving_wave()
     _, report = solve_ibvp(spec, SolverConfig(sgrid=sg, tol=1e-10))
     assert report.converged and report.halvings == 2
-    assert len(built) == 1
+    assert [tg.m for _, tg in built] == [64, 32]
 
 
 def _count_mixed_norms(monkeypatch):
@@ -1580,15 +1670,17 @@ def test_blowup_suspected_carries_report(monkeypatch):
     norms = _count_mixed_norms(monkeypatch)
     with pytest.raises(BlowupSuspected) as exc:
         solve_ibvp(spec, cruel)
-    assert exc.value.report.iterates == 2
-    assert not exc.value.report.converged
     # two attempts, one halving between them, both refused by the ratio cap
-    assert exc.value.report.halvings == 1
+    # at the probe, which applies the map twice on its own grid and none
+    # on the attempt's
+    rep = exc.value.report
+    assert rep.iterates == 0 and len(rep.residual_history) == 2
+    assert not rep.converged
+    assert rep.halvings == 1
     assert str(exc.value).startswith("no contraction after 1 halvings")
-    # the last attempt's linear part's norm, taken once it was refused (one
-    # norm per attempt was taken, 2.64821 on [0, 0.125] as now)
-    assert norms == [0.125]
-    assert exc.value.report.linear_mixed_norm == pytest.approx(2.6482129266584016, rel=1e-12)
+    # no linear part was built on an attempt's own grid, so no mixed norm
+    # was taken
+    assert norms == [] and rep.linear_mixed_norm is None
 
 
 def test_refused_solve_keeps_no_field_in_its_traceback():
@@ -1626,10 +1718,21 @@ def test_critical_gate_halves_until_the_linear_part_is_small(monkeypatch):
     sg, spec = _critical_case()
     cfg = SolverConfig(sgrid=sg, tol=1e-8)
     norms = _count_mixed_norms(monkeypatch)
+    grids = []
+    real = solver_module._prepare_linear
+
+    def recorded(phi_ext, f, *args):
+        grids.append(f.grid.m)
+        return real(phi_ext, f, *args)
+
+    monkeypatch.setattr(solver_module, "_prepare_linear", recorded)
     _, rep = solve_ibvp(spec, cfg)
     assert rep.converged and rep.criticality == "critical"
     assert rep.halvings == 6
     assert len(norms) == 7  # the gate's, one per attempt
+    # on 16 steps the probe's grid is the attempt's own: the gate, the
+    # probe and the sweep read one linear part per attempt
+    assert grids == [16] * 7
     assert rep.t_achieved == 0.25 / 64
     assert rep.linear_mixed_norm < cfg.delta_crit  # measured 0.0910
 
